@@ -89,6 +89,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -99,8 +100,6 @@
 #include "expt/sweep.hpp"
 #include "graph/dot.hpp"
 #include "graph/metrics.hpp"
-#include "runtime/faults.hpp"
-#include "runtime/reliability.hpp"
 #include "runtime/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -262,97 +261,39 @@ long long threads_from_args(const Args& args) {
   return threads;
 }
 
-/// The shared run/sweep diagnostic for --threads on an algorithm without
-/// the knob (centralized baselines have nothing to shard).
-void warn_threads_ignored(const std::string& algorithm) {
-  std::fprintf(stderr,
-               "note: algorithm '%s' does not declare a 'threads' "
-               "parameter; --threads ignored for it\n",
-               algorithm.c_str());
-}
+/// The plan the capture flags (--metrics / --trace) feed.
+constexpr const char* kCapturePlan = "telemetry";
 
-/// Applies --threads to an algorithm's parameters: set when the algorithm
-/// declares the knob (an explicit --algo-params value wins), warn-and-skip
-/// when it doesn't.
-void apply_threads(AlgoSpec& spec, long long threads) {
-  if (threads == 1 || spec.params.has("threads")) return;
-  if (algorithm_declares(spec.name, "threads")) {
-    spec.params.with("threads", threads);
-  } else {
-    warn_threads_ignored(spec.name);
-  }
-}
-
-/// Parses --faults into a validated override bag (empty when the flag is
-/// absent). Unknown keys and out-of-range values fail here, with the fault
-/// catalogue, before anything runs.
-ParamSet faults_from_args(const Args& args) {
-  const std::string csv = args.get("faults", "");
-  if (csv.empty()) return {};
-  (void)parse_fault_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &fault_param_defaults());
-}
-
-/// The shared run/sweep diagnostic for --faults on an algorithm without
-/// fault knobs (centralized baselines execute no network to disturb).
-void warn_faults_ignored(const std::string& algorithm) {
-  std::fprintf(stderr,
-               "note: algorithm '%s' does not declare fault parameters; "
-               "--faults ignored for it\n",
-               algorithm.c_str());
-}
-
-/// Applies --faults key by key to an algorithm's parameters (explicit
-/// --algo-params values win), warn-and-skip for non-declaring algorithms.
-void apply_faults(AlgoSpec& spec, const ParamSet& faults) {
-  if (faults.values().empty()) return;
-  if (!algorithm_declares(spec.name, "loss")) {
-    warn_faults_ignored(spec.name);
+/// Forwards a run-wide knob's bag (`flag` names it: threads, profile or a
+/// plan) into one algorithm's params by the shared forward_params rule,
+/// and says so on stderr when the algorithm declares none of its keys
+/// (centralized baselines have no network to shard, disturb or watch).
+void forward_or_note(AlgoSpec& spec, const ParamSet& bag,
+                     const std::string& flag) {
+  if (bag.values().empty() || forward_params(spec.name, bag, spec.params)) {
     return;
   }
-  for (const auto& [key, value] : faults.values()) {
-    if (!spec.params.has(key)) spec.params.with(key, value);
-  }
-}
-
-/// Parses --reliability into a validated override bag (empty when absent),
-/// the exact --faults pattern for the rel_* key set.
-ParamSet reliability_from_args(const Args& args) {
-  const std::string csv = args.get("reliability", "");
-  if (csv.empty()) return {};
-  (void)parse_reliability_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &reliability_param_defaults());
-}
-
-/// The shared run/sweep diagnostic for --reliability (or explicit rel_*
-/// params) on an algorithm without the reliability knobs.
-void warn_reliability_ignored(const std::string& algorithm) {
+  const std::string flags = flag == kCapturePlan
+                                ? "--telemetry/--metrics/--trace"
+                                : "--" + flag;
   std::fprintf(stderr,
-               "note: algorithm '%s' does not declare reliability "
-               "parameters; --reliability ignored for it\n",
-               algorithm.c_str());
+               "note: algorithm '%s' declares no %s parameter; %s ignored "
+               "for it\n",
+               spec.name.c_str(), flag.c_str(), flags.c_str());
 }
 
-/// Applies --reliability key by key (explicit --algo-params values win),
-/// warn-and-skip for non-declaring algorithms.
-void apply_reliability(AlgoSpec& spec, const ParamSet& reliability) {
-  if (reliability.values().empty()) return;
-  if (!algorithm_declares(spec.name, "rel_mode")) {
-    warn_reliability_ignored(spec.name);
-    return;
+/// Parses every plan flag (--faults, --reliability, --telemetry) into its
+/// validated override bag, keyed by plan name (empty when the flag is
+/// absent). Unknown keys and out-of-range values fail here, before anything
+/// runs.
+std::map<std::string, ParamSet> plans_from_args(const Args& args) {
+  std::map<std::string, ParamSet> plans;
+  for (const auto& plan : runtime_plans()) {
+    plans[plan.name] =
+        parse_params_csv(args.get(plan.name, ""), &plan.defaults());
+    validate_plan_params(plan.name, plans[plan.name]);
   }
-  for (const auto& [key, value] : reliability.values()) {
-    if (!spec.params.has(key)) spec.params.with(key, value);
-  }
-}
-
-/// Parses --telemetry into a validated override bag (empty when absent),
-/// the --faults pattern for the tel_* key set.
-ParamSet telemetry_from_args(const Args& args) {
-  const std::string csv = args.get("telemetry", "");
-  if (csv.empty()) return {};
-  (void)parse_telemetry_plan(csv);  // full validation incl. ranges
-  return parse_params_csv(csv, &telemetry_param_defaults());
+  return plans;
 }
 
 /// Reads a capture-file flag (--metrics / --trace): empty string when the
@@ -372,35 +313,15 @@ std::string capture_path(const Args& args, const char* flag) {
 /// --telemetry / spec bag: --metrics needs metric rows, --trace needs phase
 /// spans and (for the counter tracks) the protocol probes. Explicit keys
 /// win, so --telemetry=tel_probes=0 --trace=t.json still disables probes.
-void arm_capture_facets(ParamSet& telemetry, bool metrics, bool trace) {
+void arm_capture_facets(std::map<std::string, ParamSet>& plans, bool metrics,
+                        bool trace) {
+  ParamSet& telemetry = plans[kCapturePlan];
   if (metrics && !telemetry.has("tel_metrics")) {
     telemetry.with("tel_metrics", 1);
   }
   if (trace) {
     if (!telemetry.has("tel_trace")) telemetry.with("tel_trace", 1);
     if (!telemetry.has("tel_probes")) telemetry.with("tel_probes", 1);
-  }
-}
-
-/// The shared run/sweep diagnostic for telemetry flags on an algorithm
-/// without the tel_* knobs (centralized baselines run no engine to watch).
-void warn_telemetry_ignored(const std::string& algorithm) {
-  std::fprintf(stderr,
-               "note: algorithm '%s' does not declare telemetry "
-               "parameters; --telemetry/--metrics/--trace ignored for it\n",
-               algorithm.c_str());
-}
-
-/// Applies the telemetry bag key by key (explicit --algo-params values
-/// win), warn-and-skip for non-declaring algorithms.
-void apply_telemetry(AlgoSpec& spec, const ParamSet& telemetry) {
-  if (telemetry.values().empty()) return;
-  if (!algorithm_declares(spec.name, "tel_metrics")) {
-    warn_telemetry_ignored(spec.name);
-    return;
-  }
-  for (const auto& [key, value] : telemetry.values()) {
-    if (!spec.params.has(key)) spec.params.with(key, value);
   }
 }
 
@@ -439,30 +360,26 @@ int cmd_run(const Args& args) {
   const ScenarioSpec sspec =
       parse_scenario_spec(scenario, args.get("params", ""), seed);
   AlgoSpec aspec = parse_algo_spec(algo, args.get("algo-params", ""), seed);
-  apply_threads(aspec, threads_from_args(args));
-  apply_faults(aspec, faults_from_args(args));
-  apply_reliability(aspec, reliability_from_args(args));
+  const long long threads = threads_from_args(args);
+  if (threads > 1) {
+    forward_or_note(aspec, ParamSet().with("threads", threads), "threads");
+  }
 
   // Telemetry: --metrics/--trace pick capture targets and arm the matching
   // tel_* facets; --telemetry tunes stride/bounds (and wins on conflicts).
   const std::string metrics_path = capture_path(args, "metrics");
   const std::string trace_path = capture_path(args, "trace");
-  ParamSet telemetry = telemetry_from_args(args);
-  arm_capture_facets(telemetry, !metrics_path.empty(), !trace_path.empty());
-  apply_telemetry(aspec, telemetry);
+  auto plans = plans_from_args(args);
+  arm_capture_facets(plans, !metrics_path.empty(), !trace_path.empty());
+  for (const auto& [name, overrides] : plans) {
+    forward_or_note(aspec, overrides, name);
+  }
 
-  // --profile: opt-in engine per-phase profiling (same declare-or-warn
-  // convention as --threads; an explicit --algo-params=profile=.. wins).
+  // --profile: opt-in engine per-phase profiling (an explicit
+  // --algo-params=profile=.. wins).
   const bool profiled = args.get_bool("profile");
-  if (profiled && !aspec.params.has("profile")) {
-    if (algorithm_declares(algo, "profile")) {
-      aspec.params.with("profile", 1);
-    } else {
-      std::fprintf(stderr,
-                   "note: algorithm '%s' does not declare a 'profile' "
-                   "parameter; --profile ignored for it\n",
-                   algo.c_str());
-    }
+  if (profiled) {
+    forward_or_note(aspec, ParamSet().with("profile", 1), "profile");
   }
 
   // --repeat=N re-runs the (fixed-seed, hence identical) execution N times
@@ -699,14 +616,16 @@ int cmd_sweep(const Args& args) {
     // Spec-file mode: the JSON document is the whole configuration;
     // --title and the --json output target still apply on top. Any other
     // experiment-defining flag would be silently dead, so reject it.
-    for (const char* flag :
-         {"scenario", "params", "algos", "algo", "algo-params", "grid",
-          "trials", "seed", "seq-seeds", "threads", "faults", "reliability",
-          "telemetry", "success", "success2", "success-eps",
-          "success-delta", "success-min-size", "success-max-eps"}) {
+    std::vector<std::string> flags = {
+        "scenario", "params", "algos", "algo", "algo-params", "grid",
+        "trials", "seed", "seq-seeds", "threads", "success", "success2",
+        "success-eps", "success-delta", "success-min-size",
+        "success-max-eps"};
+    for (const auto& plan : runtime_plans()) flags.push_back(plan.name);
+    for (const auto& flag : flags) {
       if (args.has(flag)) {
         throw std::invalid_argument(
-            std::string("--") + flag +
+            "--" + flag +
             " cannot be combined with --spec; put it in the spec document "
             "(only --title, --json, --metrics and --trace apply on top)");
       }
@@ -751,9 +670,7 @@ int cmd_sweep(const Args& args) {
     }
     spec.axes = parse_grid(args.get("grid", ""));
     spec.threads = static_cast<std::size_t>(threads_from_args(args));
-    spec.faults = faults_from_args(args);
-    spec.reliability = reliability_from_args(args);
-    spec.telemetry = telemetry_from_args(args);
+    spec.plans = plans_from_args(args);
     const auto trials = args.get_int("trials", 5);
     const auto seed = args.get_int("seed", 1);
     if (trials < 1) {
@@ -772,31 +689,24 @@ int cmd_sweep(const Args& args) {
     spec.success2 = success_from_args(args, "success2");
   }
   // Capture targets apply on top of both entry paths (like --json): the
-  // implied tel_* facets land in spec.telemetry, where the sweep runner
+  // implied tel_* facets land in the telemetry plan, where the sweep runner
   // distributes them to declaring algorithms.
   const std::string metrics_path = capture_path(args, "metrics");
   const std::string trace_path = capture_path(args, "trace");
-  arm_capture_facets(spec.telemetry, !metrics_path.empty(),
-                     !trace_path.empty());
+  arm_capture_facets(spec.plans, !metrics_path.empty(), !trace_path.empty());
 
-  // Shared diagnostics for both entry paths: sharding and faults only
-  // reach algorithms that declare the knobs; say so instead of silently
-  // running the rest clean/serial.
+  // Notes for both entry paths: sharding and plans only reach algorithms
+  // that declare their keys; say so instead of silently running the rest
+  // serial/clean. run_sweep forwards the same bags itself, so the probe
+  // copy only collects the notes.
   for (const auto& algo : spec.algorithms) {
-    if (spec.threads > 1 && !algorithm_declares(algo.name, "threads")) {
-      warn_threads_ignored(algo.name);
+    AlgoSpec probe = algo;
+    if (spec.threads > 1) {
+      forward_or_note(probe, ParamSet().with("threads", spec.threads),
+                      "threads");
     }
-    if (!spec.faults.values().empty() &&
-        !algorithm_declares(algo.name, "loss")) {
-      warn_faults_ignored(algo.name);
-    }
-    if (!spec.reliability.values().empty() &&
-        !algorithm_declares(algo.name, "rel_mode")) {
-      warn_reliability_ignored(algo.name);
-    }
-    if (!spec.telemetry.values().empty() &&
-        !algorithm_declares(algo.name, "tel_metrics")) {
-      warn_telemetry_ignored(algo.name);
+    for (const auto& [name, overrides] : spec.plans) {
+      forward_or_note(probe, overrides, name);
     }
   }
 

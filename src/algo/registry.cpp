@@ -37,13 +37,12 @@ AlgorithmRegistry build_global_registry() {
   // examples historically built by hand (p = pn / n, seed into the network
   // RNG, run_boosted for the versions wrapper), so pre-registry fixed-seed
   // results are preserved bit-for-bit.
-  // The network-backed protocol also declares the complete fault-plan key
-  // set (loss, ge_*, delay_*, crash_*, fault_seed — src/runtime/faults.hpp)
-  // and the reliability-service keys (rel_mode, rel_ack_timeout, rel_max_retx,
-  // rel_fec_window, rel_fec_repair, rel_seed — src/runtime/reliability.hpp),
-  // so adversity and its countermeasures ride the ordinary param-bag /
+  // The network-backed protocol also declares every runtime plan's complete
+  // key set (faults, reliability, telemetry — runtime_plans()), so adversity,
+  // its countermeasures and observation ride the ordinary param-bag /
   // sweep-axis machinery: `--algo-params=loss=0.05,rel_mode=1` and
-  // `--grid=algo.loss=0:0.05:0.1` just work.
+  // `--grid=algo.loss=0:0.05:0.1` just work. The adapter owns the telemetry
+  // capture sink; the result carries it out as AlgoResult::telemetry.
   AlgoParams dnc_defaults = AlgoParams()
                                 .with("eps", 0.2)
                                 .with("pn", 9.0)
@@ -52,18 +51,10 @@ AlgorithmRegistry build_global_registry() {
                                 .with("max_rounds", 32'000'000)
                                 .with("threads", 1)
                                 .with("profile", 0);
-  for (const auto& [key, value] : fault_param_defaults().values()) {
-    dnc_defaults.with(key, value);
-  }
-  for (const auto& [key, value] : reliability_param_defaults().values()) {
-    dnc_defaults.with(key, value);
-  }
-  // Telemetry keys (tel_metrics, tel_trace, tel_probes, tel_stride,
-  // tel_max_samples, tel_max_spans — src/runtime/telemetry.hpp) ride the
-  // same param-bag machinery; the adapter owns the capture sink and the
-  // result carries it out as AlgoResult::telemetry.
-  for (const auto& [key, value] : telemetry_param_defaults().values()) {
-    dnc_defaults.with(key, value);
+  for (const auto& plan : runtime_plans()) {
+    for (const auto& [key, value] : plan.defaults().values()) {
+      dnc_defaults.with(key, value);
+    }
   }
   r.add({"dist_near_clique",
          "Algorithm DistNearClique (Section 4) with the Section 4.1 "
@@ -77,8 +68,7 @@ AlgorithmRegistry build_global_registry() {
            cfg.proto.eps = p.get_double("eps");
            cfg.proto.p = p.get_double("pn") / static_cast<double>(g.n());
            cfg.net.seed = seed;
-           cfg.net.max_rounds =
-               static_cast<std::uint64_t>(p.get_double("max_rounds"));
+           cfg.net.max_rounds = p.get_count("max_rounds");
            cfg.net.faults = fault_plan_from_params(p);
            cfg.net.reliability = reliability_plan_from_params(p);
            // Delivery sharding: a pure performance knob — fixed-seed runs
@@ -110,9 +100,9 @@ AlgorithmRegistry build_global_registry() {
              tplan.sink = tsink.get();
              cfg.net.telemetry = tplan;
            }
-           AlgoResult out = to_algo_result(run_boosted(
-               g, cfg, static_cast<std::uint16_t>(lambda),
-               static_cast<std::uint64_t>(p.get_double("window"))));
+           AlgoResult out = to_algo_result(
+               run_boosted(g, cfg, static_cast<std::uint16_t>(lambda),
+                           p.get_count("window")));
            out.profile = prof;
            out.telemetry = std::move(tsink);
            return out;
@@ -267,13 +257,46 @@ AlgoResult run_algorithm(const Graph& g, const std::string& name,
   return AlgorithmRegistry::global().run(g, {name, params, seed});
 }
 
-bool algorithm_declares(const std::string& name, const std::string& key) {
+bool forward_params(const std::string& name, const ParamSet& bag,
+                    AlgoParams& params) {
+  const ParamSet* declared = nullptr;
   try {
-    return AlgorithmRegistry::global().algorithm(name).defaults.has_number(
-        key);
+    declared = &AlgorithmRegistry::global().algorithm(name).defaults;
   } catch (const std::invalid_argument&) {
     return false;  // unknown algorithm: callers report the catalogue later
   }
+  bool any = false;
+  for (const auto& [key, value] : bag.values()) {
+    if (!declared->has_number(key)) continue;
+    any = true;
+    if (!params.has(key)) params.with(key, value);
+  }
+  return any;
+}
+
+const std::vector<RuntimePlan>& runtime_plans() {
+  static const std::vector<RuntimePlan> plans = {
+      {"faults", &fault_param_defaults,
+       [](const ParamSet& p) { (void)fault_plan_from_params(p); }},
+      {"reliability", &reliability_param_defaults,
+       [](const ParamSet& p) { (void)reliability_plan_from_params(p); }},
+      {"telemetry", &telemetry_param_defaults,
+       [](const ParamSet& p) { (void)telemetry_plan_from_params(p); }},
+  };
+  return plans;
+}
+
+void validate_plan_params(const std::string& name, const ParamSet& overrides) {
+  std::vector<std::string> names;
+  for (const auto& plan : runtime_plans()) {
+    if (plan.name == name) {
+      plan.validate(merge_params(plan.defaults(), overrides, name + " plan"));
+      return;
+    }
+    names.push_back(plan.name);
+  }
+  throw std::invalid_argument("unknown runtime plan '" + name +
+                              "'; plans: " + join_comma(names));
 }
 
 AlgoSpec parse_algo_spec(const std::string& name,

@@ -79,12 +79,38 @@ class AlgorithmRegistry {
 AlgoResult run_algorithm(const Graph& g, const std::string& name,
                          const AlgoParams& params, std::uint64_t seed);
 
-/// True when the globally registered `name` declares a numeric parameter
-/// `key` in its defaults; false for non-declaring or unknown algorithms.
-/// The single rule behind every --threads forwarding decision (CLI, sweep
-/// runner, trial runner), so "which algorithms take a threads knob" cannot
-/// drift between entry points.
-bool algorithm_declares(const std::string& name, const std::string& key);
+/// The forward rule behind every run-wide knob (`--threads`, `--profile`
+/// and the plan flags below), shared by `nearclique run`, run_sweep and
+/// algorithm_runner: copies each numeric key of `bag` that the globally
+/// registered algorithm `name` declares into `params`, unless `params`
+/// already sets it (explicit per-algorithm values win). Returns whether the
+/// algorithm declares any key of `bag`; false (also for an unknown
+/// algorithm) means the bag was ignored for it.
+bool forward_params(const std::string& name, const ParamSet& bag,
+                    AlgoParams& params);
+
+/// One opt-in runtime plan: a named bag of parameters that disturbs or
+/// observes the simulated network (src/runtime/). Adding a plan is one
+/// entry in runtime_plans(); the CLI flag, the SweepSpec/spec-file entry,
+/// validation, forwarding and the network-backed algorithm's defaults all
+/// come from the table.
+struct RuntimePlan {
+  std::string name;  ///< also the CLI flag (--name=k=v,..) and spec-file key
+  const ParamSet& (*defaults)();  ///< the complete key set with defaults
+  /// Throws std::invalid_argument on an out-of-range value in a merged
+  /// (defaults + overrides) bag; the plan's typed reader does the work.
+  void (*validate)(const ParamSet& merged);
+};
+
+/// The plan table, in CLI and spec-file order: faults
+/// (src/runtime/faults.hpp), reliability (reliability.hpp), telemetry
+/// (telemetry.hpp).
+const std::vector<RuntimePlan>& runtime_plans();
+
+/// Validates an override bag for the plan named `plan`. Throws
+/// std::invalid_argument on an unknown plan (listing the plans), an unknown
+/// key (listing the plan's keys) or an out-of-range value.
+void validate_plan_params(const std::string& plan, const ParamSet& overrides);
 
 /// Parses a "key=value,key=value" parameter list into a spec for `name`
 /// (string-typed parameters of the algorithm parse verbatim). Throws

@@ -6,9 +6,6 @@
 #include <utility>
 
 #include "graph/metrics.hpp"
-#include "runtime/faults.hpp"
-#include "runtime/reliability.hpp"
-#include "runtime/telemetry.hpp"
 #include "util/json.hpp"
 
 namespace nc {
@@ -232,19 +229,10 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
   if (spec.algorithms.empty()) {
     throw std::invalid_argument("sweep spec lists no algorithms");
   }
-  if (!spec.faults.keys().empty()) {
-    // Unknown fault keys would otherwise be silently skipped by the
-    // declare-gated forwarding below; validate the bag as a plan up front.
-    (void)fault_plan_from_params(
-        merge_params(fault_param_defaults(), spec.faults, "fault plan"));
-  }
-  if (!spec.reliability.keys().empty()) {
-    (void)reliability_plan_from_params(merge_params(
-        reliability_param_defaults(), spec.reliability, "reliability plan"));
-  }
-  if (!spec.telemetry.keys().empty()) {
-    (void)telemetry_plan_from_params(merge_params(
-        telemetry_param_defaults(), spec.telemetry, "telemetry plan"));
+  // Unknown plan keys would otherwise be silently skipped by the
+  // declare-gated forwarding below; validate every bag up front.
+  for (const auto& [name, overrides] : spec.plans) {
+    validate_plan_params(name, overrides);
   }
   for (const auto& axis : spec.axes) {
     if (axis.values.empty()) {
@@ -304,31 +292,14 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
            points[p].algo_axis_overrides.values()) {
         row.algo_params.with(key, value);
       }
-      // The sweep-level threads knob reaches every algorithm that declares
-      // the parameter (the shared algorithm_declares rule); explicit
-      // per-algorithm overrides win.
-      if (spec.threads > 1 && !row.algo_params.has("threads") &&
-          algorithm_declares(algo.name, "threads")) {
-        row.algo_params.with("threads", spec.threads);
+      // The sweep-level threads knob and plans reach every algorithm that
+      // declares their keys; explicit per-algorithm and axis values win.
+      if (spec.threads > 1) {
+        forward_params(algo.name, ParamSet().with("threads", spec.threads),
+                       row.algo_params);
       }
-      // The sweep-level fault plan reaches declaring algorithms the same
-      // way, key by key; explicit per-algorithm and axis values win.
-      for (const auto& [key, value] : spec.faults.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
-        }
-      }
-      // And the sweep-level reliability plan, with the same precedence.
-      for (const auto& [key, value] : spec.reliability.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
-        }
-      }
-      // And the sweep-level telemetry knobs, with the same precedence.
-      for (const auto& [key, value] : spec.telemetry.values()) {
-        if (!row.algo_params.has(key) && algorithm_declares(algo.name, key)) {
-          row.algo_params.with(key, value);
-        }
+      for (const auto& [name, overrides] : spec.plans) {
+        forward_params(algo.name, overrides, row.algo_params);
       }
       row.scenario_merged =
           merge_params(family.defaults, row.scenario_params,
@@ -460,9 +431,11 @@ std::string sweep_spec_json(const SweepSpec& spec) {
   w.key("seed_base").value(spec.seed_base);
   w.key("seeds").value(schedule_name(spec.seeds));
   w.key("threads").value(static_cast<std::uint64_t>(spec.threads));
-  write_params(w, "faults", spec.faults);
-  write_params(w, "reliability", spec.reliability);
-  write_params(w, "telemetry", spec.telemetry);
+  for (const auto& plan : runtime_plans()) {
+    const auto it = spec.plans.find(plan.name);
+    write_params(w, plan.name.c_str(),
+                 it != spec.plans.end() ? it->second : ParamSet());
+  }
   write_success_spec(w, "success", spec.success);
   write_success_spec(w, "success2", spec.success2);
   w.end_object();
@@ -572,30 +545,29 @@ SweepSpec sweep_spec_from_json(const std::string& text) {
         throw std::invalid_argument("threads must be an integer >= 1");
       }
       spec.threads = static_cast<std::size_t>(t);
-    } else if (key == "faults") {
-      spec.faults = param_set_from_json(value, "faults");
-      // Fail on unknown keys / bad ranges now, with the fault catalogue,
-      // instead of at run time.
-      (void)fault_plan_from_params(
-          merge_params(fault_param_defaults(), spec.faults, "fault plan"));
-    } else if (key == "reliability") {
-      spec.reliability = param_set_from_json(value, "reliability");
-      (void)reliability_plan_from_params(merge_params(
-          reliability_param_defaults(), spec.reliability, "reliability plan"));
-    } else if (key == "telemetry") {
-      spec.telemetry = param_set_from_json(value, "telemetry");
-      (void)telemetry_plan_from_params(merge_params(
-          telemetry_param_defaults(), spec.telemetry, "telemetry plan"));
     } else if (key == "success") {
       spec.success = success_spec_from_json(value, "success");
     } else if (key == "success2") {
       spec.success2 = success_spec_from_json(value, "success2");
     } else {
-      throw std::invalid_argument(
-          "sweep spec has no field '" + key +
-          "'; fields: title, scenario, algorithms, axes, trials, seed_base, "
-          "seeds, threads, faults, reliability, telemetry, success, "
-          "success2");
+      // The remaining fields are the runtime plans, one object each.
+      std::string fields =
+          "title, scenario, algorithms, axes, trials, seed_base, seeds, "
+          "threads";
+      bool is_plan = false;
+      for (const auto& plan : runtime_plans()) {
+        is_plan = is_plan || plan.name == key;
+        fields += ", " + plan.name;
+      }
+      if (!is_plan) {
+        throw std::invalid_argument("sweep spec has no field '" + key +
+                                    "'; fields: " + fields +
+                                    ", success, success2");
+      }
+      // Fail on unknown keys / bad ranges now, with the plan's key list,
+      // instead of at run time.
+      spec.plans[key] = param_set_from_json(value, key);
+      validate_plan_params(key, spec.plans[key]);
     }
   }
   if (!have_scenario) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,30 +87,15 @@ struct SweepSpec {
   /// lives here beside trials/seeds rather than in the parameter grid.
   std::size_t threads = 1;
 
-  /// Fault-plan overrides (src/runtime/faults.hpp keys: loss, ge_*,
-  /// delay_*, crash_*, fault_seed) applied to every listed algorithm that
-  /// declares the key, exactly like `threads` — explicit per-algorithm
-  /// overrides and axis values win. One `--faults=loss=0.05,delay_max=3`
-  /// therefore subjects every network-backed algorithm in a comparison to
-  /// the same adversity while centralized baselines are unaffected.
-  ParamSet faults;
-
-  /// Reliability-service overrides (src/runtime/reliability.hpp keys:
-  /// rel_mode, rel_ack_timeout, rel_max_retx, rel_fec_window,
-  /// rel_fec_repair, rel_seed), distributed exactly like `faults`: applied
-  /// to every listed algorithm that declares the key, with explicit
-  /// per-algorithm overrides and axis values winning. One
-  /// `--reliability=rel_mode=1` arms ARQ on every network-backed algorithm
-  /// in a lossy comparison.
-  ParamSet reliability;
-
-  /// Telemetry overrides (src/runtime/telemetry.hpp keys: tel_metrics,
-  /// tel_trace, tel_probes, tel_stride, tel_max_samples, tel_max_spans),
-  /// distributed exactly like `faults`/`reliability`. Telemetry never
-  /// perturbs results — fixed-seed labels and RunStats are bit-identical
-  /// with it on or off — so it lives beside threads as a pure
-  /// observability knob; captures come back via run_sweep's capture sink.
-  ParamSet telemetry;
+  /// Runtime-plan overrides keyed by plan name (runtime_plans(): "faults",
+  /// "reliability", "telemetry"). Each bag reaches every listed algorithm
+  /// that declares its keys by forward_params, exactly like `threads` —
+  /// explicit per-algorithm overrides and axis values win. One
+  /// `--faults=loss=0.05` therefore subjects every network-backed
+  /// algorithm in a comparison to the same adversity while centralized
+  /// baselines are unaffected; telemetry captures come back via
+  /// run_sweep's capture sink.
+  std::map<std::string, ParamSet> plans;
 
   SuccessSpec success;
   SuccessSpec success2;
@@ -177,8 +163,8 @@ std::string sweep_json_lines(const std::vector<SweepRow>& rows);
 Table sweep_table(const std::vector<SweepRow>& rows);
 
 /// Serializes a SweepSpec as a pretty-printed JSON document (every field,
-/// including the faults overrides), the inverse of sweep_spec_from_json —
-/// round-tripping is exact up to key order.
+/// including one object per runtime plan), the inverse of
+/// sweep_spec_from_json — round-tripping is exact up to key order.
 std::string sweep_spec_json(const SweepSpec& spec);
 
 /// Parses a sweep spec document (the `nearclique sweep --spec=FILE`
@@ -199,8 +185,8 @@ std::string sweep_spec_json(const SweepSpec& spec);
 ///   }
 ///
 /// Every key is optional except scenario.family and algorithms; omitted
-/// keys take the SweepSpec defaults. "faults" and "reliability" keys are
-/// validated against the declared fault / reliability parameter sets.
+/// keys take the SweepSpec defaults. Each runtime plan's object ("faults",
+/// "reliability", "telemetry") is validated against that plan's keys.
 /// Throws std::invalid_argument with a self-explaining message on
 /// malformed JSON, unknown keys or bad values.
 SweepSpec sweep_spec_from_json(const std::string& text);

@@ -59,9 +59,8 @@ std::function<Instance(std::uint64_t)> scenario_maker(std::string family,
 
 std::function<AlgoResult(const Graph&, std::uint64_t)> algorithm_runner(
     std::string algorithm, ParamSet params, unsigned threads) {
-  if (threads > 1 && !params.has("threads") &&
-      algorithm_declares(algorithm, "threads")) {
-    params.with("threads", threads);
+  if (threads > 1) {
+    forward_params(algorithm, ParamSet().with("threads", threads), params);
   }
   return [algorithm = std::move(algorithm),
           params = std::move(params)](const Graph& g, std::uint64_t seed) {

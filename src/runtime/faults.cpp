@@ -103,25 +103,17 @@ const ParamSet& fault_param_defaults() {
 
 FaultPlan fault_plan_from_params(const ParamSet& params) {
   FaultPlan plan;
-  const auto u64 = [&](const char* key, std::uint64_t def) {
-    const double v = params.get_double_or(key, static_cast<double>(def));
-    if (v < 0.0) {
-      throw std::invalid_argument(std::string("fault plan: '") + key +
-                                  "' must be >= 0");
-    }
-    return static_cast<std::uint64_t>(v);
-  };
   plan.loss = params.get_double_or("loss", plan.loss);
   plan.ge_p = params.get_double_or("ge_p", plan.ge_p);
   plan.ge_r = params.get_double_or("ge_r", plan.ge_r);
   plan.ge_loss_good = params.get_double_or("ge_loss_good", plan.ge_loss_good);
   plan.ge_loss_bad = params.get_double_or("ge_loss_bad", plan.ge_loss_bad);
-  plan.delay_min = u64("delay_min", plan.delay_min);
-  plan.delay_max = u64("delay_max", plan.delay_max);
+  plan.delay_min = params.get_count_or("delay_min", plan.delay_min);
+  plan.delay_max = params.get_count_or("delay_max", plan.delay_max);
   plan.crash_frac = params.get_double_or("crash_frac", plan.crash_frac);
-  plan.crash_round = u64("crash_round", plan.crash_round);
-  plan.recover_after = u64("recover_after", plan.recover_after);
-  plan.fault_seed = u64("fault_seed", plan.fault_seed);
+  plan.crash_round = params.get_count_or("crash_round", plan.crash_round);
+  plan.recover_after = params.get_count_or("recover_after", plan.recover_after);
+  plan.fault_seed = params.get_count_or("fault_seed", plan.fault_seed);
   plan.validate();
   return plan;
 }

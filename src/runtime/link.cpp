@@ -130,67 +130,12 @@ bool Link::schedule_view(std::size_t budget_bits, unsigned header_bits,
   return true;
 }
 
-namespace {
-
-// Materializes a view into the legacy symbol-vector form (wrapper paths).
-void copy_view(const MsgView& v, Delivery& out) {
-  out.key = v.key;
-  out.symbols.clear();
-  out.eos = v.eos;
-  out.wire_bits = v.wire_bits;
-  std::size_t bit = v.bit_off;
-  for (std::size_t i = 0; i < v.symbol_count; ++i) {
-    const unsigned w = v.buf->width_at(v.first_symbol + i);
-    out.symbols.emplace_back(v.buf->value_at(bit, w),
-                             static_cast<std::uint8_t>(w));
-    bit += w;
-  }
-}
-
-}  // namespace
-
-bool Link::schedule_into(std::size_t budget_bits, unsigned header_bits,
-                         Delivery& out) {
-  MsgView v;
-  if (!schedule_view(budget_bits, header_bits, v)) return false;
-  copy_view(v, out);
-  // The link just went idle: release finished streams now, since an
-  // event-driven simulator will not touch this link again until new traffic
-  // appears (the old per-round scan pruned as a side effect).
-  release_idle();
-  return true;
-}
-
 std::size_t Link::pending_stream_count() const noexcept {
   std::size_t count = 0;
   for (const auto& s : streams_) {
     if (s.pending()) ++count;
   }
   return count;
-}
-
-std::optional<Delivery> Link::schedule(std::size_t budget_bits,
-                                       unsigned header_bits) {
-  Delivery d;
-  if (!schedule_into(budget_bits, header_bits, d)) return std::nullopt;
-  return d;
-}
-
-std::size_t Link::drain_all_into(unsigned header_bits,
-                                 std::vector<Delivery>& out) {
-  const std::size_t appended = drain_views(header_bits, [&](const MsgView& v) {
-    Delivery d;
-    copy_view(v, d);
-    out.push_back(std::move(d));
-  });
-  if (appended > 0) release_idle();
-  return appended;
-}
-
-std::optional<std::vector<Delivery>> Link::drain_all(unsigned header_bits) {
-  std::vector<Delivery> out;
-  if (drain_all_into(header_bits, out) == 0) return std::nullopt;
-  return out;
 }
 
 }  // namespace nc

@@ -49,7 +49,7 @@ namespace nc {
 /// reset); delayed buckets stay heap-backed, because they outlive rounds and
 /// a bump arena can never rewind one bucket out of the middle of a round's
 /// allocations. RunStats bit accounting is untouched: wire_bits carries
-/// header + payload exactly as the Delivery path charged it.
+/// header + payload exactly as Link::schedule_view computed it.
 class MsgBlock {
  public:
   /// Decoded row handed to the deliver phase.

@@ -66,25 +66,17 @@ const ParamSet& reliability_param_defaults() {
 
 ReliabilityPlan reliability_plan_from_params(const ParamSet& params) {
   ReliabilityPlan plan;
-  const auto u64 = [&](const char* key, std::uint64_t def) {
-    const double v = params.get_double_or(key, static_cast<double>(def));
-    if (v < 0.0) {
-      throw std::invalid_argument(std::string("reliability plan: '") + key +
-                                  "' must be >= 0");
-    }
-    return static_cast<std::uint64_t>(v);
-  };
-  const std::uint64_t mode = u64("rel_mode", 0);
+  const std::uint64_t mode = params.get_count_or("rel_mode", 0);
   if (mode > 2) {
     throw std::invalid_argument(
         "reliability plan: rel_mode must be 0 (off), 1 (ack) or 2 (fec)");
   }
   plan.mode = static_cast<ReliabilityPlan::Mode>(mode);
-  plan.ack_timeout = u64("rel_ack_timeout", plan.ack_timeout);
-  plan.max_retx = u64("rel_max_retx", plan.max_retx);
-  plan.fec_window = u64("rel_fec_window", plan.fec_window);
-  plan.fec_repair = u64("rel_fec_repair", plan.fec_repair);
-  plan.rel_seed = u64("rel_seed", plan.rel_seed);
+  plan.ack_timeout = params.get_count_or("rel_ack_timeout", plan.ack_timeout);
+  plan.max_retx = params.get_count_or("rel_max_retx", plan.max_retx);
+  plan.fec_window = params.get_count_or("rel_fec_window", plan.fec_window);
+  plan.fec_repair = params.get_count_or("rel_fec_repair", plan.fec_repair);
+  plan.rel_seed = params.get_count_or("rel_seed", plan.rel_seed);
   plan.validate();
   return plan;
 }

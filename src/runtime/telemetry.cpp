@@ -61,20 +61,12 @@ const ParamSet& telemetry_param_defaults() {
 
 TelemetryPlan telemetry_plan_from_params(const ParamSet& params) {
   TelemetryPlan plan;
-  const auto u64 = [&](const char* key, std::uint64_t def) {
-    const double v = params.get_double_or(key, static_cast<double>(def));
-    if (v < 0.0) {
-      throw std::invalid_argument(std::string("telemetry plan: '") + key +
-                                  "' must be >= 0");
-    }
-    return static_cast<std::uint64_t>(v);
-  };
   plan.metrics = params.get_double_or("tel_metrics", 0.0) != 0.0;
   plan.trace = params.get_double_or("tel_trace", 0.0) != 0.0;
   plan.probes = params.get_double_or("tel_probes", 0.0) != 0.0;
-  plan.stride = u64("tel_stride", plan.stride);
-  plan.max_samples = u64("tel_max_samples", plan.max_samples);
-  plan.max_spans = u64("tel_max_spans", plan.max_spans);
+  plan.stride = params.get_count_or("tel_stride", plan.stride);
+  plan.max_samples = params.get_count_or("tel_max_samples", plan.max_samples);
+  plan.max_spans = params.get_count_or("tel_max_spans", plan.max_spans);
   plan.validate();
   return plan;
 }

@@ -13,6 +13,17 @@ namespace {
   throw std::invalid_argument("parameter '" + key + "' is not set");
 }
 
+std::uint64_t checked_count(const std::string& key, double value) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!(value >= 0.0 && value <= kMaxExact) || value != std::floor(value)) {
+    std::ostringstream os;
+    os << "parameter '" << key << "' must be an integer in [0, 2^53], got "
+       << value;
+    throw std::invalid_argument(os.str());
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 }  // namespace
 
 std::string join_comma(const std::vector<std::string>& parts) {
@@ -59,6 +70,16 @@ const std::string& ParamSet::get_string(const std::string& key) const {
 double ParamSet::get_double_or(const std::string& key, double def) const {
   const auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
+}
+
+std::uint64_t ParamSet::get_count(const std::string& key) const {
+  return checked_count(key, get_double(key));
+}
+
+std::uint64_t ParamSet::get_count_or(const std::string& key,
+                                     std::uint64_t def) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? def : checked_count(key, it->second);
 }
 
 std::vector<std::string> ParamSet::keys() const {

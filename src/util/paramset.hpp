@@ -65,6 +65,14 @@ class ParamSet {
   /// Convenience: the numeric value when set, `def` otherwise.
   [[nodiscard]] double get_double_or(const std::string& key, double def) const;
 
+  /// The numeric value as an exact count. Throws std::invalid_argument
+  /// naming the key when the value is NaN, negative, non-integral or above
+  /// 2^53 (where doubles start skipping integers), so no out-of-range double
+  /// is ever cast to an integer. get_count_or returns `def` when unset.
+  [[nodiscard]] std::uint64_t get_count(const std::string& key) const;
+  [[nodiscard]] std::uint64_t get_count_or(const std::string& key,
+                                           std::uint64_t def) const;
+
   [[nodiscard]] const std::map<std::string, double>& values() const {
     return values_;
   }

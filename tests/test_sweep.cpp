@@ -208,8 +208,8 @@ TEST(Sweep, SuccessSpecParsesByName) {
 }
 
 TEST(Sweep, FaultOverridesReachOnlyDeclaringAlgorithms) {
-  // SweepSpec.faults forwards key by key to algorithms that declare the
-  // fault knobs (dist_near_clique), mirroring the threads rule; the
+  // The sweep's fault plan forwards key by key to algorithms that declare
+  // the fault knobs (dist_near_clique), mirroring the threads rule; the
   // centralized baseline in the same comparison stays clean.
   SweepSpec spec;
   spec.scenario_family = "theorem";
@@ -218,7 +218,7 @@ TEST(Sweep, FaultOverridesReachOnlyDeclaringAlgorithms) {
                       AlgoParams().with("max_rounds", 50'000)},
                      {"peeling", {}}};
   spec.trials = 1;
-  spec.faults = ParamSet().with("loss", 0.05).with("delay_max", 2);
+  spec.plans["faults"] = ParamSet().with("loss", 0.05).with("delay_max", 2);
   const auto rows = run_sweep(spec);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0].algo_merged.get_double("loss"), 0.05);
@@ -231,7 +231,7 @@ TEST(Sweep, FaultOverridesReachOnlyDeclaringAlgorithms) {
       run_sweep(spec).at(0).algo_merged.get_double("loss"), 0.2);
 
   // Unknown fault keys fail up front with the fault catalogue.
-  spec.faults = ParamSet().with("packet_loss", 0.05);
+  spec.plans["faults"] = ParamSet().with("packet_loss", 0.05);
   EXPECT_THROW((void)run_sweep(spec), std::invalid_argument);
 }
 
@@ -266,7 +266,11 @@ SweepSpec full_spec() {
   spec.seed_base = 42;
   spec.seeds = SeedSchedule::kSequential;
   spec.threads = 2;
-  spec.faults = ParamSet().with("loss", 0.02).with("delay_max", 3);
+  spec.plans["faults"] = ParamSet().with("loss", 0.02).with("delay_max", 3);
+  spec.plans["reliability"] =
+      ParamSet().with("rel_mode", 1).with("rel_max_retx", 6);
+  spec.plans["telemetry"] =
+      ParamSet().with("tel_metrics", 1).with("tel_stride", 4);
   spec.success.kind = SuccessSpec::Kind::kTheorem57;
   spec.success.eps = 0.15;
   spec.success2.kind = SuccessSpec::Kind::kSizeDensity;
@@ -300,7 +304,10 @@ TEST(SweepSpecJson, RoundTripsEveryField) {
   EXPECT_EQ(back.seed_base, spec.seed_base);
   EXPECT_EQ(back.seeds, spec.seeds);
   EXPECT_EQ(back.threads, spec.threads);
-  EXPECT_EQ(back.faults.values(), spec.faults.values());
+  ASSERT_EQ(back.plans.size(), spec.plans.size());
+  for (const auto& [name, overrides] : spec.plans) {
+    EXPECT_EQ(back.plans.at(name).values(), overrides.values()) << name;
+  }
   EXPECT_EQ(back.success.kind, spec.success.kind);
   EXPECT_DOUBLE_EQ(back.success.eps, spec.success.eps);
   EXPECT_TRUE(std::isnan(back.success.delta));  // kFromParams survives
