@@ -7,10 +7,45 @@
 #include <vector>
 
 #include "runtime/message.hpp"
+#include "runtime/pool.hpp"
 #include "runtime/stream.hpp"
 #include "util/check.hpp"
 
 namespace nc {
+
+/// Packed (ni, tag, version) — 16 bytes, trivially comparable, and the
+/// (ni, tv) lexicographic order equals (ni, tag, version) order because
+/// tv concatenates tag above version.
+struct InboxKey {
+  std::uint64_t ni;
+  std::uint64_t tv;  ///< tag << 16 | version
+
+  friend bool operator==(const InboxKey& a, const InboxKey& b) noexcept {
+    return a.ni == b.ni && a.tv == b.tv;
+  }
+  friend bool operator<(const InboxKey& a, const InboxKey& b) noexcept {
+    return a.ni != b.ni ? a.ni < b.ni : a.tv < b.tv;
+  }
+};
+
+/// Bucket-column storage of one shard's inboxes: every bucket's key column
+/// and stream column sit in slots of these two pools, allocated and freed
+/// in lockstep so one handle names both.
+struct InboxPool {
+  SlotPool<InboxKey> keys;
+  SlotPool<InStream> streams;
+
+  [[nodiscard]] std::uint32_t alloc(unsigned cls) {
+    const std::uint32_t slot = keys.alloc(cls);
+    [[maybe_unused]] const std::uint32_t twin = streams.alloc(cls);
+    nc_invariant(slot == twin, "inbox key/stream pools fell out of lockstep");
+    return slot;
+  }
+  void free(unsigned cls, std::uint32_t slot) {
+    keys.free(cls, slot);
+    streams.free(cls, slot);
+  }
+};
 
 /// Flat, kind-bucketed store of a node's incoming streams.
 ///
@@ -22,7 +57,7 @@ namespace nc {
 ///    deterministic (ni, key) order the old map produced (kind is fixed
 ///    within a bucket, so (ni, tag, version) order == (ni, StreamKey) order);
 ///  - lookups are a binary search in a small contiguous bucket;
-///  - insertion (rare: first delivery of a stream) is a vector insert.
+///  - insertion (rare: first delivery of a stream) shifts the bucket's tail.
 /// Protocol code observes identical iteration order, which the simulator's
 /// bit-for-bit determinism guarantee depends on.
 ///
@@ -30,21 +65,25 @@ namespace nc {
 /// instead of a static array of kMaxMsgKinds bucket headers: protocols use
 /// around a third of the kind space, and the simulator's dominant cost is
 /// cold misses on randomly-addressed per-node state (every delivery lands
-/// on a different node). The slot map keeps sizeof(Inbox) at ~56 bytes, so
-/// a node's whole hot state — counters, inbox header, link vector — packs
-/// into a few cache lines instead of striding a ~2 KB struct. Slot order is
+/// on a different node). The slot map keeps sizeof(Inbox) at 64 bytes, so
+/// a node's whole hot state — counters, inbox header — packs into a few
+/// cache lines instead of striding a ~2 KB struct. Slot order is
 /// first-delivery order, which is internal layout only: every lookup goes
 /// through the map, so nothing observable depends on it.
 ///
-/// Each bucket is stored structure-of-arrays: a dense vector of 16-byte
+/// Each bucket is stored structure-of-arrays: a dense column of 16-byte
 /// packed (ni, tag, version) keys that the binary search strides, and a
-/// parallel vector of the 80-byte InStream payloads indexed by the same
+/// parallel column of the ≤ 64-byte InStream payloads indexed by the same
 /// position. An AoS bucket (key embedded next to its stream) made every
-/// search probe pull a ~100-byte element into cache and every insert shift
+/// search probe pull a whole stream into cache and every insert shift
 /// whole InStreams; splitting the keys out keeps four of them per cache
 /// line, which matters because the two hottest operations in the whole
 /// simulator — open() on each delivered message and find() on each
-/// protocol-side poll — both funnel into this search.
+/// protocol-side poll — both funnel into this search. Both columns live in
+/// one slot of the shard's InboxPool and grow like a vector (a full bucket
+/// moves to a slot twice the size and frees the old one for reuse), so the
+/// inboxes of a shard share a few pool chunks instead of two heap blocks
+/// per bucket.
 ///
 /// Lookups are memoized per bucket (not one shared slot): deliveries within
 /// a round arrive from ascending sources but alternate message kinds, and
@@ -68,12 +107,14 @@ namespace nc {
 /// delivery — goes through open(), which pulls the cursor back over the
 /// revived entry.
 ///
-/// Shard ownership (see network.hpp): an inbox belongs to its node's
-/// shard. The deliver phase writes it from the destination shard's thread
-/// and the wake phase reads it from the same thread, with a pool barrier
-/// between the phases — the inbox itself needs no synchronization.
+/// Shard ownership (see network.hpp): an inbox and its pool belong to its
+/// node's shard. The deliver phase writes it from the destination shard's
+/// thread and the wake phase reads it from the same thread, with a pool
+/// barrier between the phases — the inbox itself needs no synchronization.
 class Inbox {
  public:
+  explicit Inbox(InboxPool& pool) noexcept : pool_(&pool) {}
+
   /// Stream from neighbour index `ni` with key `key`, or nullptr. Shares
   /// open()'s per-bucket memo (protocols poll the same streams every round).
   [[nodiscard]] InStream* find(std::size_t ni, const StreamKey& key) {
@@ -82,33 +123,30 @@ class Inbox {
     nc_invariant(static_cast<std::size_t>(slot) < store_.size(),
                  "inbox slot map points past the allocated buckets");
     Bucket& bucket = store_[static_cast<std::size_t>(slot)];
-    const Key want = pack(ni, key);
-    const std::size_t hit = probe(bucket, want);
-    if (hit != kMiss) return &bucket.streams[hit];
-    const std::size_t idx = lower_bound(bucket, want);
-    if (idx == bucket.keys.size() || !(bucket.keys[idx] == want)) {
-      return nullptr;
+    if (bucket.size == 0) return nullptr;
+    const InboxKey* keys = keys_of(bucket);
+    const InboxKey want = pack(ni, key);
+    std::size_t idx = probe(bucket, keys, want);
+    if (idx == kMiss) {
+      idx = lower_bound(keys, bucket.size, want);
+      if (idx == bucket.size || !(keys[idx] == want)) return nullptr;
+      bucket.memo = static_cast<std::uint32_t>(idx);
     }
-    bucket.memo = static_cast<std::uint32_t>(idx);
-    return &bucket.streams[idx];
+    return streams_of(bucket) + idx;
   }
 
   /// Stream from `ni` with key `key`, created empty if absent (runtime use,
   /// on delivery).
   [[nodiscard]] InStream& open(std::size_t ni, const StreamKey& key) {
     Bucket& bucket = bucket_for(check_kind(key.kind));
-    nc_invariant(bucket.keys.size() == bucket.streams.size(),
-                 "inbox bucket key/stream columns out of sync");
-    const Key want = pack(ni, key);
-    std::size_t idx = probe(bucket, want);
+    const InboxKey want = pack(ni, key);
+    std::size_t idx = bucket.size == 0 ? kMiss
+                                       : probe(bucket, keys_of(bucket), want);
     if (idx == kMiss) {
-      idx = lower_bound(bucket, want);
-      if (idx == bucket.keys.size() || !(bucket.keys[idx] == want)) {
-        bucket.keys.insert(
-            bucket.keys.begin() + static_cast<std::ptrdiff_t>(idx), want);
-        bucket.streams.insert(
-            bucket.streams.begin() + static_cast<std::ptrdiff_t>(idx),
-            InStream{});
+      idx = bucket.size == 0 ? 0
+                             : lower_bound(keys_of(bucket), bucket.size, want);
+      if (idx == bucket.size || !(keys_of(bucket)[idx] == want)) {
+        insert(bucket, idx, want);
       }
       bucket.memo = static_cast<std::uint32_t>(idx);
     }
@@ -119,7 +157,7 @@ class Inbox {
     if (idx < bucket.dead) {
       bucket.dead = static_cast<std::uint32_t>(idx);
     }
-    return bucket.streams[idx];
+    return streams_of(bucket)[idx];
   }
 
   /// Invokes `fn(ni, key, stream)` for every stream of `kind`, in ascending
@@ -131,49 +169,37 @@ class Inbox {
     const std::int8_t slot = slot_[check_kind(kind)];
     if (slot < 0) return;
     Bucket& bucket = store_[static_cast<std::size_t>(slot)];
-    nc_invariant(bucket.dead <= bucket.keys.size(),
+    nc_invariant(bucket.dead <= bucket.size,
                  "inbox dead-prefix cursor ran past the bucket");
+    if (bucket.size == 0) return;
+    const InboxKey* keys = keys_of(bucket);
+    InStream* streams = streams_of(bucket);
     std::uint32_t dead = bucket.dead;
-    while (dead < bucket.keys.size()) {
-      const InStream& s = bucket.streams[dead];
+    while (dead < bucket.size) {
+      const InStream& s = streams[dead];
       if (s.available() != 0 || s.closed()) break;
       ++dead;
     }
     bucket.dead = dead;
-    for (std::size_t i = dead; i < bucket.keys.size(); ++i) {
-      const Key k = bucket.keys[i];
+    for (std::size_t i = dead; i < bucket.size; ++i) {
+      const InboxKey k = keys[i];
       const StreamKey key{kind, static_cast<NodeId>(k.tv >> 16),
                           static_cast<std::uint16_t>(k.tv & 0xFFFFu)};
-      fn(static_cast<std::size_t>(k.ni), key, bucket.streams[i]);
+      fn(static_cast<std::size_t>(k.ni), key, streams[i]);
     }
   }
 
   /// Total streams stored (all kinds).
   [[nodiscard]] std::size_t size() const noexcept {
     std::size_t total = 0;
-    for (const auto& b : store_) total += b.keys.size();
+    for (const auto& b : store_) total += b.size;
     return total;
   }
 
  private:
-  /// Packed (ni, tag, version) — 16 bytes, trivially comparable, and the
-  /// (ni, tv) lexicographic order equals (ni, tag, version) order because
-  /// tv concatenates tag above version.
-  struct Key {
-    std::uint64_t ni;
-    std::uint64_t tv;  ///< tag << 16 | version
-
-    friend bool operator==(const Key& a, const Key& b) noexcept {
-      return a.ni == b.ni && a.tv == b.tv;
-    }
-    friend bool operator<(const Key& a, const Key& b) noexcept {
-      return a.ni != b.ni ? a.ni < b.ni : a.tv < b.tv;
-    }
-  };
-
   struct Bucket {
-    std::vector<Key> keys;
-    std::vector<InStream> streams;  ///< parallel to keys
+    std::uint32_t slot = SlotPool<InStream>::kNoSlot;  ///< InboxPool handle
+    std::uint32_t size = 0;  ///< live entries; the slot holds 2^cls
 
     /// Consumed-prefix cursor: entries [0 .. dead) are all drained-and-
     /// unclosed, so for_each starts at dead. Clamped back by open()
@@ -183,13 +209,15 @@ class Inbox {
     /// Last-hit memo (see class comment); validated by value on every use,
     /// so it can never go stale in an observable way.
     std::uint32_t memo = 0;
+
+    std::uint8_t cls = 0;
   };
 
   static constexpr std::size_t kMiss = ~static_cast<std::size_t>(0);
 
-  static Key pack(std::size_t ni, const StreamKey& key) noexcept {
-    return Key{static_cast<std::uint64_t>(ni),
-               (static_cast<std::uint64_t>(key.tag) << 16) | key.version};
+  static InboxKey pack(std::size_t ni, const StreamKey& key) noexcept {
+    return InboxKey{static_cast<std::uint64_t>(ni),
+                    (static_cast<std::uint64_t>(key.tag) << 16) | key.version};
   }
 
   static std::uint16_t check_kind(std::uint16_t kind) {
@@ -197,6 +225,13 @@ class Inbox {
       throw std::invalid_argument("message kind out of range (>= 32)");
     }
     return kind;
+  }
+
+  [[nodiscard]] InboxKey* keys_of(const Bucket& b) const noexcept {
+    return pool_->keys.data(b.cls, b.slot);
+  }
+  [[nodiscard]] InStream* streams_of(const Bucket& b) const noexcept {
+    return pool_->streams.data(b.cls, b.slot);
   }
 
   /// The kind's bucket, allocated on first delivery.
@@ -210,26 +245,64 @@ class Inbox {
     return store_[static_cast<std::size_t>(slot)];
   }
 
+  /// Inserts a fresh stream under `want` at position `idx` — the vector
+  /// insert, on pool slots: shift the tail within the slot, or move the
+  /// whole bucket into a slot of the next class when it is full.
+  void insert(Bucket& b, std::size_t idx, const InboxKey& want) {
+    const std::size_t n = b.size;
+    if (b.slot == SlotPool<InStream>::kNoSlot ||
+        n == (std::size_t{1} << b.cls)) {
+      const unsigned cls = b.slot == SlotPool<InStream>::kNoSlot ? 0 : b.cls + 1u;
+      const std::uint32_t slot = pool_->alloc(cls);
+      InboxKey* keys = pool_->keys.data(cls, slot);
+      InStream* streams = pool_->streams.data(cls, slot);
+      if (n > 0) {
+        InboxKey* old_keys = keys_of(b);
+        InStream* old_streams = streams_of(b);
+        std::copy(old_keys, old_keys + idx, keys);
+        std::copy(old_keys + idx, old_keys + n, keys + idx + 1);
+        std::move(old_streams, old_streams + idx, streams);
+        std::move(old_streams + idx, old_streams + n, streams + idx + 1);
+        pool_->free(b.cls, b.slot);
+      }
+      keys[idx] = want;
+      streams[idx] = InStream{};
+      b.slot = slot;
+      b.cls = static_cast<std::uint8_t>(cls);
+    } else {
+      InboxKey* keys = keys_of(b);
+      InStream* streams = streams_of(b);
+      std::copy_backward(keys + idx, keys + n, keys + n + 1);
+      std::move_backward(streams + idx, streams + n, streams + n + 1);
+      keys[idx] = want;
+      streams[idx] = InStream{};
+    }
+    ++b.size;
+  }
+
   /// Memo probe: the bucket's last-hit slot, then its successor (ascending
   /// access patterns). Returns the validated index or kMiss. Updates the
   /// memo on a successor hit.
-  [[nodiscard]] static std::size_t probe(Bucket& bucket,
-                                         const Key& want) noexcept {
+  [[nodiscard]] static std::size_t probe(Bucket& bucket, const InboxKey* keys,
+                                         const InboxKey& want) noexcept {
     const std::size_t last = bucket.memo;
-    if (last < bucket.keys.size() && bucket.keys[last] == want) return last;
+    if (last < bucket.size && keys[last] == want) return last;
     const std::size_t next = last + 1;
-    if (next < bucket.keys.size() && bucket.keys[next] == want) {
+    if (next < bucket.size && keys[next] == want) {
       bucket.memo = static_cast<std::uint32_t>(next);
       return next;
     }
     return kMiss;
   }
 
-  static std::size_t lower_bound(const Bucket& bucket, const Key& want) {
-    return static_cast<std::size_t>(
-        std::lower_bound(bucket.keys.begin(), bucket.keys.end(), want) -
-        bucket.keys.begin());
+  static std::size_t lower_bound(const InboxKey* keys, std::size_t n,
+                                 const InboxKey& want) {
+    return static_cast<std::size_t>(std::lower_bound(keys, keys + n, want) -
+                                    keys);
   }
+
+  /// The shard's column storage (not owned).
+  InboxPool* pool_;
 
   /// kind → index into store_, -1 while the kind has never received.
   std::array<std::int8_t, kMaxMsgKinds> slot_ = init_slots();

@@ -1,17 +1,34 @@
 #include "runtime/link.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace nc {
 
 void Link::add_stream(const StreamKey& key,
                       std::shared_ptr<const OutStreamState> state) {
-  streams_.push_back(ActiveStream{key, std::move(state), 0, 0, false});
+  if (count_ == 0) {
+    slot_ = pool_->alloc(0);
+    cls_ = 0;
+  } else if (count_ == (std::uint32_t{1} << cls_)) {
+    // Full: move into a slot twice the size, exactly as a vector regrows.
+    const std::uint32_t bigger = pool_->alloc(cls_ + 1u);
+    LinkStream* from = pool_->data(cls_, slot_);
+    LinkStream* to = pool_->data(cls_ + 1u, bigger);
+    for (std::uint32_t i = 0; i < count_; ++i) to[i] = std::move(from[i]);
+    pool_->free(cls_, slot_);
+    slot_ = bigger;
+    ++cls_;
+  }
+  pool_->data(cls_, slot_)[count_] =
+      LinkStream{std::move(state), 0, key.tag, key.kind, key.version, 0, false};
+  ++count_;
 }
 
 bool Link::has_pending() const noexcept {
-  for (const auto& s : streams_) {
-    if (s.pending()) return true;
+  const LinkStream* streams = data();
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (streams[i].pending()) return true;
   }
   return false;
 }
@@ -23,41 +40,49 @@ void Link::prune_done() {
   // streams otherwise) and releases their shared payload buffers.
   if (!any_done_) return;
   any_done_ = false;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    if (!streams_[i].eos_done) {
-      if (kept != i) streams_[kept] = std::move(streams_[i]);
+  LinkStream* streams = data();
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (!streams[i].eos_done) {
+      if (kept != i) streams[kept] = std::move(streams[i]);
       ++kept;
     }
   }
-  if (kept != streams_.size()) {
-    streams_.resize(kept);
-    rr_pos_ = streams_.empty() ? 0 : rr_pos_ % streams_.size();
+  if (kept == count_) return;
+  // The dropped tail still holds the pruned streams' payload references.
+  for (std::uint32_t i = kept; i < count_; ++i) streams[i].state.reset();
+  count_ = kept;
+  if (kept == 0) {
+    pool_->free(cls_, slot_);
+    slot_ = LinkPool::kNoSlot;
+    rr_pos_ = 0;
+  } else {
+    rr_pos_ %= kept;
   }
 }
 
-std::size_t Link::pick_pending() {
+std::uint32_t Link::pick_pending() {
   prune_done();
-  const std::size_t count = streams_.size();
-  for (std::size_t step = 0; step < count; ++step) {
-    const std::size_t i = (rr_pos_ + step) % count;
-    if (streams_[i].pending()) return i;
+  const LinkStream* streams = data();
+  for (std::uint32_t step = 0; step < count_; ++step) {
+    const std::uint32_t i = (rr_pos_ + step) % count_;
+    if (streams[i].pending()) return i;
   }
-  return count;
+  return count_;
 }
 
 bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
                             const MsgView& prev) {
-  const std::size_t chosen = pick_pending();
-  if (chosen == streams_.size()) return false;
-  ActiveStream& s = streams_[chosen];
+  const std::uint32_t chosen = pick_pending();
+  if (chosen == count_) return false;
+  LinkStream& s = data()[chosen];
   // Identical shared buffer + identical cursor + identical budget means the
   // packing loop below (schedule_view) would reproduce prev symbol for
   // symbol, so the whole walk collapses to a cursor advance. The key check
   // is belt-and-braces: one OutStreamState is only ever registered by one
   // open_stream call, which uses one key for every sibling link.
   if (&s.state->buf != prev.buf || s.next_symbol != prev.first_symbol ||
-      s.bit_off != prev.bit_off || !(s.key == prev.key) || s.eos_done) {
+      s.bit_off != prev.bit_off || !(s.key() == prev.key) || s.eos_done) {
     return false;
   }
   // prev was produced under the same (budget_bits, header_bits) by contract;
@@ -65,8 +90,8 @@ bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
   // silently misuse the fast path.
   (void)budget_bits;
   (void)header_bits;
-  rr_pos_ = (chosen + 1) % streams_.size();
-  s.next_symbol += prev.symbol_count;
+  rr_pos_ = (chosen + 1) % count_;
+  s.next_symbol += static_cast<std::uint32_t>(prev.symbol_count);
   s.bit_off += prev.bit_len;
   if (prev.eos) {
     s.eos_done = true;
@@ -77,13 +102,12 @@ bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
 
 bool Link::schedule_view(std::size_t budget_bits, unsigned header_bits,
                          MsgView& out) {
-  const std::size_t chosen = pick_pending();
-  if (chosen == streams_.size()) return false;
-  const std::size_t count = streams_.size();
-  rr_pos_ = (chosen + 1) % count;
+  const std::uint32_t chosen = pick_pending();
+  if (chosen == count_) return false;
+  rr_pos_ = (chosen + 1) % count_;
 
-  ActiveStream& s = streams_[chosen];
-  out.key = s.key;
+  LinkStream& s = data()[chosen];
+  out.key = s.key();
   out.buf = &s.state->buf;
   out.first_symbol = s.next_symbol;
   out.symbol_count = 0;
@@ -131,9 +155,10 @@ bool Link::schedule_view(std::size_t budget_bits, unsigned header_bits,
 }
 
 std::size_t Link::pending_stream_count() const noexcept {
+  const LinkStream* streams = data();
   std::size_t count = 0;
-  for (const auto& s : streams_) {
-    if (s.pending()) ++count;
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (streams[i].pending()) ++count;
   }
   return count;
 }

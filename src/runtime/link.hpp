@@ -1,11 +1,13 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/message.hpp"
+#include "runtime/pool.hpp"
 #include "runtime/stream.hpp"
+#include "util/ids.hpp"
 
 namespace nc {
 
@@ -29,6 +31,35 @@ struct MsgView {
   std::size_t wire_bits = 0;  ///< header + payload
 };
 
+/// One stream attached to a link: the producer's shared state plus this
+/// link's send cursor. Lives in a slot of the owning shard's LinkPool.
+struct LinkStream {
+  std::shared_ptr<const OutStreamState> state;
+  std::size_t bit_off = 0;        ///< bit offset of next_symbol in state->buf
+  // The StreamKey, unpacked: as a member struct its padding would push the
+  // entry from 40 to 48 bytes.
+  NodeId tag = 0;
+  std::uint16_t kind = 0;
+  std::uint16_t version = 0;
+  std::uint32_t next_symbol = 0;  ///< first symbol not yet scheduled
+  bool eos_done = false;          ///< EOS already delivered
+
+  [[nodiscard]] StreamKey key() const noexcept {
+    return StreamKey{kind, tag, version};
+  }
+  [[nodiscard]] std::size_t pending_symbols() const noexcept {
+    return state->buf.size() - next_symbol;
+  }
+  [[nodiscard]] bool pending() const noexcept {
+    return pending_symbols() > 0 || (state->closed && !eos_done);
+  }
+};
+
+static_assert(sizeof(LinkStream) <= 40, "LinkStream grew past 40 bytes");
+
+/// Stream-list storage of one shard's links.
+using LinkPool = SlotPool<LinkStream>;
+
 /// Outbound side of one directed edge.
 ///
 /// Holds the set of active streams and schedules at most one message per
@@ -38,12 +69,24 @@ struct MsgView {
 /// the bit budget, and piggybacks the EOS flag when the stream is drained
 /// and closed. FIFO order within a stream is preserved by construction.
 ///
+/// Storage: the Link itself is 24 bytes — a handle into its shard's
+/// LinkPool plus the stream count and the round-robin cursor — and its
+/// streams live in a pool slot of 2^k entries that behaves exactly like a
+/// vector: appends in open order, doubles when full, and prune compaction
+/// keeps the survivors in order. A link whose streams are all pruned hands
+/// its slot back for the next link of the shard to reuse; most links never
+/// hold two streams at once, so the shard's links share a small set of
+/// recycled one-entry slots.
+///
 /// Shard ownership (see network.hpp): a link belongs to its *owner's*
-/// (source node's) shard. Stream registration happens in the owner's
-/// callbacks and scheduling in the owner shard's stage phase, so a link is
-/// only ever touched by one thread and needs no synchronization.
+/// (source node's) shard, and so does its pool. Stream registration happens
+/// in the owner's callbacks and scheduling in the owner shard's stage
+/// phase, so a link is only ever touched by one thread and needs no
+/// synchronization.
 class Link {
  public:
+  explicit Link(LinkPool& pool) noexcept : pool_(&pool) {}
+
   /// Registers a stream on this edge. The state (payload + closed flag) is
   /// shared with the producer's OutChannel (and possibly sibling links).
   void add_stream(const StreamKey& key,
@@ -77,7 +120,7 @@ class Link {
                         const MsgView& prev);
 
   /// Removes streams whose EOS has been delivered (internal housekeeping;
-  /// called by the schedulers).
+  /// called by the schedulers). Frees the pool slot when none remain.
   void prune_done();
 
   /// Releases finished streams once the link has gone idle. The view
@@ -102,17 +145,19 @@ class Link {
   template <typename Fn>
   std::size_t drain_views(unsigned header_bits, Fn&& fn) {
     std::size_t produced = 0;
-    for (auto& s : streams_) {
+    LinkStream* streams = data();
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      LinkStream& s = streams[i];
       if (!s.pending()) continue;
       MsgView v;
-      v.key = s.key;
+      v.key = s.key();
       v.buf = &s.state->buf;
       v.first_symbol = s.next_symbol;
       v.symbol_count = s.pending_symbols();
       v.bit_off = s.bit_off;
       v.bit_len = s.state->buf.bit_size() - s.bit_off;
       v.wire_bits = header_bits + v.bit_len;
-      s.next_symbol = s.state->buf.size();
+      s.next_symbol = static_cast<std::uint32_t>(s.state->buf.size());
       s.bit_off = s.state->buf.bit_size();
       if (s.state->closed && !s.eos_done) {
         v.eos = true;
@@ -126,37 +171,31 @@ class Link {
   }
 
   /// Number of attached (not yet pruned) streams.
-  [[nodiscard]] std::size_t stream_count() const noexcept {
-    return streams_.size();
-  }
+  [[nodiscard]] std::size_t stream_count() const noexcept { return count_; }
 
  private:
   /// Round-robin selection shared by schedule_view and schedule_matches:
   /// prunes finished streams, then returns the index of the next pending
-  /// stream (streams_.size() when the link is idle). Does not advance
-  /// rr_pos_ — the caller does, once the selection is committed.
-  std::size_t pick_pending();
+  /// stream (count_ when the link is idle). Does not advance rr_pos_ — the
+  /// caller does, once the selection is committed.
+  std::uint32_t pick_pending();
 
-  struct ActiveStream {
-    StreamKey key;
-    std::shared_ptr<const OutStreamState> state;
-    std::size_t next_symbol = 0;
-    std::size_t bit_off = 0;
-    bool eos_done = false;  // EOS already delivered
+  /// The attached streams (count_ of them; null while there are none).
+  [[nodiscard]] LinkStream* data() const noexcept {
+    return count_ == 0 ? nullptr : pool_->data(cls_, slot_);
+  }
 
-    [[nodiscard]] std::size_t pending_symbols() const noexcept {
-      return state->buf.size() - next_symbol;
-    }
-    [[nodiscard]] bool pending() const noexcept {
-      return pending_symbols() > 0 || (state->closed && !eos_done);
-    }
-  };
-
-  std::vector<ActiveStream> streams_;
-  std::size_t rr_pos_ = 0;
+  LinkPool* pool_;
+  std::uint32_t slot_ = LinkPool::kNoSlot;  ///< held iff count_ > 0
+  std::uint32_t count_ = 0;
+  std::uint32_t rr_pos_ = 0;
+  std::uint8_t cls_ = 0;  ///< the slot holds 2^cls_ streams
   // Set when some stream's EOS got delivered; prune_done early-outs on it
   // (it runs once per scheduled message, and usually nothing has finished).
   bool any_done_ = false;
 };
+
+// Network::links_ holds one Link per directed edge (2m of them).
+static_assert(sizeof(Link) <= 24, "Link must stay within its 24-byte budget");
 
 }  // namespace nc

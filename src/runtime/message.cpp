@@ -1,6 +1,9 @@
 #include "runtime/message.hpp"
 
-#include <cassert>
+#include <bit>
+#include <cstring>
+#include <memory>
+#include <utility>
 
 #include "util/bitio.hpp"
 
@@ -17,16 +20,100 @@ unsigned stream_header_bits(unsigned id_bits) noexcept {
   return 5u + id_bits + 4u + 1u;
 }
 
-void SymbolBuffer::put(std::uint64_t value, unsigned width) {
-  assert(width >= 1 && width <= 64);
-  assert(width == 64 || value < (1ULL << width));
+std::size_t SymbolBuffer::word_capacity(std::size_t words) noexcept {
+  return words <= 2 ? 2 : std::bit_ceil(words);
+}
+
+std::size_t SymbolBuffer::width_capacity(std::size_t symbols) noexcept {
+  return symbols <= 16 ? 16 : std::bit_ceil(symbols);
+}
+
+SymbolBuffer::SymbolBuffer(const SymbolBuffer& other)
+    : total_bits_(other.total_bits_), size_(other.size_) {
+  if (!other.spilled()) {
+    pay_ = other.pay_;
+    wid_ = other.wid_;
+    return;
+  }
+  const std::size_t nwords = word_count();
+  auto words = std::make_unique<std::uint64_t[]>(word_capacity(nwords));
+  auto widths = std::make_unique<std::uint8_t[]>(width_capacity(size_));
+  std::memcpy(words.get(), other.pay_.heap, nwords * sizeof(std::uint64_t));
+  std::memcpy(widths.get(), other.wid_.heap, size_);
+  pay_.heap = words.release();
+  wid_.heap = widths.release();
+}
+
+SymbolBuffer::SymbolBuffer(SymbolBuffer&& other) noexcept { take(other); }
+
+SymbolBuffer& SymbolBuffer::operator=(const SymbolBuffer& other) {
+  if (this != &other) *this = SymbolBuffer(other);
+  return *this;
+}
+
+SymbolBuffer& SymbolBuffer::operator=(SymbolBuffer&& other) noexcept {
+  if (this != &other) {
+    release();
+    take(other);
+  }
+  return *this;
+}
+
+void SymbolBuffer::take(SymbolBuffer& other) noexcept {
+  pay_ = other.pay_;
+  wid_ = other.wid_;
+  total_bits_ = other.total_bits_;
+  size_ = other.size_;
+  other.pay_ = Payload{0};
+  other.wid_ = Widths{};
+  other.total_bits_ = 0;
+  other.size_ = 0;
+}
+
+void SymbolBuffer::release() noexcept {
+  if (spilled()) {
+    delete[] pay_.heap;
+    delete[] wid_.heap;
+  }
+}
+
+void SymbolBuffer::reserve_spilled(std::size_t size, std::size_t bits) {
+  const std::size_t need_words = (bits + 63) >> 6;
+  if (!spilled()) {
+    auto words = std::make_unique<std::uint64_t[]>(word_capacity(need_words));
+    auto widths = std::make_unique<std::uint8_t[]>(width_capacity(size));
+    words[0] = pay_.word;
+    std::memcpy(widths.get(), wid_.bytes, size_);
+    pay_.heap = words.release();
+    wid_.heap = widths.release();
+    return;
+  }
+  const std::size_t have_words = word_count();
+  if (word_capacity(need_words) != word_capacity(have_words)) {
+    // make_unique zero-fills: put() never writes above total_bits_, so
+    // every word past the live payload stays zero and OR-merging is exact.
+    auto words = std::make_unique<std::uint64_t[]>(word_capacity(need_words));
+    std::memcpy(words.get(), pay_.heap, have_words * sizeof(std::uint64_t));
+    delete[] pay_.heap;
+    pay_.heap = words.release();
+  }
+  if (width_capacity(size) != width_capacity(size_)) {
+    auto widths = std::make_unique<std::uint8_t[]>(width_capacity(size));
+    std::memcpy(widths.get(), wid_.heap, size_);
+    delete[] wid_.heap;
+    wid_.heap = widths.release();
+  }
+}
+
+void SymbolBuffer::put_spilled(std::uint64_t value, unsigned width) {
+  reserve_spilled(size_ + std::size_t{1}, total_bits_ + width);
   const std::size_t word = total_bits_ >> 6;
   const unsigned off = static_cast<unsigned>(total_bits_ & 63);
-  if (word >= words_.size()) words_.push_back(0);
-  words_[word] |= value << off;
-  if (off + width > 64) words_.push_back(value >> (64 - off));
+  pay_.heap[word] |= value << off;
+  if (off + width > 64) pay_.heap[word + 1] |= value >> (64 - off);
+  wid_.heap[size_] = static_cast<std::uint8_t>(width);
+  ++size_;
   total_bits_ += width;
-  widths_.push_back(static_cast<std::uint8_t>(width));
 }
 
 void SymbolBuffer::append_packed(const std::uint64_t* src_words,
@@ -34,43 +121,35 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
                                  std::size_t src_bit, std::size_t nbits,
                                  const std::uint8_t* widths,
                                  std::size_t count) {
-  widths_.insert(widths_.end(), widths, widths + count);
+  if (count == 0) return;
   const std::size_t end_bits = total_bits_ + nbits;
-  // put() never writes above total_bits_, so the tail word's high bits are
-  // zero and resize() zero-fills the rest: OR-merging chunks is exact.
-  words_.resize((end_bits + 63) >> 6, 0);
-  std::size_t dst = total_bits_;
-  std::size_t src = src_bit;
-  for (std::size_t rem = nbits; rem > 0;) {
-    const unsigned take = rem >= 64 ? 64u : static_cast<unsigned>(rem);
-    const std::uint64_t v = read_packed_bits(src_words, src_word_count, src, take);
-    const std::size_t word = dst >> 6;
-    const unsigned off = static_cast<unsigned>(dst & 63);
-    words_[word] |= v << off;
-    if (off + take > 64) words_[word + 1] |= v >> (64 - off);
-    dst += take;
-    src += take;
-    rem -= take;
+  const std::size_t end_size = size_ + count;
+  if (end_size <= kInlineSymbols && end_bits <= 64) {
+    // Stays inline: the whole run is one read (nbits <= 64 - total_bits_).
+    pay_.word |= read_packed_bits(src_words, src_word_count, src_bit,
+                                  static_cast<unsigned>(nbits))
+                 << total_bits_;
+    std::memcpy(wid_.bytes + size_, widths, count);
+  } else {
+    reserve_spilled(end_size, end_bits);
+    std::memcpy(wid_.heap + size_, widths, count);
+    std::size_t dst = total_bits_;
+    std::size_t src = src_bit;
+    for (std::size_t rem = nbits; rem > 0;) {
+      const unsigned take = rem >= 64 ? 64u : static_cast<unsigned>(rem);
+      const std::uint64_t v =
+          read_packed_bits(src_words, src_word_count, src, take);
+      const std::size_t word = dst >> 6;
+      const unsigned off = static_cast<unsigned>(dst & 63);
+      pay_.heap[word] |= v << off;
+      if (off + take > 64) pay_.heap[word + 1] |= v >> (64 - off);
+      dst += take;
+      src += take;
+      rem -= take;
+    }
   }
+  size_ = static_cast<std::uint32_t>(end_size);
   total_bits_ = end_bits;
-}
-
-std::uint64_t SymbolBuffer::value_at(std::size_t bit_off,
-                                     unsigned width) const noexcept {
-  const std::size_t word = bit_off >> 6;
-  const unsigned off = static_cast<unsigned>(bit_off & 63);
-  std::uint64_t v = words_[word] >> off;
-  if (off + width > 64) v |= words_[word + 1] << (64 - off);
-  if (width < 64) v &= (1ULL << width) - 1;
-  return v;
-}
-
-std::uint64_t SymbolCursor::pop() noexcept {
-  const unsigned width = buf_->width_at(index_);
-  const std::uint64_t v = buf_->value_at(bit_off_, width);
-  bit_off_ += width;
-  ++index_;
-  return v;
 }
 
 }  // namespace nc

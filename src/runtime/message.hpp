@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cassert>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "util/ids.hpp"
 
@@ -49,43 +49,85 @@ unsigned stream_header_bits(unsigned id_bits) noexcept;
 /// A symbol is an unsigned value together with its width in bits; the width
 /// is what the CONGEST accountant charges for it. Buffers are immutable once
 /// handed to the runtime and may be shared among many outgoing links (a
-/// broadcast writes its payload once). Reading is strictly sequential via
-/// SymbolCursor.
+/// broadcast writes its payload once). Readers walk them with width_at /
+/// value_at, tracking their own bit offset (InStream, Link).
+///
+/// Storage is two-tier. A buffer of at most kInlineSymbols symbols and 64
+/// payload bits — the common stream of the paper's O(log n)-bit messages —
+/// keeps its one payload word and its widths inline, with no heap block at
+/// all. The 9th symbol or the 65th payload bit *spills* the buffer: both
+/// arrays move to the heap, where they grow by doubling. The tier is a pure
+/// function of (size, bit_size) — both only grow — so it needs no flag, and
+/// every reader sees one packed little-endian word array either way.
 class SymbolBuffer {
  public:
+  /// Symbols a buffer holds before it spills to the heap.
+  static constexpr std::size_t kInlineSymbols = 8;
+
+  SymbolBuffer() noexcept = default;
+  SymbolBuffer(const SymbolBuffer& other);
+  SymbolBuffer(SymbolBuffer&& other) noexcept;
+  SymbolBuffer& operator=(const SymbolBuffer& other);
+  SymbolBuffer& operator=(SymbolBuffer&& other) noexcept;
+  ~SymbolBuffer() { release(); }
+
   /// Appends a symbol of `width` bits (1..64). Precondition: value < 2^width.
-  void put(std::uint64_t value, unsigned width);
+  void put(std::uint64_t value, unsigned width) {
+    assert(width >= 1 && width <= 64);
+    assert(width == 64 || value < (1ULL << width));
+    if (size_ < kInlineSymbols && total_bits_ + width <= 64) {
+      // Inline fast path (total_bits_ <= 63 here, so the shift is defined).
+      pay_.word |= value << total_bits_;
+      wid_.bytes[size_] = static_cast<std::uint8_t>(width);
+      ++size_;
+      total_bits_ += width;
+      return;
+    }
+    put_spilled(value, width);
+  }
 
   /// Appends a single bit.
   void put_bit(bool b) { put(b ? 1 : 0, 1); }
 
   /// Number of symbols stored.
-  [[nodiscard]] std::size_t size() const noexcept { return widths_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Total payload width in bits.
   [[nodiscard]] std::size_t bit_size() const noexcept { return total_bits_; }
 
+  /// True once the buffer has outgrown its inline word and widths.
+  [[nodiscard]] bool spilled() const noexcept {
+    return size_ > kInlineSymbols || total_bits_ > 64;
+  }
+
   /// Width of the idx-th symbol.
   [[nodiscard]] unsigned width_at(std::size_t idx) const noexcept {
-    return widths_[idx];
+    return widths()[idx];
   }
 
   /// Value of the symbol starting at bit offset `bit_off` with given width.
-  /// (Sequential readers track offsets themselves; see SymbolCursor.)
   [[nodiscard]] std::uint64_t value_at(std::size_t bit_off,
-                                       unsigned width) const noexcept;
+                                       unsigned width) const noexcept {
+    const std::uint64_t* w = words();
+    const std::size_t word = bit_off >> 6;
+    const unsigned off = static_cast<unsigned>(bit_off & 63);
+    std::uint64_t v = w[word] >> off;
+    if (off + width > 64) v |= w[word + 1] << (64 - off);
+    if (width < 64) v &= (1ULL << width) - 1;
+    return v;
+  }
 
   /// Raw packed words (little-endian bit order within each word). With
   /// word_count() and widths(), lets the runtime's SoA lanes blit symbol
   /// runs in 64-bit chunks instead of re-packing symbol by symbol.
   [[nodiscard]] const std::uint64_t* words() const noexcept {
-    return words_.data();
+    return spilled() ? pay_.heap : &pay_.word;
   }
   [[nodiscard]] std::size_t word_count() const noexcept {
-    return words_.size();
+    return (total_bits_ + 63) >> 6;
   }
   [[nodiscard]] const std::uint8_t* widths() const noexcept {
-    return widths_.data();
+    return spilled() ? wid_.heap : wid_.bytes;
   }
 
   /// Bulk append: copies `count` symbols totalling `nbits` payload bits out
@@ -98,9 +140,42 @@ class SymbolBuffer {
                      const std::uint8_t* widths, std::size_t count);
 
  private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::uint8_t> widths_;
+  /// put() past the inline tier: spills or grows the heap arrays first.
+  void put_spilled(std::uint64_t value, unsigned width);
+
+  /// Makes the heap arrays hold `size` symbols and `bits` payload bits,
+  /// moving the inline word and widths out on the first call. Leaves the
+  /// counters alone — the caller appends, then advances them, so until
+  /// then spilled() may still report the old tier.
+  void reserve_spilled(std::size_t size, std::size_t bits);
+
+  /// Frees the heap arrays of a spilled buffer.
+  void release() noexcept;
+
+  /// Takes `other`'s storage (inline bytes or heap pointers alike) and
+  /// leaves it empty and inline. Precondition: this buffer holds no heap
+  /// arrays.
+  void take(SymbolBuffer& other) noexcept;
+
+  /// Heap capacities, as pure functions of the live counts (so they need
+  /// no fields): doubling, from 2 words and 16 widths.
+  static std::size_t word_capacity(std::size_t words) noexcept;
+  static std::size_t width_capacity(std::size_t symbols) noexcept;
+
+  // Each union holds its inline member until the buffer spills, its heap
+  // pointer after: spilled() says which, so nothing else tags them.
+  union Payload {
+    std::uint64_t word;    ///< inline tier: the payload word
+    std::uint64_t* heap;   ///< spilled: word_capacity() words
+  };
+  union Widths {
+    std::uint8_t bytes[kInlineSymbols];  ///< inline tier
+    std::uint8_t* heap;                  ///< spilled: width_capacity() widths
+  };
+  Payload pay_{0};
+  Widths wid_{};
   std::size_t total_bits_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 /// Reads `take` (1..64) bits starting at absolute bit `bit` from a packed
@@ -115,31 +190,5 @@ class SymbolBuffer {
   if (take < 64) v &= (1ULL << take) - 1;
   return v;
 }
-
-/// Sequential reader over a (possibly still growing) SymbolBuffer.
-class SymbolCursor {
- public:
-  SymbolCursor() = default;
-  explicit SymbolCursor(std::shared_ptr<const SymbolBuffer> buf)
-      : buf_(std::move(buf)) {}
-
-  /// Symbols left to read.
-  [[nodiscard]] std::size_t available() const noexcept {
-    return buf_ ? buf_->size() - index_ : 0;
-  }
-
-  /// Reads the next symbol value (advances). Precondition: available() > 0.
-  std::uint64_t pop() noexcept;
-
-  /// Width of the next symbol. Precondition: available() > 0.
-  [[nodiscard]] unsigned peek_width() const noexcept {
-    return buf_->width_at(index_);
-  }
-
- private:
-  std::shared_ptr<const SymbolBuffer> buf_;
-  std::size_t index_ = 0;
-  std::size_t bit_off_ = 0;
-};
 
 }  // namespace nc

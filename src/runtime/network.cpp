@@ -3,7 +3,6 @@
 // nclint:allow-file(wall-clock): opt-in profile/telemetry timers (NetConfig::profile, NetConfig::telemetry) — steady_clock reads only feed NetProfile seconds and trace span timestamps, never a simulation decision.
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -44,11 +43,20 @@ OutChannel NodeApi::open_stream(const StreamKey& key,
     throw std::invalid_argument(
         "open_stream: stream version does not fit the 4-bit header field");
   }
-  OutChannel ch;
-  auto& links = net_->states_[id_].out_links;
+  const std::size_t base = net_->edge_base_[id_];
+  const std::size_t degree = net_->edge_base_[id_ + 1] - base;
   for (const std::size_t ni : neighbor_indices) {
-    assert(ni < links.size());
-    links[ni].add_stream(key, ch.state());
+    if (ni >= degree) {
+      throw std::out_of_range(
+          "open_stream: neighbour index is not below the node's degree");
+    }
+  }
+  OutChannel ch;
+  if (neighbor_indices.empty()) return ch;
+  const std::shared_ptr<const OutStreamState> state = ch.state();
+  Link* links = net_->links_.data() + base;
+  for (const std::size_t ni : neighbor_indices) {
+    links[ni].add_stream(key, state);
   }
   return ch;
 }
@@ -259,14 +267,21 @@ Network::Network(const Graph& g, const NetConfig& config,
     }
   }
 
+  // The flat link table: shards are contiguous ID ranges, so each shard's
+  // links are one contiguous run of it, all bound to that shard's pool.
+  links_.reserve(directed_edges);
+  for (auto& sh : shards_) {
+    for (std::size_t e = edge_base_[sh.begin]; e < edge_base_[sh.end]; ++e) {
+      links_.emplace_back(sh.link_pool);
+    }
+  }
+
   const Rng master(config.seed);
   nodes_.reserve(n_);
   states_.reserve(n_);
   for (NodeId v = 0; v < n_; ++v) {
-    NodeState st;
-    st.rng = master.derive(v);
-    st.out_links.resize(g.degree(v));
-    states_.push_back(std::move(st));
+    states_.push_back(NodeState{master.derive(v),
+                                Inbox(shards_[plan_.node_shard[v]].inbox_pool)});
     nodes_.push_back(factory(v));
   }
   // Factories run serially (user code frequently captures shared state for
@@ -294,12 +309,9 @@ void Network::wake(Shard& sh, NodeId v) {
 }
 
 void Network::refresh_outgoing(NodeId v) {
-  const std::size_t base = edge_base_[v];
-  auto& links = states_[v].out_links;
   auto& active = shards_[plan_.node_shard[v]].active_links;
-  for (std::size_t ni = 0; ni < links.size(); ++ni) {
-    const std::size_t e = base + ni;
-    if (!link_active_[e] && links[ni].has_pending()) {
+  for (std::size_t e = edge_base_[v]; e < edge_base_[v + 1]; ++e) {
+    if (!link_active_[e] && links_[e].has_pending()) {
       link_active_[e] = 1;
       active.push_back(e);
     }
@@ -705,7 +717,7 @@ void Network::stage_shard(unsigned s) {
   for (const std::size_t e : sh.active_links) {
     const NodeId from = edge_owner_[e];
     const std::size_t ni = e - edge_base_[from];
-    Link& link = states_[from].out_links[ni];
+    Link& link = links_[e];
     const NodeId to = graph_->neighbors(from)[ni];
     const auto back = static_cast<std::uint32_t>(reverse_index_[e]);
     if (config_.mode == NetConfig::Mode::kLocal) {
@@ -818,11 +830,11 @@ void Network::deliver_round_serial() {
     const std::size_t e = sh.active_links[idx];
     const NodeId from = edge_owner_[e];
     const std::size_t ni = e - edge_base_[from];
-    Link& link = states_[from].out_links[ni];
+    Link& link = links_[e];
     const NodeId to = graph_->neighbors(from)[ni];
     const std::size_t back = reverse_index_[e];
     if (idx + 2 < n_active) {
-      // Each delivery lands on a random destination's ~2 KB NodeState (the
+      // Each delivery lands on a random destination's ~400 B NodeState (the
       // counters, the inbox bucket headers) — cold misses that dominate the
       // per-copy cost on high-degree graphs. Peeking two active links ahead
       // overlaps the next destinations' misses with this copy's work (one

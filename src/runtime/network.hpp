@@ -157,7 +157,9 @@ class NodeApi {
   /// Throws std::invalid_argument if key.kind is outside [0, kMaxMsgKinds)
   /// or key.version outside [0, kMaxStreamVersions) — the wire format's
   /// 5-bit kind / 4-bit version fields cannot carry them, and the per-kind
-  /// counters would silently alias.
+  /// counters would silently alias — and std::out_of_range if any index is
+  /// not below degree(). Every check runs before any link is touched, so a
+  /// throwing call attaches nothing.
   OutChannel open_stream(const StreamKey& key,
                          std::span<const std::size_t> neighbor_indices);
 
@@ -321,9 +323,11 @@ class Network {
  private:
   friend class NodeApi;
 
+  // A node's outgoing links are not here: they sit in links_, indexed by
+  // directed edge, so a NodeState holds no heap block of its own beyond
+  // the inbox's bucket headers.
   struct NodeState {
     Rng rng;
-    std::vector<Link> out_links;  // by neighbour index
     Inbox inbox;
     std::array<std::uint64_t, kMaxMsgKinds> rx_by_kind{};
     std::uint64_t alarm = kNoAlarm;
@@ -367,6 +371,15 @@ class Network {
 
     /// Owned nodes that called set_done().
     NodeId done_count = 0;
+
+    /// Cross-round storage of this shard's nodes: the stream lists of their
+    /// outgoing links (written by their callbacks, read by this shard's
+    /// stage phase) and the bucket columns of their inboxes (written by
+    /// this shard's deliver phase, read by their callbacks). The links_
+    /// table and the inboxes point into these, so shards_ is sized once,
+    /// at construction, and never moves.
+    LinkPool link_pool;
+    InboxPool inbox_pool;
 
     /// Per-round transient storage: every lane column below carves from
     /// this bump arena, which the stage phase rewinds in O(1) at the top of
@@ -488,7 +501,7 @@ class Network {
                     const MsgBlock::Receiver& rcv);
 
   /// Hints the destination node's hot state into cache one delivery ahead
-  /// of use: deliveries land on essentially random ~2 KB NodeStates, and
+  /// of use: deliveries land on essentially random ~400 B NodeStates, and
   /// the dependent-miss chain (state header → inbox bucket → stream) is
   /// the measured per-copy bottleneck on high-degree graphs. A pure hint —
   /// no observable behaviour depends on it.
@@ -620,6 +633,11 @@ class Network {
   std::uint64_t round_ = 0;
   std::vector<std::unique_ptr<INode>> nodes_;
   std::vector<NodeState> states_;
+
+  // One Link per directed edge, indexed like the CSR mirror below (e =
+  // edge_base_[v] + ni): v's links are contiguous and each draws its stream
+  // lists from the pool of v's shard.
+  std::vector<Link> links_;
 
   // CSR mirror of the communication graph's directed edges. Edge
   // e = edge_base_[v] + ni is v's ni-th outgoing link; reverse_index_[e] is

@@ -8,9 +8,9 @@
 namespace nc {
 
 /// Shared state of one outgoing logical stream: the packed symbol payload
-/// plus the closed flag. One heap allocation per stream, shared between the
-/// producer's OutChannel and every Link the stream was opened on (a
-/// broadcast to many neighbours stores its payload once).
+/// plus the closed flag. One heap allocation per opened stream, shared
+/// between the producer's OutChannel and every Link the stream was opened
+/// on (a broadcast to many neighbours stores its payload once).
 struct OutStreamState {
   SymbolBuffer buf;
   bool closed = false;
@@ -23,6 +23,11 @@ struct OutStreamState {
 /// possible — and `close()` marks the logical end of stream, which links
 /// deliver to receivers as an EOS flag.
 ///
+/// The shared state is allocated on first use — state(), put() or close()
+/// — so a default-constructed channel that open_stream later replaces, or
+/// that is never opened, costs no heap block. An unallocated channel reads
+/// as empty and open.
+///
 /// Sharded-engine note: the producer appends from its node's wake-phase
 /// callback and the owning shard's stage phase reads the buffer in the
 /// *next* phase — writes and reads are separated by the pool barrier, so
@@ -30,38 +35,45 @@ struct OutStreamState {
 /// share one OutStreamState and always live on the producer's shard.
 class OutChannel {
  public:
-  OutChannel() : state_(std::make_shared<OutStreamState>()) {}
-
   /// Appends one symbol. Precondition: not closed.
   void put(std::uint64_t value, unsigned width) {
-    state_->buf.put(value, width);
+    own().buf.put(value, width);
   }
 
   /// Appends one bit.
-  void put_bit(bool b) { state_->buf.put_bit(b); }
+  void put_bit(bool b) { own().buf.put_bit(b); }
 
   /// Marks end of stream; links will deliver EOS after the last symbol.
-  void close() { state_->closed = true; }
+  void close() { own().closed = true; }
 
   /// True once close() has been called.
-  [[nodiscard]] bool closed() const noexcept { return state_->closed; }
+  [[nodiscard]] bool closed() const noexcept {
+    return state_ != nullptr && state_->closed;
+  }
 
   /// Symbols written so far.
   [[nodiscard]] std::size_t size() const noexcept {
-    return state_->buf.size();
+    return state_ != nullptr ? state_->buf.size() : 0;
   }
 
-  /// Shared state, used by links.
-  [[nodiscard]] std::shared_ptr<const OutStreamState> state() const noexcept {
+  /// Shared state, used by links (allocated here if still absent).
+  [[nodiscard]] std::shared_ptr<const OutStreamState> state() {
+    own();
     return state_;
   }
 
  private:
+  OutStreamState& own() {
+    if (state_ == nullptr) state_ = std::make_shared<OutStreamState>();
+    return *state_;
+  }
+
   std::shared_ptr<OutStreamState> state_;
 };
 
 /// Receiver side of a logical stream: a growing buffer of delivered symbols
 /// plus the EOS flag. Protocol code consumes it strictly sequentially.
+/// Copyable and movable: inbox buckets shift and regrow their columns.
 class InStream {
  public:
   /// Appends a delivered symbol (runtime use).
@@ -111,5 +123,9 @@ class InStream {
   std::size_t read_bit_ = 0;
   bool closed_ = false;
 };
+
+// Inbox buckets hold millions of these (src/runtime/inbox.hpp): one cache
+// line each, with the inline SymbolBuffer tier covering the common stream.
+static_assert(sizeof(InStream) <= 64, "InStream must fit one cache line");
 
 }  // namespace nc

@@ -2,13 +2,15 @@
 
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runtime/inbox.hpp"
 
 // Direct unit tests of the flat kind-bucketed inbox: deterministic
 // (ni, key) iteration order, kind isolation, find/open semantics, the
-// consumed-prefix cursor and the kind-range guard.
+// consumed-prefix cursor, the kind-range guard, the shard pool behind the
+// bucket columns, and the InStream payload tiers.
 //
 // Contract note: the runtime only ever touches a stream through open()
 // immediately before delivering into it, so these tests do the same — an
@@ -30,7 +32,8 @@ Seen collect(Inbox& inbox, std::uint16_t kind) {
 }
 
 TEST(Inbox, IterationOrderIsSortedRegardlessOfInsertionOrder) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   // Scrambled insertion: (ni, tag, version) triples of kind 3.
   const std::vector<std::tuple<std::size_t, NodeId, std::uint16_t>> scrambled{
       {2, 5, 0}, {0, 9, 1}, {2, 1, 2}, {0, 9, 0}, {1, 0, 0}, {2, 1, 1}};
@@ -43,7 +46,8 @@ TEST(Inbox, IterationOrderIsSortedRegardlessOfInsertionOrder) {
 }
 
 TEST(Inbox, KindsAreIsolated) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   inbox.open(0, StreamKey{1, 7, 0}).deliver(1, 4);
   inbox.open(1, StreamKey{2, 7, 0}).deliver(1, 4);
   inbox.open(2, StreamKey{1, 8, 0}).deliver(1, 4);
@@ -54,7 +58,8 @@ TEST(Inbox, KindsAreIsolated) {
 }
 
 TEST(Inbox, OpenIsFindOrCreateAndFindDoesNotCreate) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   const StreamKey key{4, 11, 2};
   EXPECT_EQ(inbox.find(3, key), nullptr);
   InStream& s = inbox.open(3, key);
@@ -71,7 +76,8 @@ TEST(Inbox, OpenIsFindOrCreateAndFindDoesNotCreate) {
 }
 
 TEST(Inbox, ConsumedPrefixIsSkippedAndRevivedByDelivery) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   const std::uint16_t kind = 3;
   for (std::size_t ni = 0; ni < 3; ++ni) {
     inbox.open(ni, StreamKey{kind, 0, 0}).deliver(ni, 4);
@@ -95,7 +101,8 @@ TEST(Inbox, ConsumedPrefixIsSkippedAndRevivedByDelivery) {
 }
 
 TEST(Inbox, ClosedStreamsAreNeverSkipped) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   const std::uint16_t kind = 2;
   // Entry 0 closes (EOS delivered through open(), as the runtime does);
   // entry 1 stays open and gets drained.
@@ -112,8 +119,116 @@ TEST(Inbox, ClosedStreamsAreNeverSkipped) {
   }
 }
 
+TEST(InStream, DeliverPackedSpillingMidRunMatchesPuts) {
+  // A packed run that starts inline and crosses both inline limits part
+  // way through must leave exactly the buffer the equivalent deliver()
+  // sequence leaves: same words, same widths, same reads.
+  std::vector<std::pair<std::uint64_t, unsigned>> run;
+  for (unsigned i = 0; i < 12; ++i) {
+    const unsigned w = 5 + (i * 3) % 9;
+    run.emplace_back((0x5bd1e995u * (i + 1)) & ((1u << w) - 1), w);
+  }
+  // Source: the run packed behind a 7-bit prefix, as a lane payload is.
+  SymbolBuffer src;
+  src.put(0x55, 7);
+  for (const auto& [v, w] : run) src.put(v, w);
+  std::vector<std::uint8_t> widths;
+  std::size_t nbits = 0;
+  for (const auto& [v, w] : run) {
+    widths.push_back(static_cast<std::uint8_t>(w));
+    nbits += w;
+  }
+  for (std::size_t head = 0; head <= 4; ++head) {
+    InStream by_put;
+    InStream by_blit;
+    // Both receivers already hold `head` inline symbols.
+    for (std::size_t i = 0; i < head; ++i) {
+      by_put.deliver(i + 1, 6);
+      by_blit.deliver(i + 1, 6);
+    }
+    for (const auto& [v, w] : run) by_put.deliver(v, w);
+    by_blit.deliver_packed(src.words(), src.word_count(), 7, nbits,
+                           widths.data(), widths.size());
+    ASSERT_EQ(by_blit.delivered(), by_put.delivered()) << "head " << head;
+    while (by_put.available() > 0) {
+      ASSERT_EQ(by_blit.pop(), by_put.pop()) << "head " << head;
+    }
+    EXPECT_EQ(by_blit.available(), 0u);
+  }
+  // And the SymbolBuffer level: words and widths bit-identical.
+  SymbolBuffer puts;
+  SymbolBuffer blit;
+  puts.put(3, 4);
+  blit.put(3, 4);
+  for (const auto& [v, w] : run) puts.put(v, w);
+  blit.append_packed(src.words(), src.word_count(), 7, nbits, widths.data(),
+                     widths.size());
+  ASSERT_TRUE(blit.spilled());
+  ASSERT_EQ(blit.word_count(), puts.word_count());
+  ASSERT_EQ(blit.size(), puts.size());
+  for (std::size_t i = 0; i < puts.word_count(); ++i) {
+    EXPECT_EQ(blit.words()[i], puts.words()[i]) << "word " << i;
+  }
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    EXPECT_EQ(blit.widths()[i], puts.widths()[i]) << "width " << i;
+  }
+}
+
+TEST(Inbox, BucketGrowthAcrossPoolClassesKeepsStreams) {
+  // 40 streams of one kind, opened in scrambled order, move the bucket
+  // through pool classes 0..6; every stream keeps its payload (inline and
+  // spilled alike) and iteration stays sorted.
+  InboxPool pool;
+  Inbox inbox(pool);
+  const std::uint16_t kind = 7;
+  for (std::size_t j = 0; j < 40; ++j) {
+    const std::size_t ni = (j * 17) % 40;
+    InStream& s = inbox.open(ni, StreamKey{kind, 0, 0});
+    const std::size_t symbols = ni % 3 == 0 ? 12 : 1;  // some spill
+    for (std::size_t i = 0; i < symbols; ++i) s.deliver(ni, 8);
+    if (ni % 5 == 0) s.deliver_eos();
+  }
+  std::size_t expect_ni = 0;
+  inbox.for_each(kind, [&](std::size_t ni, const StreamKey&, InStream& s) {
+    EXPECT_EQ(ni, expect_ni++);
+    EXPECT_EQ(s.available(), ni % 3 == 0 ? 12u : 1u);
+    EXPECT_EQ(s.closed(), ni % 5 == 0);
+    while (s.available() > 0) EXPECT_EQ(s.pop(), ni);
+  });
+  EXPECT_EQ(expect_ni, 40u);
+  EXPECT_EQ(inbox.size(), 40u);
+  EXPECT_EQ(pool.keys.live_slots(), 1u);  // one bucket, one slot
+  EXPECT_EQ(pool.streams.live_slots(), 1u);
+}
+
+TEST(InboxPool, GrownBucketSlotsAreReusedAcrossInboxes) {
+  // Two inboxes of one shard. When the first one's bucket grows past one
+  // entry, its one-entry slot goes back to the pool and the second
+  // inbox's first bucket takes it.
+  InboxPool pool;
+  Inbox first(pool);
+  Inbox second(pool);
+  first.open(0, StreamKey{1, 0, 0}).deliver(1, 4);
+  first.open(1, StreamKey{1, 0, 0}).deliver(2, 4);  // class 0 -> class 1
+  EXPECT_EQ(pool.keys.live_slots(), 1u);
+  EXPECT_EQ(pool.keys.carved_slots(), 2u);
+  second.open(5, StreamKey{2, 9, 1}).deliver(3, 4);
+  EXPECT_EQ(pool.keys.live_slots(), 2u);
+  EXPECT_EQ(pool.keys.carved_slots(), 2u);  // reused, not carved
+  EXPECT_EQ(pool.streams.carved_slots(), 2u);
+  // The recycled slot carries nothing over from its previous tenant.
+  InStream* s = second.find(5, StreamKey{2, 9, 1});
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->delivered(), 1u);
+  EXPECT_FALSE(s->closed());
+  EXPECT_EQ(s->pop(), 3u);
+  EXPECT_EQ(first.find(0, StreamKey{1, 0, 0})->pop(), 1u);
+  EXPECT_EQ(first.find(1, StreamKey{1, 0, 0})->pop(), 2u);
+}
+
 TEST(Inbox, OutOfRangeKindThrows) {
-  Inbox inbox;
+  InboxPool pool;
+  Inbox inbox(pool);
   EXPECT_THROW((void)inbox.find(0, StreamKey{32, 0, 0}), std::invalid_argument);
   EXPECT_THROW((void)inbox.open(0, StreamKey{40, 0, 0}), std::invalid_argument);
   EXPECT_THROW(inbox.for_each(99, [](std::size_t, const StreamKey&,

@@ -21,8 +21,10 @@ namespace {
 constexpr unsigned kHeader = 16;
 
 // One producer symbol sequence scheduled through a real Link into a view.
+// The link's pool keeps the stream (and so the view's buffer) alive.
 struct Scheduled {
-  Link link;
+  LinkPool pool;
+  Link link{pool};
   MsgView view;
   bool ok = false;
 };
@@ -182,7 +184,8 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
 TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   // LOCAL mode drains whole streams through drain_views; a long stream must
   // spill and round-trip through the lane in one message.
-  Link link;
+  LinkPool pool;
+  Link link(pool);
   OutChannel ch;
   link.add_stream(StreamKey{4, 77, 0}, ch.state());
   std::vector<std::uint64_t> sent;

@@ -416,6 +416,14 @@ TEST(Runtime, OutOfRangeKindIsRejected) {
       EXPECT_THROW((void)api.open_stream_all(StreamKey{1, 0, 16}),
                    std::invalid_argument);  // version beyond the 4-bit field
       EXPECT_THROW((void)api.rx_count(32), std::out_of_range);
+      // Neighbour indices are checked too, all of them before any link is
+      // touched: index `degree()` would otherwise land on the next node's
+      // first link of the flat per-edge table.
+      const std::size_t mixed[2] = {0, api.degree()};
+      EXPECT_THROW((void)api.open_stream(StreamKey{1, 0, 0}, mixed),
+                   std::out_of_range);
+      EXPECT_THROW((void)api.open_stream_one(StreamKey{1, 0, 0}, 7),
+                   std::out_of_range);
       // In-range kinds are unaffected.
       EXPECT_EQ(api.rx_count(31), 0u);
       auto ch = api.open_stream_all(StreamKey{31, 0, 0});
