@@ -233,12 +233,10 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
        << ", \"rounds_per_sec\": " << r.rounds_per_sec()
        << ", \"deliveries_per_sec\": " << r.deliveries_per_sec()
        << ", \"speedup_vs_1t\": " << r.speedup_vs_1t
-       // Per-phase engine profile (docs/benchmarks.md): the serial fused
-       // path books its combined stage+deliver pass under fused_seconds,
-       // so 1-thread rows honestly show stage/deliver = 0 and fused > 0.
+       // Per-phase engine profile (docs/benchmarks.md); every thread
+       // count runs the same stage/deliver/wake pipeline.
        << ", \"stage_seconds\": " << r.profile.stage_seconds
        << ", \"deliver_seconds\": " << r.profile.deliver_seconds
-       << ", \"fused_seconds\": " << r.profile.fused_seconds
        << ", \"wake_seconds\": " << r.profile.wake_seconds
        << ", \"arena_bytes_total\": " << r.profile.arena_bytes_total
        << ", \"arena_bytes_peak_shard\": " << r.profile.arena_bytes_peak_shard

@@ -26,8 +26,9 @@
 //  - planted_protocol n=10k: DistNearClique end-to-end — the mixed
 //    stage/deliver/wake + protocol load (avg degree ~4).
 //  - broadcast_fanout n=4k: DistNearClique on an avg-degree ~50 graph —
-//    the broadcast payload-dedup path; a lost dedup fast path shows up
-//    here long before it moves the low-degree rows.
+//    its 1-thread run stages broadcast rows like any other, so it is the
+//    payload-dedup path; a lost dedup fast path shows up here long before
+//    it moves the low-degree rows.
 //
 // A fourth check gates correctness, not throughput: the telemetry engine's
 // observer-effect contract (recording on vs off must leave the fixed-seed

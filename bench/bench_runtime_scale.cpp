@@ -269,13 +269,10 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
        << ", \"run_seconds\": " << r.run_seconds
        << ", \"rounds_per_sec\": " << r.rounds_per_sec()
        << ", \"deliveries_per_sec\": " << r.deliveries_per_sec()
-       // Per-phase engine profile (docs/benchmarks.md): the serial fused
-       // path books its combined stage+deliver pass under fused_seconds
-       // (stage_seconds/deliver_seconds are the staged engine's phases and
-       // stay 0 on the 1-thread clean path by construction).
+       // Per-phase engine profile (docs/benchmarks.md); every thread
+       // count runs the same stage/deliver/wake pipeline.
        << ", \"stage_seconds\": " << r.profile.stage_seconds
        << ", \"deliver_seconds\": " << r.profile.deliver_seconds
-       << ", \"fused_seconds\": " << r.profile.fused_seconds
        << ", \"wake_seconds\": " << r.profile.wake_seconds
        << ", \"arena_bytes_total\": " << r.profile.arena_bytes_total
        << ", \"arena_bytes_peak_shard\": " << r.profile.arena_bytes_peak_shard
@@ -320,7 +317,8 @@ int main(int argc, char** argv) {
               << " build=" << r.build_seconds << "s run=" << r.run_seconds
               << "s rounds/sec=" << r.rounds_per_sec()
               << " deliveries/sec=" << r.deliveries_per_sec()
-              << " [fused=" << r.profile.fused_seconds
+              << " [stage=" << r.profile.stage_seconds
+              << "s deliver=" << r.profile.deliver_seconds
               << "s wake=" << r.profile.wake_seconds
               << "s arena=" << r.profile.arena_bytes_total << "B]\n";
   }

@@ -146,8 +146,8 @@ int usage(std::FILE* to) {
       "faults included; see src/expt/README.md for the schema).\n"
       "run --repeat=N --time re-runs the fixed-seed execution N times and\n"
       "reports min/median/mean wall-clock (scenario build excluded).\n"
-      "run --profile adds engine per-phase seconds (stage/deliver/fused/\n"
-      "wake) and broadcast dedup savings to the text and JSON output.\n");
+      "run --profile adds engine per-phase seconds (stage/deliver/wake)\n"
+      "and broadcast dedup savings to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -492,6 +492,7 @@ int cmd_run(const Args& args) {
       result.stall.to_json(w);
     }
     if (profiled) {
+      // fused_seconds is always 0 (NetProfile); the key keeps the schema.
       const NetProfile& pr = result.profile;
       w.key("profile")
           .begin_object()
@@ -573,15 +574,13 @@ int cmd_run(const Args& args) {
                 t_median, t_mean);
   }
   if (profiled) {
-    // Per-phase engine seconds of the last run. fused covers the 1-thread
-    // clean-run stage+deliver pass (stage/deliver stay 0 there); bytes
-    // saved counts lane payload copies avoided by broadcast dedup.
+    // Per-phase engine seconds of the last run; bytes saved counts lane
+    // payload copies avoided by broadcast dedup.
     const NetProfile& pr = result.profile;
     std::printf(
-        "per-phase: stage %.3fs, deliver %.3fs, fused %.3fs, wake %.3fs; "
+        "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
         "broadcast payload bytes saved: %llu\n",
-        pr.stage_seconds, pr.deliver_seconds, pr.fused_seconds,
-        pr.wake_seconds,
+        pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
         static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved));
   }
   std::printf("near-cliques found: %zu\n", clusters.size());

@@ -114,12 +114,11 @@ struct TrafficBatch {
 /// to a phase and a memory footprint, not just a headline rate
 /// (docs/benchmarks.md documents the JSON fields).
 struct NetProfile {
-  double stage_seconds = 0.0;    ///< wall-clock in the stage phase (staged engine)
-  double deliver_seconds = 0.0;  ///< deliver phase (staged engine)
-  double fused_seconds = 0.0;    ///< fused stage+deliver pass (1-thread clean
-                                 ///< runs; its stage and deliver work are
-                                 ///< inseparable without a per-edge clock
-                                 ///< read, so it is booked as its own phase)
+  double stage_seconds = 0.0;    ///< wall-clock in the stage phase
+  double deliver_seconds = 0.0;  ///< deliver phase
+  double fused_seconds = 0.0;    ///< always 0: every round stages, then
+                                 ///< delivers; kept only because
+                                 ///< perfbench/nc_op.cpp reads it
   double wake_seconds = 0.0;     ///< wake phase (protocol callbacks)
 
   /// Arena accounting: sum and per-shard max of the shard arenas'
@@ -132,11 +131,9 @@ struct NetProfile {
   std::uint64_t lane_msgs_peak = 0;
   std::uint64_t delayed_msgs_peak = 0;
 
-  /// Payload bytes the staged engine did not copy into lanes because
+  /// Payload bytes the stage phase did not copy into lanes because
   /// broadcast dedup fanned an already-staged row out to another receiver
-  /// (NetConfig::broadcast_dedup). The fused 1-thread path delivers
-  /// straight from the producer buffer — it has no lane copies to save —
-  /// so this stays 0 there by construction.
+  /// (NetConfig::broadcast_dedup).
   std::uint64_t broadcast_payload_bytes_saved = 0;
 
   /// Accumulates another profile (multi-trial benches).

@@ -211,8 +211,8 @@ Network::Network(const Graph& g, const NetConfig& config,
   }
   // The whole determinism story rests on this: shards are contiguous ID
   // ranges covering [0, n), so merging lanes in ascending source-shard
-  // order reproduces the serial engine's global ascending-edge delivery
-  // order bit for bit.
+  // order reproduces the global ascending-edge delivery order of a single
+  // shard bit for bit.
   for (unsigned s = 0; s < k; ++s) {
     nc_invariant(shards_[s].begin == (s == 0 ? 0 : shards_[s - 1].end) &&
                      shards_[s].begin <= shards_[s].end,
@@ -237,9 +237,7 @@ Network::Network(const Graph& g, const NetConfig& config,
     }
   }
 
-  // Reliability service (only for active plans; like the fault engine, an
-  // active service forces the staged round path so the per-message decision
-  // point is unique).
+  // Reliability service (only for active plans).
   if (config.reliability.any()) {
     if (config.mode == NetConfig::Mode::kLocal) {
       throw std::invalid_argument(
@@ -253,9 +251,8 @@ Network::Network(const Graph& g, const NetConfig& config,
   }
 
   // Telemetry engine (opt-in). Built before on_start so nodes can register
-  // probes there. Unlike faults_/rel_ it never changes the pipeline's path
-  // choice — the fused fast path stays fused — because recording only
-  // *reads* engine state the round loop maintains anyway.
+  // probes there. Recording only *reads* engine state the round loop
+  // maintains anyway.
   if (config.telemetry.any()) {
     telem_ = std::make_unique<TelemetryEngine>(config.telemetry, k);
     if (config.telemetry.trace) {
@@ -398,38 +395,15 @@ void Network::apply_fault_events() {
   }
 }
 
-void Network::deliver_view(Shard& dst, TrafficBatch& batch, NodeId to,
-                           std::size_t back_index, const MsgView& v) {
-  auto& st = states_[to];
-  st.rx_by_kind[v.key.kind] += 1;
-  InStream& stream = st.inbox.open(back_index, v.key);
-  if (v.symbol_count > 0 && v.symbol_count <= 2) {
-    // Inline fast path mirroring deliver_record: the dominant CONGEST kinds
-    // carry 1–2 symbols, not worth the bulk-blit setup.
-    const std::uint8_t* widths = v.buf->widths() + v.first_symbol;
-    stream.deliver(v.buf->value_at(v.bit_off, widths[0]), widths[0]);
-    if (v.symbol_count == 2) {
-      stream.deliver(v.buf->value_at(v.bit_off + widths[0], widths[1]),
-                     widths[1]);
-    }
-  } else if (v.symbol_count > 0) {
-    stream.deliver_packed(v.buf->words(), v.buf->word_count(), v.bit_off,
-                          v.bit_len, v.buf->widths() + v.first_symbol,
-                          v.symbol_count);
-  }
-  if (v.eos) stream.deliver_eos();
-  wake(dst, to);
-  batch.charge(v.key.kind, v.wire_bits);
-}
-
 void Network::deliver_record(Shard& dst, TrafficBatch& batch,
-                             const MsgBlock::Rec& r) {
-  nc_invariant(r.to >= dst.begin && r.to < dst.end,
+                             const MsgBlock::Rec& r, NodeId to,
+                             std::uint32_t back_index) {
+  nc_invariant(to >= dst.begin && to < dst.end,
                "staged row routed to a shard that does not own its "
                "destination node");
-  auto& st = states_[r.to];
+  auto& st = states_[to];
   st.rx_by_kind[r.key.kind] += 1;
-  InStream& stream = st.inbox.open(r.back_index, r.key);
+  InStream& stream = st.inbox.open(back_index, r.key);
   if (r.spilled) {
     stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
                           r.pay_widths, r.symbol_count);
@@ -439,28 +413,7 @@ void Network::deliver_record(Shard& dst, TrafficBatch& batch,
     if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
   }
   if (r.eos) stream.deliver_eos();
-  wake(dst, r.to);
-  batch.charge(r.key.kind, r.wire_bits);
-}
-
-void Network::deliver_copy(Shard& dst, TrafficBatch& batch,
-                           const MsgBlock::Rec& r,
-                           const MsgBlock::Receiver& rcv) {
-  nc_invariant(rcv.to >= dst.begin && rcv.to < dst.end,
-               "broadcast receiver routed to a shard that does not own its "
-               "destination node");
-  auto& st = states_[rcv.to];
-  st.rx_by_kind[r.key.kind] += 1;
-  InStream& stream = st.inbox.open(rcv.back_index, r.key);
-  if (r.spilled) {
-    stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                          r.pay_widths, r.symbol_count);
-  } else {
-    if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
-  }
-  if (r.eos) stream.deliver_eos();
-  wake(dst, rcv.to);
+  wake(dst, to);
   batch.charge(r.key.kind, r.wire_bits);
 }
 
@@ -645,27 +598,10 @@ void Network::resolve_fec_windows(Shard& sh) {
 
 void Network::stage_shard(unsigned s) {
   Shard& sh = shards_[s];
-  // Telemetry epilogue, shared by both exits: lane message counts feed the
-  // metrics columns (per-shard load balance), the span feeds the trace.
-  // Clock reads happen only when tracing is on.
   using clock = std::chrono::steady_clock;
   const bool trace_shard = telem_ && telem_->trace_on() && shards_.size() > 1;
   clock::time_point tt0;
   if (trace_shard) tt0 = clock::now();
-  const auto telem_exit = [&]() {
-    if (!telem_) return;
-    if (telem_->metrics_on()) {
-      std::uint64_t staged = 0;
-      for (const auto& lane : sh.lanes) staged += lane.message_count();
-      sh.telem_staged += staged;
-    }
-    if (trace_shard) {
-      const auto tt1 = clock::now();
-      sh.telem_spans.push_back(Telemetry::Span{
-          "stage", s + 1, round_, span_ts_us(telem_epoch_ns_, tt0),
-          span_dur_us(tt0, tt1)});
-    }
-  };
   // O(1) rewind of the whole previous round's transient storage, then
   // re-carve the lane columns at last round's sizes.
   sh.arena.reset();
@@ -676,10 +612,6 @@ void Network::stage_shard(unsigned s) {
   // staged into a later window.
   if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
     resolve_fec_windows(sh);
-  }
-  if (sh.active_links.empty()) {
-    telem_exit();  // released FEC rows may sit in the lanes even so
-    return;
   }
   // Ascending (owner, neighbour-index) order within the shard; shards are
   // contiguous ID ranges, so concatenating the shards' sorted sets in shard
@@ -800,79 +732,22 @@ void Network::stage_shard(unsigned s) {
   }
   close_group();
   sh.active_links.resize(kept);
-  if (profiling) {
+  // Observer epilogue: the round's lane message count (released FEC rows
+  // included) feeds the profile's lane peak and the metrics' per-shard
+  // load-balance columns; the span feeds the trace.
+  const bool metrics = telem_ && telem_->metrics_on();
+  if (profiling || metrics) {
     std::uint64_t staged = 0;
     for (const auto& lane : sh.lanes) staged += lane.message_count();
-    if (staged > sh.staged_peak) sh.staged_peak = staged;
+    sh.staged_peak = std::max(sh.staged_peak, staged);
+    if (metrics) sh.telem_staged += staged;
   }
-  telem_exit();
-}
-
-void Network::deliver_round_serial() {
-  Shard& sh = shards_[0];
-  if (sh.active_links.empty()) return;
-  if (!std::is_sorted(sh.active_links.begin(), sh.active_links.end())) {
-    std::sort(sh.active_links.begin(), sh.active_links.end());
+  if (trace_shard) {
+    const auto tt1 = clock::now();
+    sh.telem_spans.push_back(Telemetry::Span{
+        "stage", s + 1, round_, span_ts_us(telem_epoch_ns_, tt0),
+        span_dur_us(tt0, tt1)});
   }
-  std::size_t kept = 0;
-  MsgView view;
-  TrafficBatch batch;
-  // The fused path can't dedup payload copies (each inbox needs its own
-  // symbols), but it reuses the broadcast classifier to skip the per-symbol
-  // packing walk for every sibling link after the first: a match means
-  // `view` already describes the message, so the link just advances.
-  const bool dedup = config_.broadcast_dedup &&
-                     config_.mode == NetConfig::Mode::kCongest;
-  NodeId group_from = 0;
-  bool group_live = false;
-  const std::size_t n_active = sh.active_links.size();
-  for (std::size_t idx = 0; idx < n_active; ++idx) {
-    const std::size_t e = sh.active_links[idx];
-    const NodeId from = edge_owner_[e];
-    const std::size_t ni = e - edge_base_[from];
-    Link& link = links_[e];
-    const NodeId to = graph_->neighbors(from)[ni];
-    const std::size_t back = reverse_index_[e];
-    if (idx + 2 < n_active) {
-      // Each delivery lands on a random destination's ~400 B NodeState (the
-      // counters, the inbox bucket headers) — cold misses that dominate the
-      // per-copy cost on high-degree graphs. Peeking two active links ahead
-      // overlaps the next destinations' misses with this copy's work (one
-      // link ahead is not enough lead time for the dependent-miss chain).
-      const std::size_t e2 = sh.active_links[idx + 2];
-      const NodeId from2 = edge_owner_[e2];
-      const NodeId to2 = graph_->neighbors(from2)[e2 - edge_base_[from2]];
-      prefetch_dst(to2);
-    }
-    if (config_.mode == NetConfig::Mode::kLocal) {
-      const std::size_t produced =
-          link.drain_views(header_bits_, [&](const MsgView& v) {
-            deliver_view(sh, batch, to, back, v);
-          });
-      if (produced > 0) link.release_idle();
-    } else if (group_live && from == group_from &&
-               link.schedule_matches(bandwidth_bits_, header_bits_, view)) {
-      deliver_view(sh, batch, to, back, view);
-      link.release_idle();
-    } else {
-      group_live = false;
-      if (link.schedule_view(bandwidth_bits_, header_bits_, view)) {
-        deliver_view(sh, batch, to, back, view);
-        if (dedup) {
-          group_from = from;
-          group_live = true;
-        }
-        link.release_idle();
-      }
-    }
-    if (link.has_pending()) {
-      sh.active_links[kept++] = e;
-    } else {
-      link_active_[e] = 0;
-    }
-  }
-  sh.active_links.resize(kept);
-  batch.flush_into(sh.traffic);
 }
 
 void Network::deliver_shard(unsigned d) {
@@ -894,7 +769,7 @@ void Network::deliver_shard(unsigned d) {
         if (faults_ && faults_->crashed_at(r.to, round_)) {
           dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
         } else {
-          deliver_record(dst, batch, r);
+          deliver_record(dst, batch, r, r.to, r.back_index);
         }
       }
       if (config_.profile != nullptr) dst.delayed_msgs -= bucket.size();
@@ -927,7 +802,7 @@ void Network::deliver_shard(unsigned d) {
               }
             }
           } else {
-            deliver_copy(dst, batch, r, rcv);
+            deliver_record(dst, batch, r, rcv.to, rcv.back_index);
           }
         }
       } else if ((faults_ || rel_) && r.deliver_round > round_) {
@@ -945,7 +820,7 @@ void Network::deliver_shard(unsigned d) {
           }
         }
       } else {
-        deliver_record(dst, batch, r);
+        deliver_record(dst, batch, r, r.to, r.back_index);
       }
     }
   }
@@ -1034,63 +909,34 @@ bool Network::step(bool allow_fast_forward) {
   // Churn events fire at the top of their round, before any traffic of the
   // round is staged: a node crashing in round r already silences round r.
   if (faults_) apply_fault_events();
-  // Two-phase delivery, then wake dispatch — each phase parallel over
-  // shards with a barrier in between (stage writes source-shard state,
-  // deliver reads the staged lanes and writes destination-shard state).
-  // A single shard fuses the two phases: no lanes, no round-sized buffer —
-  // except under an active fault plan, where even one shard takes the
-  // staged path so the loss/delay/churn decision points exist exactly once.
-  // Clock reads exist only on the opt-in profiling/tracing paths.
+  // Stage, deliver, wake — each phase parallel over shards (inline with one
+  // shard) with a barrier in between: stage writes source-shard state and
+  // the lanes, deliver reads the lanes and writes destination-shard state.
+  // The fault and reliability decision points live in these phases, so they
+  // exist exactly once at every shard count.
   using clock = std::chrono::steady_clock;
   const bool prof = config_.profile != nullptr;
   const bool tr = telem_ && telem_->trace_on();
   if (telem_) telem_->begin_round(round_);
   clock::time_point t0;
   if (prof || tr) t0 = clock::now();
-  if (shards_.size() == 1 && !faults_ && !rel_) {
-    deliver_round_serial();
-    if (prof || tr) {
-      // The fused loop schedules and delivers in one pass; splitting its
-      // time into stage/deliver would require a clock read per edge. It is
-      // booked honestly as its own phase instead (fused_seconds), so a
-      // 1-thread profile no longer shows stage_seconds: 0 with the stage
-      // work hidden inside deliver_seconds.
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.fused_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("fused", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
+  // Books the wall-clock since t0 to one phase — the profile's seconds and
+  // the trace's serial track — and restarts the clock. Clock reads exist
+  // only on these opt-in paths.
+  const auto book = [&](const char* phase, double NetProfile::*seconds) {
+    if (!prof && !tr) return;
+    const auto t1 = clock::now();
+    if (prof) prof_.*seconds += std::chrono::duration<double>(t1 - t0).count();
+    if (tr) {
+      telem_->add_span(phase, 0, round_, span_ts_us(telem_epoch_ns_, t0),
+                       span_dur_us(t0, t1));
     }
-  } else {
-    for_each_shard([this](unsigned s) { stage_shard(s); });
-    if (prof || tr) {
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.stage_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("stage", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
-    }
-    for_each_shard([this](unsigned s) { deliver_shard(s); });
-    if (prof || tr) {
-      const auto t1 = clock::now();
-      if (prof) {
-        prof_.deliver_seconds += std::chrono::duration<double>(t1 - t0).count();
-      }
-      if (tr) {
-        telem_->add_span("deliver", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                         span_dur_us(t0, t1));
-      }
-      t0 = t1;
-    }
-  }
+    t0 = t1;
+  };
+  for_each_shard([this](unsigned s) { stage_shard(s); });
+  book("stage", &NetProfile::stage_seconds);
+  for_each_shard([this](unsigned s) { deliver_shard(s); });
+  book("deliver", &NetProfile::deliver_seconds);
   // Serial reduction in shard order: exact (integer sums/maxes), so stats_
   // is bit-identical to serial accumulation at every shard count.
   for (auto& sh : shards_) {
@@ -1104,19 +950,8 @@ bool Network::step(bool allow_fast_forward) {
     last_delivery_round_ = round_;
   }
   for_each_shard([this](unsigned s) { wake_shard(s); });
-  double round_ts_us = -1.0;
-  if (prof || tr) {
-    const auto t1 = clock::now();
-    if (prof) {
-      prof_.wake_seconds += std::chrono::duration<double>(t1 - t0).count();
-    }
-    if (tr) {
-      telem_->add_span("wake", 0, round_, span_ts_us(telem_epoch_ns_, t0),
-                       span_dur_us(t0, t1));
-      round_ts_us = span_ts_us(telem_epoch_ns_, t1);
-    }
-  }
-  if (telem_) round_telemetry(round_ts_us);
+  book("wake", &NetProfile::wake_seconds);
+  if (telem_) round_telemetry(tr ? span_ts_us(telem_epoch_ns_, t0) : -1.0);
   stats_.rounds = round_;
   return !all_done();
 }

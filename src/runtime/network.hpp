@@ -75,9 +75,9 @@ struct NetConfig {
   /// CSR-contiguous shards, each owning its active links, alarm buckets and
   /// wake list, and the per-round phases run on a fixed pool of this many
   /// threads. Fixed-seed executions are bit-identical at every value (the
-  /// two-phase round merges staged messages in shard order, which equals
-  /// the serial delivery order); 0 and 1 both mean the serial engine.
-  /// Clamped to [1, kMaxShards].
+  /// deliver phase merges staged messages in shard order, which equals the
+  /// one-shard delivery order); 0 and 1 both mean one shard, run inline
+  /// without a pool. Clamped to [1, kMaxShards].
   unsigned threads = 1;
 
   /// Injected adversity: message loss, link delay and node churn
@@ -103,8 +103,9 @@ struct NetConfig {
   /// Purely an engine optimization: fixed-seed RunStats, labels and fault
   /// verdicts are bit-identical either way (every copy still gets its own
   /// per-(src, dst) loss/delay/crash decision; locked by
-  /// tests/test_determinism.cpp). False forces the historical per-edge
-  /// path — the comparison baseline for benches and the determinism tests.
+  /// tests/test_determinism.cpp). False forces one row per edge — the
+  /// reference that test compares the broadcast rows against; only tests
+  /// set it.
   bool broadcast_dedup = true;
 
   /// Opt-in engine profiling: when non-null, the network accumulates
@@ -235,16 +236,17 @@ class NodeApi {
 /// and a bucketed alarm queue, so per-round work is proportional to actual
 /// traffic, not to n + m, and fast-forwarding over an idle stretch is O(1).
 ///
-/// With NetConfig::threads = k > 1 the nodes are partitioned into k
-/// CSR-contiguous shards and every round runs as a deterministic two-phase
-/// pipeline on a fixed thread pool: a parallel *stage* phase where each
-/// source shard schedules its active links into per-(src-shard → dst-shard)
-/// lanes, and a parallel *deliver + wake* phase where each destination
-/// shard merges its incoming lanes in ascending source-shard order, applies
-/// them to its nodes' inboxes, then runs its woken nodes in ID order.
-/// Because shards are contiguous ID ranges, the merge order equals the
-/// serial engine's global ascending-edge delivery order, so fixed-seed
-/// executions are bit-identical at every thread count (locked by
+/// The nodes are partitioned into NetConfig::threads = k CSR-contiguous
+/// shards and every round runs one deterministic pipeline: a *stage* phase
+/// where each source shard schedules its active links into per-(src-shard
+/// → dst-shard) lanes, a *deliver* phase where each destination shard
+/// merges its incoming lanes in ascending source-shard order and applies
+/// them to its nodes' inboxes, then a *wake* phase that runs each shard's
+/// woken nodes in ID order. With k > 1 every phase runs on a fixed thread
+/// pool; with k = 1 it runs inline, through the same lanes. Because shards
+/// are contiguous ID ranges, the merge order equals the global
+/// ascending-edge delivery order at every k, so fixed-seed executions are
+/// bit-identical at every thread count (locked by
 /// tests/test_determinism.cpp).
 ///
 /// With NetConfig::faults active the stage phase additionally runs every
@@ -455,12 +457,6 @@ class Network {
   /// and compacts the active set. Touches only shard-s-owned state.
   void stage_shard(unsigned s);
 
-  /// The single-shard fast path: stage and deliver fused — each scheduled
-  /// view is applied to its destination inbox immediately, with no lane
-  /// buffering at all — in the exact delivery order of the pre-sharding
-  /// serial engine.
-  void deliver_round_serial();
-
   /// Deliver phase: merges every source shard's lane for destination shard
   /// d in ascending source-shard order and applies the staged messages to
   /// d's nodes (inboxes, rx counters, wake list, traffic partials).
@@ -482,27 +478,18 @@ class Network {
     }
   }
 
-  /// Applies one just-scheduled view directly to its destination node
-  /// (serial fused path: the payload moves producer buffer → inbox in one
-  /// blit, never touching a lane). Charges `batch`.
-  void deliver_view(Shard& dst, TrafficBatch& batch, NodeId to,
-                    std::size_t back_index, const MsgView& v);
+  /// Applies one staged lane/bucket row to node `to`, whose adjacency list
+  /// holds the sender at `back_index`: (r.to, r.back_index) for a plain row,
+  /// a packed receiver entry for each copy of a broadcast row. Payload, key
+  /// and wire accounting come from the row, so every broadcast copy is
+  /// charged what a per-edge row would be. Charges `batch` (flushed into the
+  /// shard's traffic partial once per phase).
+  void deliver_record(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r,
+                      NodeId to, std::uint32_t back_index);
 
-  /// Applies one staged lane/bucket row to its destination node, charging
-  /// `batch` (flushed into the shard's traffic partial once per phase).
-  void deliver_record(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r);
-
-  /// Applies one receiver's copy of a staged *broadcast* row: identical to
-  /// deliver_record except the destination and reverse index come from the
-  /// packed receiver entry, while payload, key and wire accounting come
-  /// from the shared row — each copy is charged exactly what the per-edge
-  /// path would have charged it.
-  void deliver_copy(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r,
-                    const MsgBlock::Receiver& rcv);
-
-  /// Hints the destination node's hot state into cache one delivery ahead
-  /// of use: deliveries land on essentially random ~400 B NodeStates, and
-  /// the dependent-miss chain (state header → inbox bucket → stream) is
+  /// Hints the destination node's hot state into cache two deliveries
+  /// ahead of use: deliveries land on essentially random ~400 B NodeStates,
+  /// and the dependent-miss chain (state header → inbox bucket → stream) is
   /// the measured per-copy bottleneck on high-degree graphs. A pure hint —
   /// no observable behaviour depends on it.
   void prefetch_dst(NodeId to) const noexcept {
@@ -660,15 +647,12 @@ class Network {
   std::vector<Shard> shards_;
   std::unique_ptr<ShardPool> pool_;
 
-  // Fault engine (null for the default fault-free plan). When active, even
-  // a 1-shard network takes the staged two-phase round so the loss/delay/
-  // churn decision points exist exactly once, in the stage and deliver
-  // phases.
+  // Fault engine (null for the default fault-free plan). Its loss/delay/
+  // churn decision points sit in the stage and deliver phases.
   std::unique_ptr<FaultEngine> faults_;
 
-  // Reliability engine (null when NetConfig::reliability is off). Same
-  // rule as faults_: an active service forces the staged path so the
-  // per-message decision point is unique.
+  // Reliability engine (null when NetConfig::reliability is off); decides
+  // per message in the stage phase, like the fault engine.
   std::unique_ptr<ReliabilityEngine> rel_;
 
   // Engine profile partials, accumulated only when config_.profile is set
@@ -681,8 +665,7 @@ class Network {
 
   // Telemetry engine (null unless NetConfig::telemetry requests a facet
   // and attaches a sink — the zero-cost-when-off contract is this null
-  // check). Unlike faults_/rel_, an active engine never changes the
-  // round pipeline's path choice: the fused fast path stays fused.
+  // check).
   std::unique_ptr<TelemetryEngine> telem_;
 
   // Wall-clock offset helper state for trace spans: nanoseconds-since-

@@ -31,9 +31,8 @@ struct Telemetry {
     std::vector<std::uint64_t> round;         ///< sampled round numbers
     std::vector<std::uint64_t> active_links;  ///< links pending after the round
     std::vector<std::uint64_t> wakeups;       ///< on_round callbacks in window
-    std::vector<std::uint64_t> staged;        ///< lane messages staged in window
-                                              ///< (0 on the fused 1-thread
-                                              ///< clean path — nothing stages)
+    std::vector<std::uint64_t> staged;        ///< lane messages staged in window,
+                                              ///< summed over shards
     std::vector<std::uint64_t> delivered;     ///< messages delivered in window
     std::vector<std::uint64_t> lost;          ///< fault-engine drops in window
     std::vector<std::uint64_t> delayed;       ///< delay deferrals in window
@@ -65,7 +64,7 @@ struct Telemetry {
   } metrics;
 
   /// One phase span for the Chrome trace_event output. `name` is always an
-  /// engine-owned string literal ("stage", "deliver", "fused", "wake",
+  /// engine-owned string literal ("stage", "deliver", "wake",
   /// "alarm"); tid 0 is the engine's serial track, tid s+1 is shard s.
   struct Span {
     const char* name = "";

@@ -65,9 +65,8 @@ void expect_exact_at(const Graph& g, DriverConfig cfg, const Expected& want,
 
 void expect_exact(const Graph& g, const DriverConfig& cfg,
                   const Expected& want) {
-  // The serial engine must reproduce the pre-event-driven goldens, and the
-  // sharded engine at 4 threads must reproduce the serial engine — same
-  // numbers, any thread count.
+  // One shard must reproduce the pre-event-driven goldens, and four shards
+  // must reproduce one — same numbers, any thread count.
   expect_exact_at(g, cfg, want, 1);
   expect_exact_at(g, cfg, want, 4);
 }

@@ -2,9 +2,14 @@
 
 #include <memory>
 
+#include "core/driver.hpp"
+#include "graph/generators.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/network.hpp"
+#include "runtime/reliability.hpp"
 #include "test_helpers.hpp"
 #include "util/bitio.hpp"
+#include "util/rng.hpp"
 
 namespace nc {
 namespace {
@@ -501,6 +506,51 @@ TEST(Runtime, OnStartRunsOnceForEveryNodeUnderSharding) {
     const auto stats = net.run();
     EXPECT_FALSE(stats.stalled);
     for (NodeId v = 0; v < g.n(); ++v) EXPECT_EQ(starts[v], 1) << v;
+  }
+}
+
+TEST(Runtime, ProfileAttributesStageAndDeliverAtEveryThreadCount) {
+  // Every round stages into lanes, then delivers — with one shard as with
+  // four, clean or lossy — so the profile books both phases, the lane and
+  // arena peaks, and (clean) the broadcast rows' payload savings the same
+  // way at every thread count.
+  Rng rng(7);
+  PlantedNearCliqueParams pp;
+  pp.n = 60;
+  pp.clique_size = 24;
+  pp.eps_missing = 0.0;
+  pp.background_p = 0.08;
+  pp.halo_p = 0.25;
+  const Instance inst = planted_near_clique(pp, rng);
+  for (const bool lossy : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(lossy ? "loss+ARQ" : "clean") +
+                   " threads=" + std::to_string(threads));
+      DriverConfig cfg;
+      cfg.proto.eps = 0.2;
+      cfg.proto.p = 0.08;
+      cfg.net.seed = 3;
+      cfg.net.max_rounds = 300'000;
+      cfg.net.threads = threads;
+      if (lossy) {
+        cfg.net.faults = parse_fault_plan("loss=0.05,fault_seed=9");
+        cfg.net.reliability = parse_reliability_plan(
+            "rel_mode=1,rel_ack_timeout=2,rel_max_retx=6");
+      }
+      NetProfile prof;
+      cfg.net.profile = &prof;
+      const auto res = run_dist_near_clique(inst.graph, cfg);
+      ASSERT_GT(res.stats.messages, 0u);
+      EXPECT_GT(prof.stage_seconds, 0.0);
+      EXPECT_GT(prof.deliver_seconds, 0.0);
+      EXPECT_GT(prof.wake_seconds, 0.0);
+      EXPECT_EQ(prof.fused_seconds, 0.0);
+      EXPECT_GT(prof.lane_msgs_peak, 0u);
+      EXPECT_GT(prof.arena_bytes_total, 0u);
+      if (!lossy) {
+        EXPECT_GT(prof.broadcast_payload_bytes_saved, 0u);
+      }
+    }
   }
 }
 

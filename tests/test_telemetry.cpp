@@ -6,7 +6,9 @@
 //    metrics+trace+probes — at threads 1, 2 and 64, clean and under a
 //    lossy fault plan with ARQ armed;
 //  - metric-column conservation: windowed columns sum to the run totals at
-//    any sampling stride, and the row budget drops samples loudly;
+//    any sampling stride, every column but the shard load-balance triple
+//    is the same at every thread count, and the row budget drops samples
+//    loudly;
 //  - protocol probes: dist_near_clique's dnc.* series exist, carry
 //    non-trivial totals, arrive name-sorted, and are thread-invariant;
 //  - phase spans: names come from the engine's fixed vocabulary and the
@@ -196,6 +198,54 @@ TEST(TelemetryMetrics, WindowedColumnsSumToRunTotals) {
   }
 }
 
+TEST(TelemetryMetrics, RowsDoNotDependOnThreadCount) {
+  // Every thread count runs the same stage → deliver → wake pipeline, so
+  // each per-round column — `staged` included — describes the execution,
+  // not the partition: rows at threads 2 and 64 must equal the 1-thread
+  // rows, clean and lossy. Only the shard load-balance triple
+  // (shard_staged_min/max/mean) describes the partition itself.
+  const auto inst = telemetry_instance();
+  for (const bool lossy : {false, true}) {
+    SCOPED_TRACE(lossy ? "loss+ARQ" : "clean");
+    Telemetry::Metrics one_thread;
+    for (const unsigned threads : {1u, 2u, 64u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      DriverConfig cfg = telemetry_config();
+      cfg.net.threads = threads;
+      if (lossy) {
+        cfg.net.faults = parse_fault_plan("loss=0.05,fault_seed=9");
+        cfg.net.reliability = parse_reliability_plan(
+            "rel_mode=1,rel_ack_timeout=2,rel_max_retx=6");
+      }
+      Telemetry sink;
+      cfg.net.telemetry = parse_telemetry_plan("tel_metrics=1,tel_stride=1");
+      cfg.net.telemetry.sink = &sink;
+      (void)run_dist_near_clique(inst.graph, cfg);
+      const Telemetry::Metrics& m = sink.metrics;
+      ASSERT_GT(m.samples(), 0u);
+      std::uint64_t staged = 0;
+      for (const auto v : m.staged) staged += v;
+      EXPECT_GT(staged, 0u);
+      if (threads == 1) {
+        one_thread = m;
+        continue;
+      }
+      EXPECT_EQ(m.round, one_thread.round);
+      EXPECT_EQ(m.active_links, one_thread.active_links);
+      EXPECT_EQ(m.wakeups, one_thread.wakeups);
+      EXPECT_EQ(m.staged, one_thread.staged);
+      EXPECT_EQ(m.delivered, one_thread.delivered);
+      EXPECT_EQ(m.lost, one_thread.lost);
+      EXPECT_EQ(m.delayed, one_thread.delayed);
+      EXPECT_EQ(m.retransmitted, one_thread.retransmitted);
+      EXPECT_EQ(m.fec_parks, one_thread.fec_parks);
+      EXPECT_EQ(m.bits, one_thread.bits);
+      EXPECT_EQ(m.bits_by_kind, one_thread.bits_by_kind);
+      EXPECT_EQ(m.samples_dropped, one_thread.samples_dropped);
+    }
+  }
+}
+
 TEST(TelemetryMetrics, RowBudgetDropsSamplesLoudly) {
   const auto inst = telemetry_instance();
   DriverConfig cfg = telemetry_config();
@@ -284,8 +334,7 @@ TEST(TelemetryTrace, SpansUseTheEngineVocabularyAndSerialize) {
   (void)run_dist_near_clique(inst.graph, cfg);
 
   ASSERT_FALSE(sink.spans.empty());
-  const std::set<std::string> vocab{"fused", "stage", "deliver", "wake",  // nclint:allow(ordered-map) test-only vocabulary set
-                                    "alarm"};
+  const std::set<std::string> vocab{"stage", "deliver", "wake", "alarm"};  // nclint:allow(ordered-map) test-only vocabulary set
   bool saw_parallel_phase = false;
   for (const auto& s : sink.spans) {
     EXPECT_TRUE(vocab.count(s.name)) << s.name;
