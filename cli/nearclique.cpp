@@ -146,8 +146,9 @@ int usage(std::FILE* to) {
       "faults included; see src/expt/README.md for the schema).\n"
       "run --repeat=N --time re-runs the fixed-seed execution N times and\n"
       "reports min/median/mean wall-clock (scenario build excluded).\n"
-      "run --profile adds engine per-phase seconds (stage/deliver/wake)\n"
-      "and broadcast dedup savings to the text and JSON output.\n");
+      "run --profile adds engine per-phase seconds (stage/deliver/wake),\n"
+      "broadcast dedup savings and inbox/link pool bytes (carved, live)\n"
+      "to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -514,6 +515,14 @@ int cmd_run(const Args& args) {
           .value(pr.delayed_msgs_peak)
           .key("broadcast_payload_bytes_saved")
           .value(pr.broadcast_payload_bytes_saved)
+          .key("inbox_bytes_carved")
+          .value(pr.inbox_bytes_carved)
+          .key("inbox_bytes_live")
+          .value(pr.inbox_bytes_live)
+          .key("link_bytes_carved")
+          .value(pr.link_bytes_carved)
+          .key("link_bytes_live")
+          .value(pr.link_bytes_live)
           .end_object();
     }
     if (timed) {
@@ -575,13 +584,19 @@ int cmd_run(const Args& args) {
   }
   if (profiled) {
     // Per-phase engine seconds of the last run; bytes saved counts lane
-    // payload copies avoided by broadcast dedup.
+    // payload copies avoided by broadcast dedup; the pool bytes are the
+    // carved and still-live cross-round storage at the end of the run.
     const NetProfile& pr = result.profile;
     std::printf(
         "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
-        "broadcast payload bytes saved: %llu\n",
+        "broadcast payload bytes saved: %llu; inbox bytes carved %llu, "
+        "live %llu; link bytes carved %llu, live %llu\n",
         pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
-        static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved));
+        static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved),
+        static_cast<unsigned long long>(pr.inbox_bytes_carved),
+        static_cast<unsigned long long>(pr.inbox_bytes_live),
+        static_cast<unsigned long long>(pr.link_bytes_carved),
+        static_cast<unsigned long long>(pr.link_bytes_live));
   }
   std::printf("near-cliques found: %zu\n", clusters.size());
   for (const auto& [label, members] : clusters) {

@@ -126,6 +126,8 @@ void DistNearCliqueNode::read_sampled_bits(NodeApi& api, VersionState& vs) {
     // Each neighbour sends exactly one bit; consume it once.
     if (in->available() > 0 && in->pop() != 0) vs.s_nbr.push_back(ni);
   }
+  // Every neighbour's one-message stream (bit + EOS) is read: drop them.
+  api.retire_in(key(kSampled, 0, vs.w));
   vs.s_known = true;
   if (vs.in_s) {
     vs.best_root = api.id();

@@ -208,6 +208,8 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
         ++local_ops_;
       }
       ps.t_done = true;
+      // Every participant neighbour's bit-vector is consumed to the end.
+      api.retire_in(key(kKBitvec, ps.root, ps.version));
       if (!ps.is_member || ps.parent_ni != SIZE_MAX) {
         ps.tsum_opened = true;
         ps.tsum_out =

@@ -313,6 +313,8 @@ void DistNearCliqueNode::run_participation(NodeApi& api, VersionState& vs) {
     if (closed == api.degree()) {
       vs.participation_in = closed;
       vs.participation_known = true;
+      // Every list is closed and copied into nbr_participation.
+      api.retire_in(key(kParticipate, 0, vs.w));
     }
   }
 }

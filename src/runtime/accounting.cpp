@@ -57,6 +57,10 @@ void NetProfile::absorb(const NetProfile& other) {
   lane_msgs_peak = std::max(lane_msgs_peak, other.lane_msgs_peak);
   delayed_msgs_peak = std::max(delayed_msgs_peak, other.delayed_msgs_peak);
   broadcast_payload_bytes_saved += other.broadcast_payload_bytes_saved;
+  inbox_bytes_carved = std::max(inbox_bytes_carved, other.inbox_bytes_carved);
+  inbox_bytes_live = std::max(inbox_bytes_live, other.inbox_bytes_live);
+  link_bytes_carved = std::max(link_bytes_carved, other.link_bytes_carved);
+  link_bytes_live = std::max(link_bytes_live, other.link_bytes_live);
 }
 
 std::string RunStats::summary() const {

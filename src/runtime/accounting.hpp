@@ -136,6 +136,16 @@ struct NetProfile {
   /// (NetConfig::broadcast_dedup).
   std::uint64_t broadcast_payload_bytes_saved = 0;
 
+  /// Cross-round pool memory, summed over shards at the flush: bytes of
+  /// the carved slots (live + on free lists) and of the live ones, for the
+  /// inbox pools (key + stream columns) and the link pools. Live inbox
+  /// bytes follow the streams nodes can still read: retired keys and done
+  /// nodes' inboxes give theirs back.
+  std::uint64_t inbox_bytes_carved = 0;
+  std::uint64_t inbox_bytes_live = 0;
+  std::uint64_t link_bytes_carved = 0;
+  std::uint64_t link_bytes_live = 0;
+
   /// Accumulates another profile (multi-trial benches).
   void absorb(const NetProfile& other);
 };

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -44,6 +45,13 @@ struct InboxPool {
   void free(unsigned cls, std::uint32_t slot) {
     keys.free(cls, slot);
     streams.free(cls, slot);
+  }
+
+  [[nodiscard]] std::size_t carved_bytes() const noexcept {
+    return keys.carved_bytes() + streams.carved_bytes();
+  }
+  [[nodiscard]] std::size_t live_bytes() const noexcept {
+    return keys.live_bytes() + streams.live_bytes();
   }
 };
 
@@ -95,17 +103,17 @@ struct InboxPool {
 /// case. Memos are validated by value, so a stale index can never change an
 /// outcome.
 ///
-/// Consumed-prefix skipping: each bucket keeps a cursor over its leading
-/// entries that are *dead for this round* — drained (`available() == 0`)
-/// and not closed — and `for_each` starts there, so a node polling a kind
-/// every round does not rescan streams it has already drained. The cursor
-/// only ever skips entries a visitor cannot act on: nothing to pop, and no
-/// closed-stream signal (visitors that count finished streams — the tree
-/// and component-announce phases — rely on closed entries staying visible,
-/// so closed streams are never skipped). Deadness is monotone under
-/// consumption (pops only drain further) and the one reviving event — a
-/// delivery — goes through open(), which pulls the cursor back over the
-/// revived entry.
+/// Lifetimes: a stream stays visible — drained and closed ones included,
+/// because the tree and component-announce visitors count finished
+/// streams — until its reader retires it. retire() drops every
+/// neighbour's stream under one (kind, tag, version) once the stage that
+/// reads that key has consumed all of them: the bucket is compacted in
+/// place, the survivors keep their order, and an emptied bucket returns
+/// its slot to the pool. clear() drops everything; the runtime calls it
+/// when the node is done, since a done node never reads its inbox again.
+/// So inbox memory follows the streams a node can still read, not every
+/// stream it ever received. A delivery under a retired key opens a fresh,
+/// empty stream.
 ///
 /// Shard ownership (see network.hpp): an inbox and its pool belong to its
 /// node's shard. The deliver phase writes it from the destination shard's
@@ -150,43 +158,67 @@ class Inbox {
       }
       bucket.memo = static_cast<std::uint32_t>(idx);
     }
-    // A delivery is about to land on this entry: if the dead-prefix cursor
-    // had skipped past it, pull the cursor back so for_each sees the
-    // revived stream again. (An insert below the cursor shifts live
-    // entries into the prefix too — same fix.)
-    if (idx < bucket.dead) {
-      bucket.dead = static_cast<std::uint32_t>(idx);
-    }
     return streams_of(bucket)[idx];
   }
 
   /// Invokes `fn(ni, key, stream)` for every stream of `kind`, in ascending
-  /// (ni, tag, version) order — starting past the bucket's consumed prefix
-  /// (see the class comment; skipped entries are drained and unclosed, so
-  /// no visitor behaviour changes).
+  /// (ni, tag, version) order. `fn` must not retire() or clear().
   template <typename Fn>
   void for_each(std::uint16_t kind, Fn&& fn) {
     const std::int8_t slot = slot_[check_kind(kind)];
     if (slot < 0) return;
-    Bucket& bucket = store_[static_cast<std::size_t>(slot)];
-    nc_invariant(bucket.dead <= bucket.size,
-                 "inbox dead-prefix cursor ran past the bucket");
+    const Bucket& bucket = store_[static_cast<std::size_t>(slot)];
     if (bucket.size == 0) return;
     const InboxKey* keys = keys_of(bucket);
     InStream* streams = streams_of(bucket);
-    std::uint32_t dead = bucket.dead;
-    while (dead < bucket.size) {
-      const InStream& s = streams[dead];
-      if (s.available() != 0 || s.closed()) break;
-      ++dead;
-    }
-    bucket.dead = dead;
-    for (std::size_t i = dead; i < bucket.size; ++i) {
+    for (std::size_t i = 0; i < bucket.size; ++i) {
       const InboxKey k = keys[i];
       const StreamKey key{kind, static_cast<NodeId>(k.tv >> 16),
                           static_cast<std::uint16_t>(k.tv & 0xFFFFu)};
       fn(static_cast<std::size_t>(k.ni), key, streams[i]);
     }
+  }
+
+  /// Drops every neighbour's stream under `key`; the kind's other streams
+  /// keep their (ni, tag, version) order, and the bucket's slot goes back
+  /// to the pool once it is empty. No-op if nothing arrived under `key`.
+  void retire(const StreamKey& key) {
+    const std::int8_t slot = slot_[check_kind(key.kind)];
+    if (slot < 0) return;
+    Bucket& bucket = store_[static_cast<std::size_t>(slot)];
+    if (bucket.size == 0) return;
+    const std::uint64_t tv = pack(0, key).tv;
+    InboxKey* keys = keys_of(bucket);
+    InStream* streams = streams_of(bucket);
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < bucket.size; ++i) {
+      if (keys[i].tv == tv) {
+        streams[i] = InStream{};  // frees a spilled payload now
+      } else {
+        if (kept != i) {
+          keys[kept] = keys[i];
+          streams[kept] = std::move(streams[i]);
+        }
+        ++kept;
+      }
+    }
+    // Every entry past `kept` is now empty (reset or moved from), as a
+    // freed slot's elements must be.
+    bucket.size = kept;
+    bucket.memo = 0;
+    if (kept == 0) release(bucket);
+  }
+
+  /// Drops every stream and returns every bucket slot to the pool.
+  void clear() {
+    for (Bucket& bucket : store_) {
+      if (bucket.size == 0) continue;
+      InStream* streams = streams_of(bucket);
+      for (std::uint32_t i = 0; i < bucket.size; ++i) streams[i] = InStream{};
+      release(bucket);
+    }
+    store_ = {};
+    slot_ = init_slots();
   }
 
   /// Total streams stored (all kinds).
@@ -198,13 +230,9 @@ class Inbox {
 
  private:
   struct Bucket {
-    std::uint32_t slot = SlotPool<InStream>::kNoSlot;  ///< InboxPool handle
+    /// InboxPool handle, held iff size > 0.
+    std::uint32_t slot = SlotPool<InStream>::kNoSlot;
     std::uint32_t size = 0;  ///< live entries; the slot holds 2^cls
-
-    /// Consumed-prefix cursor: entries [0 .. dead) are all drained-and-
-    /// unclosed, so for_each starts at dead. Clamped back by open()
-    /// whenever a delivery or insert lands inside the prefix.
-    std::uint32_t dead = 0;
 
     /// Last-hit memo (see class comment); validated by value on every use,
     /// so it can never go stale in an observable way.
@@ -243,6 +271,13 @@ class Inbox {
       store_.emplace_back();
     }
     return store_[static_cast<std::size_t>(slot)];
+  }
+
+  /// Returns an emptied bucket's slot to the pool; the next insert takes a
+  /// fresh class-0 slot.
+  void release(Bucket& b) {
+    pool_->free(b.cls, b.slot);
+    b = Bucket{};
   }
 
   /// Inserts a fresh stream under `want` at position `idx` — the vector

@@ -78,6 +78,10 @@ InStream* NodeApi::find_in(std::size_t ni, const StreamKey& key) {
   return net_->states_[id_].inbox.find(ni, key);
 }
 
+void NodeApi::retire_in(const StreamKey& key) {
+  net_->states_[id_].inbox.retire(key);
+}
+
 std::uint64_t NodeApi::rx_count(std::uint16_t kind) const {
   if (kind >= kMaxMsgKinds) {
     throw std::out_of_range("rx_count: message kind out of range");
@@ -293,6 +297,7 @@ Network::Network(const Graph& g, const NetConfig& config,
       NodeApi api(*this, v);
       nodes_[v]->on_start(api);
       refresh_outgoing(v);
+      drop_inbox_if_done(v);
     }
   });
 }
@@ -303,6 +308,11 @@ void Network::wake(Shard& sh, NodeId v) {
     queued = 1;
     sh.wake_list.push_back(v);
   }
+}
+
+void Network::drop_inbox_if_done(NodeId v) {
+  NodeState& st = states_[v];
+  if (st.done) st.inbox.clear();
 }
 
 void Network::refresh_outgoing(NodeId v) {
@@ -389,6 +399,7 @@ void Network::apply_fault_events() {
           }
         }
         refresh_outgoing(v);
+        drop_inbox_if_done(v);
       }
       sh.fault_events.erase(sh.fault_events.begin());
     }
@@ -403,6 +414,9 @@ void Network::deliver_record(Shard& dst, TrafficBatch& batch,
                "destination node");
   auto& st = states_[to];
   st.rx_by_kind[r.key.kind] += 1;
+  batch.charge(r.key.kind, r.wire_bits);
+  // A done node is never woken and its inbox is gone: charge, don't store.
+  if (st.done) return;
   InStream& stream = st.inbox.open(back_index, r.key);
   if (r.spilled) {
     stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
@@ -414,7 +428,6 @@ void Network::deliver_record(Shard& dst, TrafficBatch& batch,
   }
   if (r.eos) stream.deliver_eos();
   wake(dst, to);
-  batch.charge(r.key.kind, r.wire_bits);
 }
 
 Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
@@ -870,6 +883,7 @@ void Network::wake_shard(unsigned s) {
     NodeApi api(*this, v);
     nodes_[v]->on_round(api);
     refresh_outgoing(v);
+    drop_inbox_if_done(v);
   }
   sh.wake_list.clear();
   if (trace_shard) {
@@ -1010,6 +1024,10 @@ void Network::flush_profile() {
   prof_.lane_msgs_peak = 0;
   prof_.delayed_msgs_peak = 0;
   prof_.broadcast_payload_bytes_saved = 0;
+  prof_.inbox_bytes_carved = 0;
+  prof_.inbox_bytes_live = 0;
+  prof_.link_bytes_carved = 0;
+  prof_.link_bytes_live = 0;
   for (const auto& sh : shards_) {
     const auto hw = static_cast<std::uint64_t>(sh.arena.high_water_bytes());
     prof_.arena_bytes_total += hw;
@@ -1017,6 +1035,10 @@ void Network::flush_profile() {
     prof_.lane_msgs_peak = std::max(prof_.lane_msgs_peak, sh.staged_peak);
     prof_.delayed_msgs_peak = std::max(prof_.delayed_msgs_peak, sh.delayed_peak);
     prof_.broadcast_payload_bytes_saved += sh.bcast_saved;
+    prof_.inbox_bytes_carved += sh.inbox_pool.carved_bytes();
+    prof_.inbox_bytes_live += sh.inbox_pool.live_bytes();
+    prof_.link_bytes_carved += sh.link_pool.carved_bytes();
+    prof_.link_bytes_live += sh.link_pool.live_bytes();
   }
   // Cumulative over the network's lifetime: repeated run_rounds() calls
   // overwrite the destination with ever-growing totals.

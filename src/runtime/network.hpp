@@ -36,7 +36,8 @@ class NodeApi;
 /// node nothing — the simulator is event-driven — so a node that wants to be
 /// polled on a specific round must arm an alarm for it. A node signals
 /// completion via NodeApi::set_done(); until then `on_round` keeps being
-/// invoked on wake-ups, so it must be idempotent once done.
+/// invoked on wake-ups. A done node is never woken again: its inbox is
+/// dropped, and deliveries to it are charged and discarded.
 class INode {
  public:
   virtual ~INode() = default;
@@ -171,19 +172,31 @@ class NodeApi {
   OutChannel open_stream_one(const StreamKey& key, std::size_t neighbor_index);
 
   /// Incoming stream from neighbour index `ni` with the given key, or
-  /// nullptr if nothing with that key has arrived yet. The pointer is valid
-  /// only for the duration of the current callback: the inbox stores
-  /// streams in contiguous per-kind buckets, so the arrival of a new stream
-  /// may relocate existing ones. Re-fetch each round instead of caching.
+  /// nullptr if nothing with that key has arrived yet (or since it was
+  /// retired). The pointer is valid only for the duration of the current
+  /// callback: the inbox stores streams in contiguous per-kind buckets, so
+  /// the arrival of a new stream may relocate existing ones. Re-fetch each
+  /// round instead of caching. A retire_in of the same kind invalidates it
+  /// at once; set_done does not — the inbox is dropped only after the
+  /// callback returns.
   [[nodiscard]] InStream* find_in(std::size_t ni, const StreamKey& key);
 
   /// Invokes `fn(ni, key, stream)` for every incoming stream of `kind`, in
   /// ascending (ni, key) order. `fn` is any callable — the visitor is a
   /// template, so the hot path pays no std::function indirection. The
   /// stream references share find_in's lifetime rule: valid only within
-  /// the current callback.
+  /// the current callback, and until a retire_in of the same kind — which
+  /// `fn` itself must therefore not call.
   template <typename Fn>
   void for_each_in(std::uint16_t kind, Fn&& fn);
+
+  /// Drops every neighbour's incoming stream under `key` and frees its
+  /// inbox storage. Call it once the stage reading `key` has consumed all
+  /// of those streams: afterwards find_in returns nullptr for the key, and
+  /// a later delivery under it opens a fresh, empty stream. Invalidates
+  /// every find_in pointer and for_each_in reference of key.kind; must not
+  /// be called from inside a for_each_in visitor of that kind.
+  void retire_in(const StreamKey& key);
 
   /// Number of deliveries (messages) received so far whose kind is `kind`.
   /// Protocol code uses this to skip inbox scans on rounds where nothing of
@@ -218,7 +231,11 @@ class NodeApi {
   /// the future; skipped rounds still count toward round complexity.
   void set_alarm(std::uint64_t round);
 
-  /// Marks this node finished.
+  /// Marks this node finished. A done node is never woken again, so once
+  /// the current callback returns the runtime drops its whole inbox (every
+  /// find_in pointer and for_each_in reference dies with it), and later
+  /// deliveries to it are charged to RunStats and rx_count but not stored.
+  /// Within the callback the inbox stays readable.
   void set_done();
 
  private:
@@ -488,7 +505,7 @@ class Network {
                       NodeId to, std::uint32_t back_index);
 
   /// Hints the destination node's hot state into cache two deliveries
-  /// ahead of use: deliveries land on essentially random ~400 B NodeStates,
+  /// ahead of use: deliveries land on essentially random 368 B NodeStates,
   /// and the dependent-miss chain (state header → inbox bucket → stream) is
   /// the measured per-copy bottleneck on high-degree graphs. A pure hint —
   /// no observable behaviour depends on it.
@@ -544,6 +561,11 @@ class Network {
   /// happen inside the owning node's callbacks, so this is the only place a
   /// link can turn pending.
   void refresh_outgoing(NodeId v);
+
+  /// Called after each of v's callbacks returns: if v is now done, returns
+  /// its inbox storage to its shard's pool. Nothing can read it any more —
+  /// a done node is never woken — and deliver_record stores nothing for it.
+  void drop_inbox_if_done(NodeId v);
 
   /// True when any shard has a pending link.
   [[nodiscard]] bool any_active_links() const noexcept {

@@ -104,6 +104,24 @@ class SlotPool {
     return n;
   }
 
+  /// Bytes of the carved slots (live + on free lists) and of the live
+  /// ones, over all classes. Uncarved chunk tails count in neither.
+  [[nodiscard]] std::size_t carved_bytes() const noexcept {
+    std::size_t elems = 0;
+    for (unsigned cls = 0; cls < kClasses; ++cls) {
+      elems += std::size_t{classes_[cls].carved} << cls;
+    }
+    return elems * sizeof(T);
+  }
+  [[nodiscard]] std::size_t live_bytes() const noexcept {
+    std::size_t elems = 0;
+    for (unsigned cls = 0; cls < kClasses; ++cls) {
+      const Class& c = classes_[cls];
+      elems += (c.carved - c.free.size()) << cls;
+    }
+    return elems * sizeof(T);
+  }
+
  private:
   static constexpr unsigned kClasses = 32;
 

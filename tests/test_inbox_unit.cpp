@@ -8,14 +8,12 @@
 #include "runtime/inbox.hpp"
 
 // Direct unit tests of the flat kind-bucketed inbox: deterministic
-// (ni, key) iteration order, kind isolation, find/open semantics, the
-// consumed-prefix cursor, the kind-range guard, the shard pool behind the
-// bucket columns, and the InStream payload tiers.
+// (ni, key) iteration order, kind isolation, find/open semantics, stream
+// lifetimes (retire and clear), the kind-range guard, the shard pool
+// behind the bucket columns, and the InStream payload tiers.
 //
 // Contract note: the runtime only ever touches a stream through open()
-// immediately before delivering into it, so these tests do the same — an
-// entry that exists but has never received anything is indistinguishable
-// from a consumed one, and for_each's prefix cursor is allowed to skip it.
+// immediately before delivering into it, so these tests do the same.
 
 namespace nc {
 namespace {
@@ -75,31 +73,6 @@ TEST(Inbox, OpenIsFindOrCreateAndFindDoesNotCreate) {
   EXPECT_EQ(inbox.size(), 1u);
 }
 
-TEST(Inbox, ConsumedPrefixIsSkippedAndRevivedByDelivery) {
-  InboxPool pool;
-  Inbox inbox(pool);
-  const std::uint16_t kind = 3;
-  for (std::size_t ni = 0; ni < 3; ++ni) {
-    inbox.open(ni, StreamKey{kind, 0, 0}).deliver(ni, 4);
-  }
-  // First sweep sees all three and drains them.
-  std::size_t visited = 0;
-  inbox.for_each(kind, [&](std::size_t, const StreamKey&, InStream& s) {
-    ++visited;
-    while (s.available() > 0) (void)s.pop();
-  });
-  EXPECT_EQ(visited, 3u);
-  // Everything is drained and unclosed: the whole bucket is consumed
-  // prefix now, and the next sweep skips it.
-  EXPECT_TRUE(collect(inbox, kind).empty());
-  // A delivery to the middle entry pulls the cursor back over it; the
-  // trailing (still dead) entry is visited too — only the *prefix* is
-  // skipped, so iteration order never changes for surviving entries.
-  inbox.open(1, StreamKey{kind, 0, 0}).deliver(7, 4);
-  const Seen want{{1, 0, 0}, {2, 0, 0}};
-  EXPECT_EQ(collect(inbox, kind), want);
-}
-
 TEST(Inbox, ClosedStreamsAreNeverSkipped) {
   InboxPool pool;
   Inbox inbox(pool);
@@ -110,13 +83,136 @@ TEST(Inbox, ClosedStreamsAreNeverSkipped) {
   InStream& s1 = inbox.open(1, StreamKey{kind, 0, 0});
   s1.deliver(5, 4);
   while (s1.available() > 0) (void)s1.pop();
-  // The closed head pins the prefix: visitors that count finished streams
-  // (tree finalization, component announce) must keep seeing it, every
-  // sweep, even though it has nothing left to pop.
+  // Until retired, drained and closed streams stay visible: visitors that
+  // count finished streams (tree finalization, component announce) must
+  // keep seeing them, every sweep, though they have nothing left to pop.
   for (int sweep = 0; sweep < 2; ++sweep) {
     const Seen want{{0, 0, 0}, {1, 0, 0}};
     EXPECT_EQ(collect(inbox, kind), want);
   }
+}
+
+TEST(Inbox, RetireCompactsTheBucketAndKeepsOrder) {
+  InboxPool pool;
+  Inbox inbox(pool);
+  const std::uint16_t kind = 11;
+  // Keys (kind, 4..6, 1) from four neighbours, plus (kind, 5, 2) from
+  // neighbour 1: same tag, other version.
+  for (std::size_t ni = 0; ni < 4; ++ni) {
+    for (NodeId tag = 4; tag <= 6; ++tag) {
+      inbox.open(ni, StreamKey{kind, tag, 1}).deliver(ni * 10 + tag, 8);
+    }
+  }
+  inbox.open(1, StreamKey{kind, 5, 2}).deliver(99, 8);
+  inbox.retire(StreamKey{kind, 5, 1});
+  const Seen want{{0, 4, 1}, {0, 6, 1}, {1, 4, 1}, {1, 5, 2}, {1, 6, 1},
+                  {2, 4, 1}, {2, 6, 1}, {3, 4, 1}, {3, 6, 1}};
+  EXPECT_EQ(collect(inbox, kind), want);
+  EXPECT_EQ(inbox.size(), 9u);
+  EXPECT_EQ(pool.keys.live_slots(), 1u);  // a partial retire keeps the slot
+  // Lookups after compaction: survivors keep their payloads (probed in an
+  // order that defeats the memo too), the retired key is gone.
+  for (const std::size_t ni : {3u, 0u, 2u, 1u}) {
+    EXPECT_EQ(inbox.find(ni, StreamKey{kind, 5, 1}), nullptr) << ni;
+    InStream* four = inbox.find(ni, StreamKey{kind, 4, 1});
+    InStream* six = inbox.find(ni, StreamKey{kind, 6, 1});
+    ASSERT_NE(four, nullptr);
+    ASSERT_NE(six, nullptr);
+    EXPECT_EQ(four->pop(), ni * 10 + 4);
+    EXPECT_EQ(six->pop(), ni * 10 + 6);
+    EXPECT_EQ(&inbox.open(ni, StreamKey{kind, 6, 1}), six);  // no duplicate
+  }
+  EXPECT_EQ(inbox.find(1, StreamKey{kind, 5, 2})->pop(), 99u);
+  // open() of a retired key inserts at its sorted position.
+  inbox.open(2, StreamKey{kind, 5, 1}).deliver(7, 8);
+  const Seen again{{0, 4, 1}, {0, 6, 1}, {1, 4, 1}, {1, 5, 2}, {1, 6, 1},
+                   {2, 4, 1}, {2, 5, 1}, {2, 6, 1}, {3, 4, 1}, {3, 6, 1}};
+  EXPECT_EQ(collect(inbox, kind), again);
+  EXPECT_EQ(inbox.find(2, StreamKey{kind, 5, 1})->pop(), 7u);
+}
+
+TEST(Inbox, RetiredBucketSlotIsReusedByTheNextBucket) {
+  InboxPool pool;
+  Inbox first(pool);
+  Inbox second(pool);
+  first.open(0, StreamKey{1, 0, 0}).deliver(1, 4);
+  first.open(3, StreamKey{2, 0, 0}).deliver(2, 4);
+  EXPECT_EQ(pool.keys.live_slots(), 2u);
+  first.retire(StreamKey{1, 0, 0});  // empties kind 1's bucket
+  EXPECT_EQ(pool.keys.live_slots(), 1u);
+  EXPECT_EQ(pool.streams.live_slots(), 1u);
+  EXPECT_EQ(first.find(0, StreamKey{1, 0, 0}), nullptr);
+  EXPECT_TRUE(collect(first, 1).empty());
+  second.open(5, StreamKey{4, 9, 1}).deliver(3, 4);
+  EXPECT_EQ(pool.keys.live_slots(), 2u);
+  EXPECT_EQ(pool.keys.carved_slots(), 2u);  // reused, not carved
+  EXPECT_EQ(pool.streams.carved_slots(), 2u);
+  EXPECT_EQ(second.find(5, StreamKey{4, 9, 1})->pop(), 3u);
+  EXPECT_EQ(first.find(3, StreamKey{2, 0, 0})->pop(), 2u);
+  // clear() hands every slot back; carved bytes stay, live bytes go to 0.
+  first.clear();
+  second.clear();
+  EXPECT_EQ(pool.keys.live_slots(), 0u);
+  EXPECT_EQ(pool.live_bytes(), 0u);
+  EXPECT_EQ(pool.carved_bytes(), 2 * (sizeof(InboxKey) + sizeof(InStream)));
+  EXPECT_EQ(first.size(), 0u);
+  EXPECT_EQ(first.find(3, StreamKey{2, 0, 0}), nullptr);
+}
+
+TEST(Inbox, RetireFreesASpilledPayload) {
+  InboxPool pool;
+  Inbox inbox(pool);
+  const StreamKey key{3, 7, 0};
+  InStream& s = inbox.open(0, key);  // the pool's first slot: class 0, #0
+  for (std::uint64_t i = 0; i < 12; ++i) s.deliver(i, 8);  // spills
+  s.deliver_eos();
+  inbox.retire(key);
+  EXPECT_EQ(pool.streams.live_slots(), 0u);
+  // The freed slot's element was reset, releasing the heap payload (under
+  // ASan a leak or double free would show here or at pool teardown).
+  const InStream& freed = *pool.streams.data(0, 0);
+  EXPECT_EQ(freed.delivered(), 0u);
+  EXPECT_FALSE(freed.closed());
+  // The slot's next tenant starts from it.
+  InStream& next = inbox.open(0, key);
+  EXPECT_EQ(&next, &freed);
+  next.deliver(5, 8);
+  EXPECT_EQ(next.pop(), 5u);
+}
+
+TEST(Inbox, RetiringAnAbsentKeyDoesNothing) {
+  InboxPool pool;
+  Inbox inbox(pool);
+  inbox.retire(StreamKey{4, 1, 0});  // kind never received
+  EXPECT_EQ(pool.keys.carved_slots(), 0u);
+  inbox.open(0, StreamKey{4, 1, 0}).deliver(5, 4);
+  inbox.retire(StreamKey{4, 2, 0});  // other tag
+  inbox.retire(StreamKey{4, 1, 1});  // other version
+  inbox.retire(StreamKey{5, 1, 0});  // other kind
+  EXPECT_EQ(collect(inbox, 4), (Seen{{0, 1, 0}}));
+  EXPECT_EQ(pool.keys.live_slots(), 1u);
+  EXPECT_EQ(inbox.find(0, StreamKey{4, 1, 0})->pop(), 5u);
+  EXPECT_THROW(inbox.retire(StreamKey{32, 0, 0}), std::invalid_argument);
+}
+
+TEST(Inbox, DeliveryAfterRetirementOpensAFreshStream) {
+  InboxPool pool;
+  Inbox inbox(pool);
+  const StreamKey key{6, 2, 1};
+  InStream& s = inbox.open(4, key);
+  s.deliver(9, 4);
+  s.deliver_eos();
+  EXPECT_EQ(s.pop(), 9u);
+  inbox.retire(key);
+  EXPECT_EQ(inbox.find(4, key), nullptr);
+  EXPECT_EQ(inbox.size(), 0u);
+  InStream& fresh = inbox.open(4, key);
+  EXPECT_EQ(fresh.delivered(), 0u);
+  EXPECT_EQ(fresh.available(), 0u);
+  EXPECT_FALSE(fresh.closed());
+  fresh.deliver(3, 4);
+  EXPECT_EQ(inbox.find(4, key)->pop(), 3u);
+  EXPECT_EQ(inbox.size(), 1u);
 }
 
 TEST(InStream, DeliverPackedSpillingMidRunMatchesPuts) {

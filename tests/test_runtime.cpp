@@ -3,12 +3,15 @@
 #include <memory>
 
 #include "core/driver.hpp"
+#include "core/protocol.hpp"
+#include "expt/scenario.hpp"
 #include "graph/generators.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/network.hpp"
 #include "runtime/reliability.hpp"
 #include "test_helpers.hpp"
 #include "util/bitio.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace nc {
@@ -551,6 +554,174 @@ TEST(Runtime, ProfileAttributesStageAndDeliverAtEveryThreadCount) {
         EXPECT_GT(prof.broadcast_payload_bytes_saved, 0u);
       }
     }
+  }
+}
+
+std::string stats_json(const RunStats& stats) {
+  JsonWriter w;
+  stats.to_json(w);
+  return w.str();
+}
+
+/// Centre of the star in DeliveriesToDoneNodesAreChargedNotStored: on its
+/// first wake-up it calls set_done, then reads what arrived.
+class DoneSink : public INode {
+ public:
+  void on_start(NodeApi&) override {}
+  void on_round(NodeApi& api) override {
+    ++wakeups;
+    api.set_done();
+    for (std::size_t ni = 0; ni < api.degree(); ++ni) {
+      const InStream* in =
+          api.find_in(ni, StreamKey{kData, api.neighbors()[ni], 0});
+      if (in != nullptr && in->available() == 1) ++seen_after_done;
+    }
+  }
+  int wakeups = 0;
+  std::size_t seen_after_done = 0;
+};
+
+/// Leaf of that star: one 8-bit symbol to the centre from on_start and
+/// from each of rounds 1..kLast, closing in round kLast, so the centre
+/// gets one message a round in rounds 1..kLast+1. Done at kLast + kSlack,
+/// long after any retransmission has landed.
+class ChattyLeaf : public INode {
+ public:
+  static constexpr std::uint64_t kLast = 6;
+  static constexpr std::uint64_t kSlack = 40;
+
+  void on_start(NodeApi& api) override {
+    out_ = api.open_stream_one(StreamKey{kData, api.id(), 0}, 0);
+    out_.put(0, 8);
+    api.set_alarm(1);
+  }
+  void on_round(NodeApi& api) override {
+    const std::uint64_t r = api.round();
+    if (r > kLast) {
+      api.set_done();
+      return;
+    }
+    out_.put(r, 8);
+    if (r == kLast) out_.close();
+    api.set_alarm(r == kLast ? kLast + kSlack : r + 1);
+  }
+
+ private:
+  OutChannel out_;
+};
+
+TEST(Runtime, DeliveriesToDoneNodesAreChargedNotStored) {
+  // The centre is done after its first wake-up; the leaves keep sending to
+  // it. Every later delivery is charged to RunStats like any other, but
+  // nothing is stored: the centre's inbox is dropped once the callback that
+  // set it done returns, and the leaves receive nothing, so no inbox byte
+  // is live from then on.
+  constexpr NodeId kLeaves = 8;
+  const Graph g = testing::star_graph(kLeaves);
+  const std::uint64_t wire = stream_header_bits(id_width(g.n())) + 8;
+  const std::uint64_t sent = kLeaves * (ChattyLeaf::kLast + 1);
+  for (const bool lossy : {false, true}) {
+    std::string first_stats;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(lossy ? "loss+delay+ARQ" : "clean") +
+                   " threads=" + std::to_string(threads));
+      NetConfig cfg;
+      cfg.bandwidth_factor = 16;
+      cfg.seed = 5;
+      cfg.threads = threads;
+      if (lossy) {
+        cfg.faults = parse_fault_plan("loss=0.1,delay_max=2,fault_seed=9");
+        cfg.reliability = parse_reliability_plan(
+            "rel_mode=1,rel_ack_timeout=2,rel_max_retx=6");
+      }
+      NetProfile prof;
+      cfg.profile = &prof;
+      Network net(g, cfg, [](NodeId v) -> std::unique_ptr<INode> {
+        if (v == 0) return std::make_unique<DoneSink>();
+        return std::make_unique<ChattyLeaf>();
+      });
+      net.run_rounds(3);
+      EXPECT_GT(net.stats().messages, 0u);
+      EXPECT_GT(prof.inbox_bytes_carved, 0u);
+      EXPECT_EQ(prof.inbox_bytes_live, 0u);
+      const RunStats stats = net.run();
+      const auto& sink = static_cast<DoneSink&>(net.node(0));
+      EXPECT_EQ(sink.wakeups, 1);
+      // find_in after set_done, in the same callback, still sees the mail.
+      if (lossy) {
+        EXPECT_GE(sink.seen_after_done, 1u);
+      } else {
+        EXPECT_EQ(sink.seen_after_done, std::size_t{kLeaves});
+      }
+      EXPECT_FALSE(stats.stalled);
+      EXPECT_FALSE(stats.hit_round_limit);
+      EXPECT_EQ(stats.rounds, ChattyLeaf::kLast + ChattyLeaf::kSlack);
+      EXPECT_EQ(stats.messages, sent);
+      EXPECT_EQ(stats.messages_lost, 0u);
+      EXPECT_EQ(stats.max_message_bits, wire);
+      if (lossy) {
+        // The fault and ARQ counters of this seed, which do not depend on
+        // whether a done node's mail is stored: resent copies add data
+        // bits, and the ACKs are charged to their own control kind.
+        EXPECT_EQ(stats.messages_delayed, 37u);
+        EXPECT_EQ(stats.messages_retransmitted, 18u);
+        EXPECT_EQ(stats.acks_sent, 67u);
+        EXPECT_EQ(stats.bits_by_kind[kData], (sent + 11) * wire);
+        EXPECT_EQ(stats.bits, 2258u);
+      } else {
+        EXPECT_EQ(stats.bits, sent * wire);
+        EXPECT_EQ(stats.bits_by_kind[kData], stats.bits);
+        EXPECT_EQ(stats.messages_delayed, 0u);
+      }
+      EXPECT_EQ(prof.inbox_bytes_live, 0u);
+      EXPECT_EQ(prof.link_bytes_live, 0u);
+      // Bit-identical at every thread count.
+      if (first_stats.empty()) {
+        first_stats = stats_json(stats);
+      } else {
+        EXPECT_EQ(stats_json(stats), first_stats);
+      }
+    }
+  }
+}
+
+TEST(Runtime, LiveInboxBytesOfAPlantedRunArePinned) {
+  // Live inbox bytes of the CI profile smoke's instance after rounds 2 and
+  // 3: the streams the nodes can still read. Round 2 delivers only the
+  // kSampled bits, which every node retires as soon as it has read them,
+  // so nothing is live after it; round 3 brings the election and
+  // participation streams. A node's whole inbox goes when it is done.
+  // Live bytes depend only on each node's own buckets, so they are the same
+  // at every thread count (carved bytes are not: slot reuse is per shard),
+  // and they are 0 once every node is done.
+  const Instance inst = ScenarioRegistry::global().make(ScenarioSpec{
+      "planted_near_clique",
+      ScenarioParams().with("n", 300).with("clique_size", 40), 3});
+  ProtocolParams proto;
+  proto.eps = 0.2;
+  proto.p = 9.0 / static_cast<double>(inst.graph.n());
+  NetConfig cfg;
+  cfg.seed = 3;
+  cfg.max_rounds = 32'000'000;
+  const Schedule schedule =
+      make_schedule(proto, inst.graph.n(), cfg.max_rounds);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetProfile prof;
+    cfg.profile = &prof;
+    cfg.threads = threads;
+    Network net(inst.graph, cfg, [&](NodeId) {
+      return std::make_unique<DistNearCliqueNode>(proto, schedule);
+    });
+    net.run_rounds(2);
+    EXPECT_EQ(prof.inbox_bytes_live, 0u) << "after round 2";
+    net.run_rounds(1);
+    EXPECT_EQ(prof.inbox_bytes_live, 198'360u) << "after round 3";
+    const RunStats stats = net.run();
+    EXPECT_TRUE(net.all_done());
+    EXPECT_FALSE(stats.stalled);
+    EXPECT_EQ(prof.inbox_bytes_live, 0u);
+    EXPECT_EQ(prof.link_bytes_live, 0u);
   }
 }
 
