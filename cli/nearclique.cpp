@@ -86,12 +86,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -252,6 +254,16 @@ SuccessSpec success_from_args(const Args& args, const std::string& flag) {
   return spec;
 }
 
+/// Parses and validates --seed (>= 0; default 1).
+std::uint64_t seed_from_args(const Args& args) {
+  const auto seed = args.get_int("seed", 1);
+  if (seed < 0) {
+    throw std::invalid_argument("--seed must be >= 0, got " +
+                                std::to_string(seed));
+  }
+  return static_cast<std::uint64_t>(seed);
+}
+
 /// Parses and validates --threads (delivery sharding; >= 1).
 long long threads_from_args(const Args& args) {
   const auto threads = args.get_int("threads", 1);
@@ -356,7 +368,7 @@ std::string capture_label(const TelemetryCapture::Entry& e) {
 int cmd_run(const Args& args) {
   const auto scenario = args.get("scenario", "planted_near_clique");
   const auto algo = args.get("algo", "dist_near_clique");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = seed_from_args(args);
 
   const ScenarioSpec sspec =
       parse_scenario_spec(scenario, args.get("params", ""), seed);
@@ -686,17 +698,12 @@ int cmd_sweep(const Args& args) {
     spec.threads = static_cast<std::size_t>(threads_from_args(args));
     spec.plans = plans_from_args(args);
     const auto trials = args.get_int("trials", 5);
-    const auto seed = args.get_int("seed", 1);
     if (trials < 1) {
       throw std::invalid_argument("--trials must be >= 1, got " +
                                   std::to_string(trials));
     }
-    if (seed < 0) {
-      throw std::invalid_argument("--seed must be >= 0, got " +
-                                  std::to_string(seed));
-    }
     spec.trials = static_cast<std::size_t>(trials);
-    spec.seed_base = static_cast<std::uint64_t>(seed);
+    spec.seed_base = seed_from_args(args);
     spec.seeds = args.get_bool("seq-seeds") ? SeedSchedule::kSequential
                                             : SeedSchedule::kSalted;
     spec.success = success_from_args(args, "success");
@@ -788,6 +795,19 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const Args args(argc - 1, argv + 1);
   try {
+    // Args skips anything not starting with "--", so a space-separated
+    // value (--seed 5) would silently leave the flag at "1".
+    for (int i = 2; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--", 2) == 0) continue;
+      std::string msg = std::string("unexpected argument '") + argv[i] +
+                        "': flags take --key=value";
+      if (std::strncmp(argv[i - 1], "--", 2) == 0 &&
+          std::strchr(argv[i - 1], '=') == nullptr) {
+        msg += std::string(" (did you mean ") + argv[i - 1] + "=" + argv[i] +
+               "?)";
+      }
+      throw std::invalid_argument(msg);
+    }
     if (command == "list-scenarios") {
       std::printf("registered scenario families:\n%s",
                   describe_families(ScenarioRegistry::global()).c_str());

@@ -55,10 +55,6 @@ struct RunStats {
   /// slot per delivery, and the layout matches the runtime's rx counters.
   std::array<std::uint64_t, kMaxMsgKinds> bits_by_kind{};
 
-  /// Merges another run's counters into this one (used by multi-phase
-  /// drivers that restart the network, e.g. the boosting wrapper).
-  void absorb(const RunStats& other);
-
   /// Merges only the traffic counters (messages, bits, max message size,
   /// per-kind bits) — the sharded delivery engine's end-of-round reduction
   /// of per-shard partials. Rounds and the termination flags are global
@@ -75,6 +71,11 @@ struct RunStats {
   /// telemetry metrics dump and the stall post-mortem, so schemas cannot
   /// drift apart.
   void to_json(JsonWriter& w) const;
+
+  /// Field-by-field equality: fixed-seed bit-identity of whole runs (the
+  /// scale benches' thread-count cross-check, the perf gate's telemetry
+  /// check).
+  bool operator==(const RunStats&) const = default;
 };
 
 /// Per-phase batch of traffic charges. The deliver phase charges every
@@ -145,9 +146,6 @@ struct NetProfile {
   std::uint64_t inbox_bytes_live = 0;
   std::uint64_t link_bytes_carved = 0;
   std::uint64_t link_bytes_live = 0;
-
-  /// Accumulates another profile (multi-trial benches).
-  void absorb(const NetProfile& other);
 };
 
 }  // namespace nc

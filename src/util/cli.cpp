@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
+#include <system_error>
 
 namespace nc {
 
@@ -25,14 +28,44 @@ std::string Args::get(const std::string& key, const std::string& def) const {
   return it == kv_.end() ? def : it->second;
 }
 
+namespace {
+
+/// Parses all of flag `key`'s value `text` as a T with std::from_chars, or
+/// throws naming the flag; `what` names the expected form.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text,
+              const char* what) {
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + key + " is out of range: '" + text +
+                                "'");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--" + key + " expects " + what + ", got '" +
+                                text + "'");
+  }
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& key, std::int64_t def) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == kv_.end()) return def;
+  return parse_whole<std::int64_t>(key, it->second, "an integer");
 }
 
 double Args::get_double(const std::string& key, double def) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == kv_.end()) return def;
+  const auto value = parse_whole<double>(key, it->second, "a number");
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("--" + key + " is out of range: '" +
+                                it->second + "'");
+  }
+  return value;
 }
 
 bool Args::get_bool(const std::string& key, bool def) const {

@@ -6,9 +6,9 @@
 
 namespace nc {
 
-/// Minimal `--key=value` / `--flag` command-line parser for the example
-/// programs. Unknown keys are kept (so google-benchmark flags pass through
-/// untouched in bench binaries that also accept experiment knobs).
+/// Minimal `--key=value` / `--flag` command-line parser for the `nearclique`
+/// CLI, the example programs and perfbench's `nc_op`. A bare `--flag`
+/// stores "1". Unknown keys are kept; callers decide which keys they read.
 class Args {
  public:
   /// Parses argv; arguments not starting with "--" are ignored.
@@ -18,7 +18,9 @@ class Args {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def = "") const;
 
-  /// Typed accessors with defaults.
+  /// Typed accessors with defaults. The whole value must parse: junk, a
+  /// fraction for get_int, or a value out of range (non-finite for
+  /// get_double) throws std::invalid_argument naming the flag.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;

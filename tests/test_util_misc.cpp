@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -151,6 +153,48 @@ TEST(Args, BooleanFalseSpellings) {
   EXPECT_FALSE(args.get_bool("a"));
   EXPECT_FALSE(args.get_bool("b"));
   EXPECT_TRUE(args.get_bool("c"));
+}
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, IntegersMustParseWhole) {
+  const char* argv[] = {"prog",          "--seed=abc", "--trials=2x",
+                        "--threads=2.9", "--big=1e99", "--empty=",
+                        "--huge=99999999999999999999", "--neg=-1",
+                        "--plain=42"};
+  Args args(9, argv);
+  for (const char* key :
+       {"seed", "trials", "threads", "big", "huge", "empty"}) {
+    const std::string msg =
+        invalid_argument_of([&] { (void)args.get_int(key, 0); });
+    EXPECT_NE(msg.find(std::string("--") + key), std::string::npos)
+        << key << ": '" << msg << "'";
+  }
+  EXPECT_EQ(args.get_int("neg", 0), -1);
+  EXPECT_EQ(args.get_int("plain", 0), 42);
+}
+
+TEST(Args, NumbersMustParseWholeAndBeFinite) {
+  const char* argv[] = {"prog",        "--a=0.2x", "--b=abc",  "--c=1e999",
+                        "--d=nan",     "--e=",     "--f=1e-3", "--g=-0.5"};
+  Args args(8, argv);
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    const std::string msg =
+        invalid_argument_of([&] { (void)args.get_double(key, 0.0); });
+    EXPECT_NE(msg.find(std::string("--") + key), std::string::npos)
+        << key << ": '" << msg << "'";
+  }
+  EXPECT_DOUBLE_EQ(args.get_double("f", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(args.get_double("g", 0.0), -0.5);
 }
 
 // ------------------------------------------------------------- Logging ----
