@@ -149,8 +149,9 @@ int usage(std::FILE* to) {
       "run --repeat=N --time re-runs the fixed-seed execution N times and\n"
       "reports min/median/mean wall-clock (scenario build excluded).\n"
       "run --profile adds engine per-phase seconds (stage/deliver/wake),\n"
-      "broadcast dedup savings and inbox/link pool bytes (carved, live)\n"
-      "to the text and JSON output.\n");
+      "the per-round arena high-water (all shards, largest shard; lanes\n"
+      "and the deliver log), broadcast dedup savings and inbox/link pool\n"
+      "bytes (carved, live) to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -595,15 +596,20 @@ int cmd_run(const Args& args) {
                 t_median, t_mean);
   }
   if (profiled) {
-    // Per-phase engine seconds of the last run; bytes saved counts lane
-    // payload copies avoided by broadcast dedup; the pool bytes are the
-    // carved and still-live cross-round storage at the end of the run.
+    // Per-phase engine seconds of the last run; the arena high-water is
+    // the per-round transient storage (lanes and the deliver log), summed
+    // over shards and for the largest one; bytes saved counts lane payload
+    // copies avoided by broadcast dedup; the pool bytes are the carved and
+    // still-live cross-round storage at the end of the run.
     const NetProfile& pr = result.profile;
     std::printf(
         "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
+        "arena bytes total %llu, peak shard %llu; "
         "broadcast payload bytes saved: %llu; inbox bytes carved %llu, "
         "live %llu; link bytes carved %llu, live %llu\n",
         pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
+        static_cast<unsigned long long>(pr.arena_bytes_total),
+        static_cast<unsigned long long>(pr.arena_bytes_peak_shard),
         static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved),
         static_cast<unsigned long long>(pr.inbox_bytes_carved),
         static_cast<unsigned long long>(pr.inbox_bytes_live),

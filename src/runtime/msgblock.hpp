@@ -64,7 +64,7 @@ class MsgBlock {
     std::uint64_t wire_bits;
     std::uint64_t deliver_round;
     // Broadcast rows: the receiver run [rcv_begin, rcv_begin + rcv_count)
-    // in the receiver columns (read via receiver()); to/back_index/
+    // in the receiver columns (expanded by for_each_copy); to/back_index/
     // deliver_round are meaningless on such rows.
     std::uint32_t rcv_begin;
     std::uint32_t rcv_count;
@@ -78,12 +78,102 @@ class MsgBlock {
     const std::uint8_t* pay_widths;
   };
 
-  /// One expanded copy of a broadcast row.
+  /// One physical copy of a row: a unicast row's own destination, or one
+  /// receiver of a broadcast row.
   struct Receiver {
     NodeId to;
     std::uint32_t back_index;
     std::uint64_t deliver_round;
   };
+
+  /// One physical copy of a row as the deliver phase's per-round log holds
+  /// it (network.cpp): 32 bytes, the destination implied by where it is
+  /// stored. An inline row travels whole. A spilled row is referenced by its
+  /// block and row index and decoded when applied, so its payload is never
+  /// copied again — the block must outlive the log.
+  struct Copy {
+    std::uint32_t back_index;
+    NodeId tag;
+    std::uint16_t meta;  ///< row meta, broadcast bit clear; inline symbol
+                         ///< count in bits 12–13
+    std::uint16_t w01;
+    std::uint32_t aux;  ///< inline: wire bits; spilled: row index in `src`
+    union {
+      std::uint64_t v[2];   ///< inline payload
+      const MsgBlock* src;  ///< spilled: the block holding the row
+    };
+  };
+  static_assert(sizeof(Copy) == 32, "a logged copy is 32 bytes");
+
+  /// Calls fn(i, copy) for every physical copy in staged order, as a
+  /// Receiver: a unicast row is its own copy, a broadcast row expands its
+  /// receiver run in packed order.
+  template <typename Fn>
+  void for_each_copy(Fn&& fn) const {
+    for (std::size_t i = 0; i < to_.size(); ++i) {
+      if ((meta_[i] & kBcastBit) == 0) {
+        fn(i, Receiver{to_[i], back_[i], round_[i]});
+        continue;
+      }
+      const std::size_t end = std::size_t{to_[i]} + back_[i];
+      nc_invariant(end <= rcv_to_.size(),
+                   "broadcast receiver run past the packed receiver columns");
+      for (std::size_t j = to_[i]; j < end; ++j) {
+        fn(i, Receiver{rcv_to_[j], rcv_back_[j], rcv_round_[j]});
+      }
+    }
+  }
+
+  /// Row `i`'s copy for the receiver at `back_index`.
+  [[nodiscard]] Copy copy(std::size_t i, std::uint32_t back_index) const {
+    Copy c;
+    c.back_index = back_index;
+    c.tag = tag_[i];
+    c.w01 = w01_[i];
+    if ((meta_[i] & kSpillBit) == 0) {
+      c.meta = static_cast<std::uint16_t>((meta_[i] & ~kBcastBit) |
+                                          (count_[i] << kCopyCountShift));
+      c.aux = static_cast<std::uint32_t>(wire_[i]);  // ≤ header + 128 bits
+      c.v[0] = v0_[i];
+      c.v[1] = v1_[i];
+    } else {
+      c.meta = static_cast<std::uint16_t>(meta_[i] & ~kBcastBit);
+      c.aux = static_cast<std::uint32_t>(i);
+      c.src = this;
+    }
+    return c;
+  }
+
+  /// Decodes a copy to the row it stands for. Only key, flags, wire bits
+  /// and payload are meaningful: to, deliver_round and the receiver run are
+  /// not carried. A spilled copy reads just the four columns that locate its
+  /// payload in the source block.
+  [[nodiscard]] static Rec decode(const Copy& c, unsigned header_bits) {
+    Rec r{};
+    r.back_index = c.back_index;
+    r.key = StreamKey{static_cast<std::uint16_t>(c.meta & 31u), c.tag,
+                      static_cast<std::uint16_t>((c.meta >> 5) & 15u)};
+    r.eos = (c.meta & kEosBit) != 0;
+    r.spilled = (c.meta & kSpillBit) != 0;
+    if (r.spilled) {
+      const MsgBlock& b = *c.src;
+      const std::size_t i = c.aux;
+      r.symbol_count = b.count_[i];
+      r.wire_bits = b.wire_[i];
+      r.pay_bits = static_cast<std::size_t>(r.wire_bits) - header_bits;
+      r.pay_word_count = (r.pay_bits + 63) >> 6;
+      r.pay_words = b.pay_words_.data() + b.v0_[i];
+      r.pay_widths = b.pay_widths_.data() + b.v1_[i];
+    } else {
+      r.symbol_count = (c.meta >> kCopyCountShift) & 3u;
+      r.wire_bits = c.aux;
+      r.v0 = c.v[0];
+      r.v1 = c.v[1];
+      r.w0 = c.w01 & 0xffu;
+      r.w1 = c.w01 >> 8;
+    }
+    return r;
+  }
 
   /// Binds every column to `arena` (nullptr = heap mode). Call once, while
   /// empty.
@@ -216,14 +306,6 @@ class MsgBlock {
     ++back_[i];
   }
 
-  /// Receiver `idx` (absolute index into the receiver columns; take a
-  /// broadcast Rec's rcv_begin + j).
-  [[nodiscard]] Receiver receiver(std::size_t idx) const {
-    nc_invariant(idx < rcv_to_.size(),
-                 "broadcast receiver index past the packed receiver columns");
-    return Receiver{rcv_to_[idx], rcv_back_[idx], rcv_round_[idx]};
-  }
-
   /// Copies row `i` of `src` into this block (delayed-bucket hand-off; this
   /// block is heap-backed, the source lane is arena-backed and about to be
   /// reset). Spilled payloads are word-aligned, so the copy is a memcpy.
@@ -326,6 +408,7 @@ class MsgBlock {
   static constexpr std::uint16_t kEosBit = 1u << 9;
   static constexpr std::uint16_t kSpillBit = 1u << 10;
   static constexpr std::uint16_t kBcastBit = 1u << 11;
+  static constexpr unsigned kCopyCountShift = 12;  ///< Copy::meta only
 
   // meta layout: kind (5 bits) | version (4 bits) | eos (1) | spilled (1) |
   // broadcast (1).

@@ -406,27 +406,26 @@ void Network::apply_fault_events() {
   }
 }
 
-void Network::deliver_record(Shard& dst, TrafficBatch& batch,
-                             const MsgBlock::Rec& r, NodeId to,
-                             std::uint32_t back_index) {
-  nc_invariant(to >= dst.begin && to < dst.end,
-               "staged row routed to a shard that does not own its "
-               "destination node");
+void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
+                           const MsgBlock::Copy* run, std::size_t count) {
   auto& st = states_[to];
-  st.rx_by_kind[r.key.kind] += 1;
-  batch.charge(r.key.kind, r.wire_bits);
-  // A done node is never woken and its inbox is gone: charge, don't store.
-  if (st.done) return;
-  InStream& stream = st.inbox.open(back_index, r.key);
-  if (r.spilled) {
-    stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                          r.pay_widths, r.symbol_count);
-  } else {
-    // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
-    if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
+  for (std::size_t i = 0; i < count; ++i) {
+    const MsgBlock::Rec r = MsgBlock::decode(run[i], header_bits_);
+    st.rx_by_kind[r.key.kind] += 1;
+    batch.charge(r.key.kind, r.wire_bits);
+    // A done node is never woken and its inbox is gone: charge, don't store.
+    if (st.done) continue;
+    InStream& stream = st.inbox.open(r.back_index, r.key);
+    if (r.spilled) {
+      stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
+                            r.pay_widths, r.symbol_count);
+    } else {
+      // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
+      if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
+      if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
+    }
+    if (r.eos) stream.deliver_eos();
   }
-  if (r.eos) stream.deliver_eos();
   wake(dst, to);
 }
 
@@ -763,79 +762,131 @@ void Network::stage_shard(unsigned s) {
   }
 }
 
+template <bool kCount, typename Fn>
+void Network::for_each_due_copy(Shard& dst, unsigned d, Fn&& fn) {
+  // Delayed traffic falls due ahead of this round's on-time traffic, in the
+  // order it was queued (by stage round, then canonical merge order within
+  // one — a thread-count-invariant sequence). A destination that crashed
+  // while the message was in flight silences it on arrival.
+  for (auto it = dst.delayed.begin();
+       it != dst.delayed.end() && it->first <= round_; ++it) {
+    const MsgBlock& bucket = it->second;
+    bucket.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+      if (faults_ && faults_->crashed_at(c.to, round_)) {
+        if constexpr (!kCount) {
+          dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
+        }
+        return;
+      }
+      fn(bucket, i, c);
+    });
+  }
+  // Then the lanes in ascending source-shard order. Touching lane[src][d]
+  // from shard d is safe: in the deliver phase a lane is read only by its
+  // destination shard (the pool barrier separates it from the stage phase's
+  // writes). Broadcast receivers expand in packed order — ascending edge
+  // order within the lane, exactly the sequence the per-edge path would have
+  // staged — and each carries its own deliver round (faults decide per
+  // copy).
+  for (const Shard& src : shards_) {
+    const MsgBlock& lane = src.lanes[d];
+    lane.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+      nc_invariant(c.to >= dst.begin && c.to < dst.end,
+                   "staged row routed to a shard that does not own its "
+                   "destination node");
+      if (c.deliver_round <= round_) {
+        fn(lane, i, c);
+        return;
+      }
+      if constexpr (!kCount) {
+        // In flight: the arena-backed lane is rewound next round, so this
+        // shard's future bucket takes a heap copy of the row (a broadcast
+        // copy leaves its shared row as a plain per-edge row).
+        dst.delayed[c.deliver_round].append_receiver_from(lane, i, c,
+                                                          header_bits_);
+        if (config_.profile != nullptr) {
+          ++dst.delayed_msgs;
+          dst.delayed_peak = std::max(dst.delayed_peak, dst.delayed_msgs);
+        }
+      }
+    });
+  }
+}
+
 void Network::deliver_shard(unsigned d) {
   Shard& dst = shards_[d];
   using clock = std::chrono::steady_clock;
   const bool trace_shard = telem_ && telem_->trace_on() && shards_.size() > 1;
   clock::time_point tt0;
   if (trace_shard) tt0 = clock::now();
+  std::size_t copies = 0;
+  for (auto it = dst.delayed.begin();
+       it != dst.delayed.end() && it->first <= round_; ++it) {
+    copies += it->second.size();
+  }
+  for (const Shard& src : shards_) copies += src.lanes[d].message_count();
   TrafficBatch batch;
-  if (faults_ || rel_) {
-    // Delayed traffic falls due ahead of this round's on-time traffic, in
-    // the order it was queued (by stage round, then canonical merge order
-    // within one — a thread-count-invariant sequence). A destination that
-    // crashed while the message was in flight silences it on arrival.
-    while (!dst.delayed.empty() && dst.delayed.begin()->first <= round_) {
-      MsgBlock& bucket = dst.delayed.begin()->second;
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const MsgBlock::Rec r = bucket.record(i, header_bits_);
-        if (faults_ && faults_->crashed_at(r.to, round_)) {
-          dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
-        } else {
-          deliver_record(dst, batch, r, r.to, r.back_index);
-        }
+  const std::size_t span = static_cast<std::size_t>(dst.end - dst.begin);
+  // A round with at least span/8 copies (the wake phase's rule) is sorted
+  // by destination — a counting sort: count each node's on-time copies,
+  // scatter the copies into a per-round log in walk order (stable, so each
+  // node's run keeps the canonical order), then apply node by node in
+  // ascending ID order. A node's inbox bucket, key and stream slots are
+  // then fetched once per round instead of once per copy. Both arrays live
+  // in this shard's arena until its next stage phase; spilled copies point
+  // into the lanes and the due buckets, which live at least as long. A
+  // sparser round is applied in walk order, so it costs O(copies), not
+  // O(span) — and so is a round whose walk already keeps every node's
+  // copies together (a ring's one copy per node), where the log would only
+  // copy them.
+  std::uint32_t* next = nullptr;
+  if (copies * 8 >= span) {
+    nc_invariant(copies < (std::size_t{1} << 32),
+                 "a round's copies to one shard must fit a 32-bit offset");
+    next = dst.arena.allocate_array<std::uint32_t>(span + 1);
+    std::fill_n(next, span + 1, 0u);
+    bool grouped = true;
+    NodeId last = kNoNode;
+    for_each_due_copy<true>(
+        dst, d, [&](const MsgBlock&, std::size_t, const MsgBlock::Receiver& c) {
+          std::uint32_t& count = next[c.to - dst.begin + 1];
+          grouped = grouped && (count == 0 || c.to == last);
+          ++count;
+          last = c.to;
+        });
+    if (grouped) next = nullptr;
+  }
+  if (next == nullptr) {
+    for_each_due_copy<false>(
+        dst, d,
+        [&](const MsgBlock& b, std::size_t i, const MsgBlock::Receiver& c) {
+          const MsgBlock::Copy one = b.copy(i, c.back_index);
+          apply_copies(dst, batch, c.to, &one, 1);
+        });
+  } else {
+    for (std::size_t v = 1; v <= span; ++v) next[v] += next[v - 1];
+    MsgBlock::Copy* log = dst.arena.allocate_array<MsgBlock::Copy>(next[span]);
+    for_each_due_copy<false>(
+        dst, d,
+        [&](const MsgBlock& b, std::size_t i, const MsgBlock::Receiver& c) {
+          log[next[c.to - dst.begin]++] = b.copy(i, c.back_index);
+        });
+    // next[v] is now the end of node v's run, and so the start of v + 1's.
+    std::uint32_t lo = 0;
+    for (std::size_t v = 0; v < span; ++v) {
+      if (next[v] > lo) {
+        apply_copies(dst, batch, dst.begin + static_cast<NodeId>(v), log + lo,
+                     next[v] - lo);
       }
-      if (config_.profile != nullptr) dst.delayed_msgs -= bucket.size();
-      dst.delayed.erase(dst.delayed.begin());
+      lo = next[v];
     }
   }
-  for (Shard& src : shards_) {
-    const MsgBlock& lane = src.lanes[d];
-    for (std::size_t i = 0; i < lane.size(); ++i) {
-      const MsgBlock::Rec r = lane.record(i, header_bits_);
-      if (r.bcast) {
-        // Broadcast row: one shared payload, receivers expanded in packed
-        // order — which is ascending edge order within the lane, exactly
-        // the sequence the per-edge path would have staged, so per-node
-        // delivery order and accounting are bit-identical. Each receiver
-        // carries its own deliver round (faults decide per copy); a future
-        // copy is materialized into the bucket as a plain per-edge row.
-        for (std::uint32_t j = 0; j < r.rcv_count; ++j) {
-          const MsgBlock::Receiver rcv = lane.receiver(r.rcv_begin + j);
-          if (j + 2 < r.rcv_count) {
-            prefetch_dst(lane.receiver(r.rcv_begin + j + 2).to);
-          }
-          if ((faults_ || rel_) && rcv.deliver_round > round_) {
-            dst.delayed[rcv.deliver_round].append_receiver_from(
-                lane, i, rcv, header_bits_);
-            if (config_.profile != nullptr) {
-              ++dst.delayed_msgs;
-              if (dst.delayed_msgs > dst.delayed_peak) {
-                dst.delayed_peak = dst.delayed_msgs;
-              }
-            }
-          } else {
-            deliver_record(dst, batch, r, rcv.to, rcv.back_index);
-          }
-        }
-      } else if ((faults_ || rel_) && r.deliver_round > round_) {
-        // In flight: copy the staged row (payload and all) into this
-        // shard's future bucket — the arena-backed lane is rewound next
-        // round, so the bucket owns a heap copy. Touching lane[src][d]
-        // from shard d is safe: in the deliver phase a lane is read only
-        // by its destination shard (the pool barrier separates it from
-        // the stage phase's writes).
-        dst.delayed[r.deliver_round].append_from(lane, i, header_bits_);
-        if (config_.profile != nullptr) {
-          ++dst.delayed_msgs;
-          if (dst.delayed_msgs > dst.delayed_peak) {
-            dst.delayed_peak = dst.delayed_msgs;
-          }
-        }
-      } else {
-        deliver_record(dst, batch, r, r.to, r.back_index);
-      }
+  // The due buckets go only now: copies in the log may point into them.
+  while (!dst.delayed.empty() && dst.delayed.begin()->first <= round_) {
+    if (config_.profile != nullptr) {
+      dst.delayed_msgs -= dst.delayed.begin()->second.size();
     }
+    dst.delayed.erase(dst.delayed.begin());
   }
   batch.flush_into(dst.traffic);
   if (trace_shard) {

@@ -400,9 +400,10 @@ class Network {
     LinkPool link_pool;
     InboxPool inbox_pool;
 
-    /// Per-round transient storage: every lane column below carves from
-    /// this bump arena, which the stage phase rewinds in O(1) at the top of
-    /// each round (src/util/arena.hpp).
+    /// Per-round transient storage: every lane column below and the deliver
+    /// phase's per-destination log carve from this bump arena, which the
+    /// stage phase rewinds in O(1) at the top of each round
+    /// (src/util/arena.hpp).
     Arena arena;
 
     /// Staged outgoing messages, by destination shard — SoA columns plus a
@@ -418,10 +419,10 @@ class Network {
     /// by delivery round (fault engine only). Filled by this shard's own
     /// deliver phase — staged rows whose deliver_round is in the future are
     /// copied here in canonical merge order, so the bucket's insertion
-    /// order is thread-count-invariant — and drained at the start of the
-    /// deliver phase of the due round. Heap-backed MsgBlocks, deliberately
-    /// outside the arena: buckets outlive rounds, and a bump arena cannot
-    /// rewind storage that crosses its reset boundary.
+    /// order is thread-count-invariant — walked first by the deliver phase
+    /// of the due round and dropped at its end. Heap-backed MsgBlocks,
+    /// deliberately outside the arena: buckets outlive rounds, and a bump
+    /// arena cannot rewind storage that crosses its reset boundary.
     std::map<std::uint64_t, MsgBlock> delayed;  // nclint:allow(ordered-map) cross-round delay buckets exist only under an active fault plan
 
     /// Broadcast-grouping scratch for the stage phase: bcast_open[d] marks
@@ -474,9 +475,18 @@ class Network {
   /// and compacts the active set. Touches only shard-s-owned state.
   void stage_shard(unsigned s);
 
-  /// Deliver phase: merges every source shard's lane for destination shard
-  /// d in ascending source-shard order and applies the staged messages to
-  /// d's nodes (inboxes, rx counters, wake list, traffic partials).
+  /// Deliver phase of destination shard d: walks the round's copies in
+  /// canonical order (for_each_due_copy), hands future ones to the delayed
+  /// buckets and applies the rest to d's nodes (inboxes, rx counters, wake
+  /// list, traffic partials). A round with at least span/8 copies (span =
+  /// d's node count) is counting-sorted by destination through a per-round
+  /// log in d's arena and applied node by node in ascending ID order; the
+  /// scatter into the log is stable, so each node's run keeps walk order.
+  /// A sparser round is applied in walk order, so its cost stays
+  /// O(copies), and so is a round whose walk already keeps each node's
+  /// copies together. Either way each node receives its copies in
+  /// canonical order, and nothing observable depends on which way was
+  /// taken.
   void deliver_shard(unsigned d);
 
   /// Wake phase: collects shard s's due alarms, then runs its woken nodes'
@@ -495,30 +505,24 @@ class Network {
     }
   }
 
-  /// Applies one staged lane/bucket row to node `to`, whose adjacency list
-  /// holds the sender at `back_index`: (r.to, r.back_index) for a plain row,
-  /// a packed receiver entry for each copy of a broadcast row. Payload, key
-  /// and wire accounting come from the row, so every broadcast copy is
-  /// charged what a per-edge row would be. Charges `batch` (flushed into the
-  /// shard's traffic partial once per phase).
-  void deliver_record(Shard& dst, TrafficBatch& batch, const MsgBlock::Rec& r,
-                      NodeId to, std::uint32_t back_index);
+  /// Walks the copies addressed to shard d that fall due this round, in
+  /// canonical order: the due delayed buckets (by due round, then queue
+  /// order), then every source shard's lane d in ascending source-shard
+  /// order, broadcast receivers expanded in packed order. Calls
+  /// fn(block, row, copy) for each copy to apply now. Unless kCount, a
+  /// future copy goes to its delayed bucket and a due copy to a crashed
+  /// destination is charged as silenced; kCount skips both silently, so a
+  /// counting pass has no side effects.
+  template <bool kCount, typename Fn>
+  void for_each_due_copy(Shard& dst, unsigned d, Fn&& fn);
 
-  /// Hints the destination node's hot state into cache two deliveries
-  /// ahead of use: deliveries land on essentially random 368 B NodeStates,
-  /// and the dependent-miss chain (state header → inbox bucket → stream) is
-  /// the measured per-copy bottleneck on high-degree graphs. A pure hint —
-  /// no observable behaviour depends on it.
-  void prefetch_dst(NodeId to) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    const auto& st = states_[to];
-    __builtin_prefetch(&st.inbox);
-    __builtin_prefetch(reinterpret_cast<const char*>(&st.inbox) + 64);
-    __builtin_prefetch(st.rx_by_kind.data());
-#else
-    (void)to;
-#endif
-  }
+  /// Applies `count` copies to node `to` in the given order. Every copy is
+  /// charged to rx_count and `batch` (flushed into the shard's traffic
+  /// partial once per phase) — broadcast copies included, at the full wire
+  /// bits a per-edge row would carry; the copies reach the inbox and wake
+  /// the node unless it is done.
+  void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
+                    const MsgBlock::Copy* run, std::size_t count);
 
   /// Outcome of the combined fault + reliability channel decision for one
   /// scheduled message: deliver (possibly at a future round), drop
@@ -564,7 +568,7 @@ class Network {
 
   /// Called after each of v's callbacks returns: if v is now done, returns
   /// its inbox storage to its shard's pool. Nothing can read it any more —
-  /// a done node is never woken — and deliver_record stores nothing for it.
+  /// a done node is never woken — and apply_copies stores nothing for it.
   void drop_inbox_if_done(NodeId v);
 
   /// True when any shard has a pending link.

@@ -222,6 +222,7 @@ class AlarmedChatter : public INode {
     auto ch = api.open_stream_all(StreamKey{kData, api.id(), 0});
     for (std::size_t i = 0; i < symbols_; ++i) ch.put(i & 0xffu, 8);
     ch.close();
+    received_.resize(api.degree());
     api.set_alarm(done_round_);
   }
 
@@ -230,7 +231,7 @@ class AlarmedChatter : public INode {
       const NodeId from = api.neighbors()[ni];
       InStream* in = api.find_in(ni, StreamKey{kData, from, 0});
       if (in == nullptr) continue;
-      while (in->available() > 0) received_.push_back(in->pop());
+      while (in->available() > 0) received_[ni].push_back(in->pop());
     }
     if (api.round() >= done_round_) {
       api.set_done();
@@ -239,7 +240,8 @@ class AlarmedChatter : public INode {
     }
   }
 
-  std::vector<std::uint64_t> received_;
+  /// Symbols received, per neighbour index, in arrival order.
+  std::vector<std::vector<std::uint64_t>> received_;
 
  private:
   std::size_t symbols_;
@@ -270,25 +272,73 @@ TEST(FaultRuntime, LossPreservesSchedulingCadence) {
 }
 
 TEST(FaultRuntime, DelayPreservesFifoStreamContents) {
-  // Jittered per-message delay must never reorder a link's stream: the
-  // receiver sees exactly the sent symbol sequence, just later.
-  const Graph g = testing::path_graph(2);
-  NetConfig cfg;
-  cfg.bandwidth_factor = 16;
-  cfg.faults.delay_min = 1;
-  cfg.faults.delay_max = 5;
-  Network net(g, cfg, [](NodeId) {
-    return std::make_unique<AlarmedChatter>(100, 400);
-  });
-  const RunStats stats = net.run();
-  EXPECT_GT(stats.messages_delayed, 0u);
-  EXPECT_EQ(stats.messages_lost, 0u);
-  for (const NodeId v : {0u, 1u}) {
-    const auto& received =
-        static_cast<AlarmedChatter&>(net.node(v)).received_;
-    ASSERT_EQ(received.size(), 100u);
-    for (std::size_t i = 0; i < received.size(); ++i) {
-      EXPECT_EQ(received[i], i & 0xffu) << "node " << v << " symbol " << i;
+  // Jittered per-message delay must never reorder a link's stream: every
+  // receiver sees exactly each neighbour's sent symbol sequence, just later.
+  // Two delay plans: [1, 5] floors most messages behind an earlier one's
+  // arrival, and [0, 1] often lands a delayed message and the next,
+  // on-time one of the same stream in one round, where the deliver phase
+  // must apply the delayed-due copy first. deliver_shard applies a round
+  // one of two ways (its span/8 rule), and each graph keeps every round on
+  // one side of that rule, at every thread count:
+  //  - K8: every node broadcasts to all 7 neighbours and a shard spans at
+  //    most 8 nodes, so any round that delivers anything has
+  //    copies * 8 >= 8 >= span. Nearly every such round interleaves
+  //    different nodes' copies and is sorted by destination first (only
+  //    a few tail rounds, whose copies already sit together by node, are
+  //    applied in walk order).
+  //  - a 2-node path padded with 1022 isolated nodes: the partition weighs
+  //    degree + 1, so both path nodes sit in shard 0, which spans at least
+  //    255 nodes at 4 threads. A message staged in round r arrives in
+  //    [r + delay_min, r + delay_max], so at most 5 of a direction's
+  //    messages fall due together and no round has more than 10 copies:
+  //    copies * 8 < span, and every round is applied in walk order.
+  const auto padded_path = [] {
+    GraphBuilder b(1024);
+    b.add_edge(0, 1);
+    return b.build();
+  };
+  constexpr std::size_t kSymbols = 600;
+  for (const Graph& g : {testing::complete_graph(8), padded_path()}) {
+    for (const auto& [delay_min, delay_max] :
+         {std::pair{1u, 5u}, std::pair{0u, 1u}}) {
+      RunStats base;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << g.n() << " delay=[" << delay_min << ", "
+                     << delay_max << "] threads=" << threads);
+        NetConfig cfg;
+        cfg.bandwidth_factor = 16;
+        cfg.threads = threads;
+        cfg.faults.delay_min = delay_min;
+        cfg.faults.delay_max = delay_max;
+        Network net(g, cfg, [&](NodeId) {
+          return std::make_unique<AlarmedChatter>(kSymbols, 800);
+        });
+        const RunStats stats = net.run();
+        EXPECT_GT(stats.messages_delayed, 0u);
+        EXPECT_EQ(stats.messages_lost, 0u);
+        if (delay_min == 0) {
+          EXPECT_LT(stats.messages_delayed, stats.messages);
+        }
+        for (NodeId v = 0; v < g.n(); ++v) {
+          const auto& received =
+              static_cast<AlarmedChatter&>(net.node(v)).received_;
+          ASSERT_EQ(received.size(), g.degree(v));
+          for (std::size_t ni = 0; ni < received.size(); ++ni) {
+            ASSERT_EQ(received[ni].size(), kSymbols)
+                << "node " << v << " ni " << ni;
+            for (std::size_t i = 0; i < kSymbols; ++i) {
+              EXPECT_EQ(received[ni][i], i & 0xffu)
+                  << "node " << v << " ni " << ni << " symbol " << i;
+            }
+          }
+        }
+        if (threads == 1) {
+          base = stats;
+        } else {
+          EXPECT_EQ(stats, base);
+        }
+      }
     }
   }
 }

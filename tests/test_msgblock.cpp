@@ -39,7 +39,18 @@ void schedule(Scheduled& s, const StreamKey& key,
   s.ok = s.link.schedule_view(budget_bits, kHeader, s.view);
 }
 
-// Replays a decoded record into an InStream exactly as Network::deliver_record
+// The physical copies of row `row`, in staged order (for_each_copy, as the
+// deliver phase expands them).
+std::vector<MsgBlock::Receiver> copies_of(const MsgBlock& block,
+                                          std::size_t row) {
+  std::vector<MsgBlock::Receiver> out;
+  block.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+    if (i == row) out.push_back(c);
+  });
+  return out;
+}
+
+// Replays a decoded record into an InStream exactly as Network::apply_copies
 // does, then pops everything back.
 std::vector<std::pair<std::uint64_t, unsigned>> replay(const MsgBlock::Rec& r) {
   InStream in;
@@ -312,8 +323,10 @@ TEST(MsgBlock, BroadcastUpgradeKeepsFirstReceiverAndSharesPayload) {
   EXPECT_TRUE(r.eos);
   ASSERT_EQ(r.rcv_count, 3u);
   const MsgBlock::Receiver want[] = {{40, 4, 0}, {41, 5, 0}, {47, 9, 0}};
+  const auto copies = copies_of(block, 0);
+  ASSERT_EQ(copies.size(), 3u);
   for (std::uint32_t j = 0; j < r.rcv_count; ++j) {
-    const MsgBlock::Receiver rcv = block.receiver(r.rcv_begin + j);
+    const MsgBlock::Receiver rcv = copies[j];
     EXPECT_EQ(rcv.to, want[j].to);
     EXPECT_EQ(rcv.back_index, want[j].back_index);
     EXPECT_EQ(rcv.deliver_round, want[j].deliver_round);
@@ -353,8 +366,10 @@ TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
     } else {
       EXPECT_TRUE(r.bcast);
       ASSERT_EQ(r.rcv_count, deg);
+      const auto copies = copies_of(block, 0);
+      ASSERT_EQ(copies.size(), deg);
       for (std::uint32_t j = 0; j < deg; ++j) {
-        const MsgBlock::Receiver rcv = block.receiver(r.rcv_begin + j);
+        const MsgBlock::Receiver rcv = copies[j];
         EXPECT_EQ(rcv.to, 100u + j);
         EXPECT_EQ(rcv.deliver_round, j);
       }
@@ -395,7 +410,7 @@ TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
   const MsgBlock::Rec r1 = lane1.record(0, kHeader);
   EXPECT_TRUE(r0.bcast);
   ASSERT_EQ(r0.rcv_count, 3u);
-  EXPECT_EQ(lane0.receiver(r0.rcv_begin + 2).to, 6u);
+  EXPECT_EQ(copies_of(lane0, 0).at(2).to, 6u);
   EXPECT_FALSE(r1.bcast);  // lone receiver on its shard: plain unicast row
   EXPECT_EQ(r1.to, 9001u);
   // Both lanes decode the identical payload and identical wire charge.
@@ -427,7 +442,7 @@ TEST(MsgBlock, AppendReceiverFromMaterializesDelayedUnicastCopy) {
 
   const MsgBlock::Rec staged = lane.record(0, kHeader);
   ASSERT_TRUE(staged.bcast);
-  const MsgBlock::Receiver delayed = lane.receiver(staged.rcv_begin + 1);
+  const MsgBlock::Receiver delayed = copies_of(lane, 0).at(1);
   MsgBlock bucket;  // heap mode, outlives the round
   bucket.append_receiver_from(lane, 0, delayed, kHeader);
 
@@ -519,6 +534,57 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
       EXPECT_EQ(got[j], symbols[j]) << "kind " << kinds[i] << " symbol " << j;
     }
   }
+}
+
+TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
+  // The deliver phase's per-round log: for_each_copy yields every physical
+  // copy in staged order (broadcast receivers expanded in packed order),
+  // and a 32-byte Copy decodes to its row's key, flags, wire bits and
+  // payload — inline rows carried whole, spilled rows through the block.
+  MsgBlock block;
+  Scheduled inline_row, bcast_row, spilled_row;
+  schedule(inline_row, StreamKey{31, 7, 15}, {{~std::uint64_t{0}, 64}, {5, 3}},
+           /*close=*/true, kHeader + 67);
+  schedule(bcast_row, StreamKey{2, 11, 0}, {{0x2a, 7}}, /*close=*/false,
+           kHeader + 7);
+  std::vector<std::pair<std::uint64_t, unsigned>> spilled;
+  for (unsigned i = 0; i < 5; ++i) spilled.emplace_back(i * 9 + 1, 20);
+  schedule(spilled_row, StreamKey{4, 900, 3}, spilled, /*close=*/true,
+           kHeader + 100);
+  ASSERT_TRUE(inline_row.ok && bcast_row.ok && spilled_row.ok);
+  block.push(inline_row.view, 10, 1, 0);
+  block.push(bcast_row.view, 11, 2, 0);
+  block.add_receiver(12, 3, 9);
+  block.push(spilled_row.view, 13, 4, 0);
+
+  struct Seen {
+    std::size_t row;
+    MsgBlock::Receiver rcv;
+  };
+  std::vector<Seen> seen;
+  block.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+    seen.push_back({i, c});
+  });
+  const Seen want[] = {{0, {10, 1, 0}}, {1, {11, 2, 0}}, {1, {12, 3, 9}},
+                       {2, {13, 4, 0}}};
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::size_t j = 0; j < seen.size(); ++j) {
+    EXPECT_EQ(seen[j].row, want[j].row) << "copy " << j;
+    EXPECT_EQ(seen[j].rcv.to, want[j].rcv.to) << "copy " << j;
+    EXPECT_EQ(seen[j].rcv.back_index, want[j].rcv.back_index) << "copy " << j;
+    EXPECT_EQ(seen[j].rcv.deliver_round, want[j].rcv.deliver_round);
+    const MsgBlock::Rec row = block.record(seen[j].row, kHeader);
+    const MsgBlock::Rec got = MsgBlock::decode(
+        block.copy(seen[j].row, seen[j].rcv.back_index), kHeader);
+    EXPECT_EQ(got.back_index, seen[j].rcv.back_index);
+    EXPECT_EQ(got.key, row.key);
+    EXPECT_EQ(got.eos, row.eos);
+    EXPECT_EQ(got.spilled, row.spilled);
+    EXPECT_EQ(got.symbol_count, row.symbol_count);
+    EXPECT_EQ(got.wire_bits, row.wire_bits);
+    EXPECT_EQ(replay(got), replay(row)) << "copy " << j;
+  }
+  EXPECT_TRUE(block.record(2, kHeader).spilled);
 }
 
 TEST(ReadPackedBits, GuardsTailWordAndMasks) {
