@@ -14,20 +14,30 @@
 
 namespace nc {
 
-/// Packed (ni, tag, version) — 16 bytes, trivially comparable, and the
-/// (ni, tv) lexicographic order equals (ni, tag, version) order because
-/// tv concatenates tag above version.
+/// (ni, tag, version) packed into one word, `ni << 36 | tag << 4 |
+/// version`: a 28-bit neighbour index, the 32-bit tag and the 4-bit
+/// version. Fields are concatenated high to low, so integer order on the
+/// word is (ni, tag, version) order, and equality and order are one
+/// compare each. The fields hold every key the runtime delivers under:
+/// the Network constructor rejects a node of degree >= 2^28 and
+/// open_stream a version >= 16.
 struct InboxKey {
-  std::uint64_t ni;
-  std::uint64_t tv;  ///< tag << 16 | version
+  std::uint64_t bits;
 
-  friend bool operator==(const InboxKey& a, const InboxKey& b) noexcept {
-    return a.ni == b.ni && a.tv == b.tv;
+  /// Neighbour indices are below this.
+  static constexpr std::size_t kNiLimit = std::size_t{1} << 28;
+  /// The (tag, version) part of `bits`.
+  static constexpr std::uint64_t kTagVersionMask =
+      (std::uint64_t{1} << 36) - 1;
+
+  friend bool operator==(InboxKey a, InboxKey b) noexcept {
+    return a.bits == b.bits;
   }
-  friend bool operator<(const InboxKey& a, const InboxKey& b) noexcept {
-    return a.ni != b.ni ? a.ni < b.ni : a.tv < b.tv;
+  friend bool operator<(InboxKey a, InboxKey b) noexcept {
+    return a.bits < b.bits;
   }
 };
+static_assert(sizeof(InboxKey) == 8, "InboxKey must stay one word");
 
 /// Bucket-column storage of one shard's inboxes: every bucket's key column
 /// and stream column sit in slots of these two pools, allocated and freed
@@ -79,19 +89,19 @@ struct InboxPool {
 /// first-delivery order, which is internal layout only: every lookup goes
 /// through the map, so nothing observable depends on it.
 ///
-/// Each bucket is stored structure-of-arrays: a dense column of 16-byte
+/// Each bucket is stored structure-of-arrays: a dense column of 8-byte
 /// packed (ni, tag, version) keys that the binary search strides, and a
-/// parallel column of the ≤ 64-byte InStream payloads indexed by the same
-/// position. An AoS bucket (key embedded next to its stream) made every
-/// search probe pull a whole stream into cache and every insert shift
-/// whole InStreams; splitting the keys out keeps four of them per cache
-/// line, which matters because the two hottest operations in the whole
-/// simulator — open() on each delivered message and find() on each
-/// protocol-side poll — both funnel into this search. Both columns live in
-/// one slot of the shard's InboxPool and grow like a vector (a full bucket
-/// moves to a slot twice the size and frees the old one for reuse), so the
-/// inboxes of a shard share a few pool chunks instead of two heap blocks
-/// per bucket.
+/// parallel column of the 32-byte InStream payloads indexed by the same
+/// position — 40 bytes per received stream. An AoS bucket (key embedded
+/// next to its stream) made every search probe pull a whole stream into
+/// cache and every insert shift whole InStreams; splitting the keys out
+/// keeps eight of them per cache line, which matters because the two
+/// hottest operations in the whole simulator — open() on each delivered
+/// message and find() on each protocol-side poll — both funnel into this
+/// search. Both columns live in one slot of the shard's InboxPool and grow
+/// like a vector (a full bucket moves to a slot twice the size and frees
+/// the old one for reuse), so the inboxes of a shard share a few pool
+/// chunks instead of two heap blocks per bucket.
 ///
 /// Lookups are memoized per bucket (not one shared slot): deliveries within
 /// a round arrive from ascending sources but alternate message kinds, and
@@ -125,9 +135,13 @@ class Inbox {
 
   /// Stream from neighbour index `ni` with key `key`, or nullptr. Shares
   /// open()'s per-bucket memo (protocols poll the same streams every round).
+  /// A key whose ni or version does not fit InboxKey names no stream.
   [[nodiscard]] InStream* find(std::size_t ni, const StreamKey& key) {
     const std::int8_t slot = slot_[check_kind(key.kind)];
-    if (slot < 0) return nullptr;
+    if (slot < 0 || ni >= InboxKey::kNiLimit ||
+        key.version >= kMaxStreamVersions) {
+      return nullptr;
+    }
     nc_invariant(static_cast<std::size_t>(slot) < store_.size(),
                  "inbox slot map points past the allocated buckets");
     Bucket& bucket = store_[static_cast<std::size_t>(slot)];
@@ -172,10 +186,10 @@ class Inbox {
     const InboxKey* keys = keys_of(bucket);
     InStream* streams = streams_of(bucket);
     for (std::size_t i = 0; i < bucket.size; ++i) {
-      const InboxKey k = keys[i];
-      const StreamKey key{kind, static_cast<NodeId>(k.tv >> 16),
-                          static_cast<std::uint16_t>(k.tv & 0xFFFFu)};
-      fn(static_cast<std::size_t>(k.ni), key, streams[i]);
+      const std::uint64_t k = keys[i].bits;
+      const StreamKey key{kind, static_cast<NodeId>(k >> 4),
+                          static_cast<std::uint16_t>(k & 0xFu)};
+      fn(static_cast<std::size_t>(k >> 36), key, streams[i]);
     }
   }
 
@@ -184,15 +198,15 @@ class Inbox {
   /// to the pool once it is empty. No-op if nothing arrived under `key`.
   void retire(const StreamKey& key) {
     const std::int8_t slot = slot_[check_kind(key.kind)];
-    if (slot < 0) return;
+    if (slot < 0 || key.version >= kMaxStreamVersions) return;
     Bucket& bucket = store_[static_cast<std::size_t>(slot)];
     if (bucket.size == 0) return;
-    const std::uint64_t tv = pack(0, key).tv;
+    const std::uint64_t tv = pack(0, key).bits;
     InboxKey* keys = keys_of(bucket);
     InStream* streams = streams_of(bucket);
     std::uint32_t kept = 0;
     for (std::uint32_t i = 0; i < bucket.size; ++i) {
-      if (keys[i].tv == tv) {
+      if ((keys[i].bits & InboxKey::kTagVersionMask) == tv) {
         streams[i] = InStream{};  // frees a spilled payload now
       } else {
         if (kept != i) {
@@ -244,8 +258,12 @@ class Inbox {
   static constexpr std::size_t kMiss = ~static_cast<std::size_t>(0);
 
   static InboxKey pack(std::size_t ni, const StreamKey& key) noexcept {
-    return InboxKey{static_cast<std::uint64_t>(ni),
-                    (static_cast<std::uint64_t>(key.tag) << 16) | key.version};
+    nc_invariant(ni < InboxKey::kNiLimit && key.version < kMaxStreamVersions,
+                 "inbox key field out of range: ni must be below 2^28 "
+                 "(Network rejects larger degrees) and version below 16 "
+                 "(open_stream rejects larger ones)");
+    return InboxKey{(static_cast<std::uint64_t>(ni) << 36) |
+                    (static_cast<std::uint64_t>(key.tag) << 4) | key.version};
   }
 
   static std::uint16_t check_kind(std::uint16_t kind) {

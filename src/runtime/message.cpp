@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "util/bitio.hpp"
@@ -105,8 +106,18 @@ void SymbolBuffer::reserve_spilled(std::size_t size, std::size_t bits) {
   }
 }
 
+void SymbolBuffer::check_length(std::size_t size, std::size_t bits) {
+  if (size > kMaxLength || bits > kMaxLength) {
+    throw std::length_error(
+        "SymbolBuffer: a stream holds at most 2^31 - 1 symbols and bits");
+  }
+}
+
 void SymbolBuffer::put_spilled(std::uint64_t value, unsigned width) {
-  reserve_spilled(size_ + std::size_t{1}, total_bits_ + width);
+  const std::size_t end_size = size_ + std::size_t{1};
+  const std::size_t end_bits = total_bits_ + std::size_t{width};
+  check_length(end_size, end_bits);
+  reserve_spilled(end_size, end_bits);
   const std::size_t word = total_bits_ >> 6;
   const unsigned off = static_cast<unsigned>(total_bits_ & 63);
   pay_.heap[word] |= value << off;
@@ -124,6 +135,7 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
   if (count == 0) return;
   const std::size_t end_bits = total_bits_ + nbits;
   const std::size_t end_size = size_ + count;
+  check_length(end_size, end_bits);
   if (end_size <= kInlineSymbols && end_bits <= 64) {
     // Stays inline: the whole run is one read (nbits <= 64 - total_bits_).
     pay_.word |= read_packed_bits(src_words, src_word_count, src_bit,
@@ -149,7 +161,7 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
     }
   }
   size_ = static_cast<std::uint32_t>(end_size);
-  total_bits_ = end_bits;
+  total_bits_ = static_cast<std::uint32_t>(end_bits);
 }
 
 }  // namespace nc

@@ -59,10 +59,18 @@ unsigned stream_header_bits(unsigned id_bits) noexcept;
 /// arrays move to the heap, where they grow by doubling. The tier is a pure
 /// function of (size, bit_size) — both only grow — so it needs no flag, and
 /// every reader sees one packed little-endian word array either way.
+///
+/// Both counts are 32-bit and capped at kMaxLength, which keeps the
+/// object at 24 bytes and leaves readers a spare cursor bit (InStream).
+/// A put() or append that would cross the cap throws std::length_error
+/// before touching the buffer or the source.
 class SymbolBuffer {
  public:
   /// Symbols a buffer holds before it spills to the heap.
   static constexpr std::size_t kInlineSymbols = 8;
+
+  /// Most symbols, and most payload bits, one buffer holds: 2^31 - 1.
+  static constexpr std::size_t kMaxLength = (std::size_t{1} << 31) - 1;
 
   SymbolBuffer() noexcept = default;
   SymbolBuffer(const SymbolBuffer& other);
@@ -143,6 +151,10 @@ class SymbolBuffer {
   /// put() past the inline tier: spills or grows the heap arrays first.
   void put_spilled(std::uint64_t value, unsigned width);
 
+  /// Throws std::length_error if `size` symbols or `bits` payload bits
+  /// exceed kMaxLength.
+  static void check_length(std::size_t size, std::size_t bits);
+
   /// Makes the heap arrays hold `size` symbols and `bits` payload bits,
   /// moving the inline word and widths out on the first call. Leaves the
   /// counters alone — the caller appends, then advances them, so until
@@ -174,7 +186,7 @@ class SymbolBuffer {
   };
   Payload pay_{0};
   Widths wid_{};
-  std::size_t total_bits_ = 0;
+  std::uint32_t total_bits_ = 0;
   std::uint32_t size_ = 0;
 };
 

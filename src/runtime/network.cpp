@@ -43,6 +43,12 @@ OutChannel NodeApi::open_stream(const StreamKey& key,
     throw std::invalid_argument(
         "open_stream: stream version does not fit the 4-bit header field");
   }
+  // 64-bit compare: id_bits is 32 when n needs every NodeId bit.
+  if ((std::uint64_t{key.tag} >> net_->id_bits_) != 0) {
+    throw std::invalid_argument(
+        "open_stream: stream tag does not fit the id_width(n)-bit header "
+        "field");
+  }
   const std::size_t base = net_->edge_base_[id_];
   const std::size_t degree = net_->edge_base_[id_ + 1] - base;
   for (const std::size_t ni : neighbor_indices) {
@@ -179,6 +185,11 @@ Network::Network(const Graph& g, const NetConfig& config,
   for (NodeId v = 0; v < n_; ++v) {
     edge_base_[v + 1] = edge_base_[v] + g.degree(v);
     max_degree = std::max(max_degree, g.degree(v));
+  }
+  if (max_degree >= InboxKey::kNiLimit) {
+    throw std::invalid_argument(
+        "Network: a node of degree >= 2^28 does not fit the inbox key's "
+        "neighbour-index field");
   }
   const std::size_t directed_edges = edge_base_[n_];
   edge_owner_.resize(directed_edges);

@@ -156,12 +156,13 @@ class NodeApi {
   /// Opens an outgoing stream to the given neighbour indices. The returned
   /// channel may be appended to across rounds; close() ends it. The payload
   /// buffer is shared across all listed links (broadcasts store data once).
-  /// Throws std::invalid_argument if key.kind is outside [0, kMaxMsgKinds)
-  /// or key.version outside [0, kMaxStreamVersions) — the wire format's
-  /// 5-bit kind / 4-bit version fields cannot carry them, and the per-kind
-  /// counters would silently alias — and std::out_of_range if any index is
-  /// not below degree(). Every check runs before any link is touched, so a
-  /// throwing call attaches nothing.
+  /// Throws std::invalid_argument if key.kind is outside [0, kMaxMsgKinds),
+  /// key.version outside [0, kMaxStreamVersions) or key.tag outside
+  /// [0, 2^id_width(n)) — the wire format's 5-bit kind, 4-bit version and
+  /// id_width(n)-bit tag fields cannot carry them, the per-kind counters
+  /// would silently alias and the header charge would fall short — and
+  /// std::out_of_range if any index is not below degree(). Every check runs
+  /// before any link is touched, so a throwing call attaches nothing.
   OutChannel open_stream(const StreamKey& key,
                          std::span<const std::size_t> neighbor_indices);
 
@@ -286,7 +287,8 @@ class NodeApi {
 class Network {
  public:
   /// Builds a network over communication graph `g`. `factory(v)` constructs
-  /// the protocol instance for node v.
+  /// the protocol instance for node v. Throws std::invalid_argument if a
+  /// node has degree >= 2^28, the most a packed inbox key can index.
   Network(const Graph& g, const NetConfig& config,
           const std::function<std::unique_ptr<INode>(NodeId)>& factory);
 

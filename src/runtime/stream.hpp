@@ -74,6 +74,11 @@ class OutChannel {
 /// Receiver side of a logical stream: a growing buffer of delivered symbols
 /// plus the EOS flag. Protocol code consumes it strictly sequentially.
 /// Copyable and movable: inbox buckets shift and regrow their columns.
+///
+/// 32 bytes: the 24-byte SymbolBuffer, a 32-bit symbol cursor, and a 31-bit
+/// bit cursor sharing its word with the EOS flag. A buffer holds at most
+/// 2^31 - 1 symbols and bits (SymbolBuffer::kMaxLength), so both cursors
+/// fit, and a delivery past that throws std::length_error.
 class InStream {
  public:
   /// Appends a delivered symbol (runtime use).
@@ -90,7 +95,7 @@ class InStream {
   }
 
   /// Marks EOS delivered (runtime use).
-  void deliver_eos() noexcept { closed_ = true; }
+  void deliver_eos() noexcept { closed_ = 1; }
 
   /// Symbols delivered but not yet consumed.
   [[nodiscard]] std::size_t available() const noexcept {
@@ -107,11 +112,11 @@ class InStream {
   }
 
   /// True if EOS was delivered.
-  [[nodiscard]] bool closed() const noexcept { return closed_; }
+  [[nodiscard]] bool closed() const noexcept { return closed_ != 0; }
 
   /// True if EOS was delivered and everything has been consumed.
   [[nodiscard]] bool finished() const noexcept {
-    return closed_ && available() == 0;
+    return closed() && available() == 0;
   }
 
   /// Total symbols ever delivered (consumed or not).
@@ -119,13 +124,13 @@ class InStream {
 
  private:
   SymbolBuffer buf_;
-  std::size_t read_idx_ = 0;
-  std::size_t read_bit_ = 0;
-  bool closed_ = false;
+  std::uint32_t read_idx_ = 0;       ///< symbols consumed
+  std::uint32_t read_bit_ : 31 = 0;  ///< payload bits consumed
+  std::uint32_t closed_ : 1 = 0;     ///< EOS delivered
 };
 
-// Inbox buckets hold millions of these (src/runtime/inbox.hpp): one cache
-// line each, with the inline SymbolBuffer tier covering the common stream.
-static_assert(sizeof(InStream) <= 64, "InStream must fit one cache line");
+// Inbox buckets hold millions of these (src/runtime/inbox.hpp): two per
+// cache line, with the inline SymbolBuffer tier covering the common stream.
+static_assert(sizeof(InStream) == 32, "InStream must stay 32 bytes");
 
 }  // namespace nc

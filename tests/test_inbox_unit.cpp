@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -32,15 +33,69 @@ Seen collect(Inbox& inbox, std::uint16_t kind) {
 TEST(Inbox, IterationOrderIsSortedRegardlessOfInsertionOrder) {
   InboxPool pool;
   Inbox inbox(pool);
-  // Scrambled insertion: (ni, tag, version) triples of kind 3.
-  const std::vector<std::tuple<std::size_t, NodeId, std::uint16_t>> scrambled{
-      {2, 5, 0}, {0, 9, 1}, {2, 1, 2}, {0, 9, 0}, {1, 0, 0}, {2, 1, 1}};
-  for (const auto& [ni, tag, version] : scrambled) {
-    inbox.open(ni, StreamKey{3, tag, version}).deliver(1, 4);
+  const std::size_t top_ni = InboxKey::kNiLimit - 1;
+  const NodeId top_tag = 0xFFFFFFFFu;
+  // Scrambled insertion: (ni, tag, version) triples of kind 3, with every
+  // field of the packed key at its edges: tag 0 and 2^32 - 1, tags that
+  // differ only above bit 16, version 15 and ni 2^28 - 1. The bucket
+  // doubles four times on the way to 15 streams.
+  const Seen scrambled{{2, 5, 0},      {1, 0x20007, 4},
+                       {0, 9, 1},      {top_ni, top_tag, 15},
+                       {2, 1, 2},      {1, 0x10007, 4},
+                       {0, 9, 0},      {top_ni, 0, 0},
+                       {1, 0, 0},      {0, top_tag, 0},
+                       {2, 1, 1},      {top_ni, 0x10007, 4},
+                       {1, 7, 4},      {2, 1, 15},
+                       {top_ni, top_tag, 14}};
+  // Stream i carries i + 1 and i + 101. Stream 1 is read part way and
+  // closed while the bucket still has two entries, so every doubling and
+  // the retire compaction below move it.
+  constexpr std::size_t kRead = 1;
+  for (std::size_t i = 0; i < scrambled.size(); ++i) {
+    const auto& [ni, tag, version] = scrambled[i];
+    InStream& s = inbox.open(ni, StreamKey{3, tag, version});
+    s.deliver(i + 1, 8);
+    s.deliver(i + 101, 8);
+    if (i == kRead) {
+      s.deliver_eos();
+      EXPECT_EQ(s.pop(), i + 1);
+    }
   }
-  const Seen want{{0, 9, 0}, {0, 9, 1}, {1, 0, 0},
-                  {2, 1, 1}, {2, 1, 2}, {2, 5, 0}};
-  EXPECT_EQ(collect(inbox, 3), want);
+  // Visits in (ni, tag, version) order, each stream in the state its
+  // deliveries and reads left.
+  const auto expect_streams = [&](const Seen& want) {
+    Seen seen;
+    inbox.for_each(3, [&](std::size_t ni, const StreamKey& key, InStream& s) {
+      seen.emplace_back(ni, key.tag, key.version);
+      const bool read = seen.back() == scrambled[kRead];
+      EXPECT_EQ(s.closed(), read);
+      EXPECT_EQ(s.available(), read ? 1u : 2u);
+    });
+    EXPECT_EQ(seen, want);
+  };
+  Seen want = scrambled;
+  std::sort(want.begin(), want.end());
+  expect_streams(want);
+  // Retiring (0x10007, 4) drops that pair from both neighbours and nothing
+  // else: tags 7 and 0x20007 share its low 16 bits and its version.
+  inbox.retire(StreamKey{3, 0x10007, 4});
+  std::erase_if(want, [](const auto& t) {
+    return std::get<1>(t) == 0x10007 && std::get<2>(t) == 4;
+  });
+  ASSERT_EQ(want.size(), scrambled.size() - 2);
+  EXPECT_EQ(inbox.size(), want.size());
+  expect_streams(want);
+  // Each survivor's next symbol, through find().
+  for (std::size_t i = 0; i < scrambled.size(); ++i) {
+    const auto& [ni, tag, version] = scrambled[i];
+    InStream* s = inbox.find(ni, StreamKey{3, tag, version});
+    if (tag == 0x10007) {
+      EXPECT_EQ(s, nullptr) << i;
+      continue;
+    }
+    ASSERT_NE(s, nullptr) << i;
+    EXPECT_EQ(s->pop(), i == kRead ? i + 101 : i + 1) << i;
+  }
 }
 
 TEST(Inbox, KindsAreIsolated) {

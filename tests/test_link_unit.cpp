@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -170,6 +171,24 @@ TEST(SymbolBuffer, CopyAndMoveInlineAndSpilled) {
   EXPECT_EQ(contents(target), big_want);
   target = SymbolBuffer{};
   EXPECT_EQ(target.size(), 0u);
+}
+
+TEST(SymbolBuffer, AppendPastTheLengthCapThrowsBeforeReadingTheSource) {
+  // Runs that would take the buffer past 2^31 - 1 bits or symbols throw
+  // before reading their source: the source here is one word and one
+  // width long, so a read past either would show under ASan.
+  SymbolBuffer buf;
+  buf.put(5, 4);
+  const std::uint64_t word = 0;
+  const std::uint8_t width = 64;
+  EXPECT_THROW(buf.append_packed(&word, 1, 0, SymbolBuffer::kMaxLength - 3,
+                                 &width, 1),
+               std::length_error);
+  EXPECT_THROW(buf.append_packed(&word, 1, 0, 64, &width,
+                                 SymbolBuffer::kMaxLength),
+               std::length_error);
+  // The failed appends left the buffer as it was.
+  EXPECT_EQ(contents(buf), (Symbols{{5, 4}}));
 }
 
 

@@ -236,8 +236,7 @@ TEST(Runtime, MaxRoundsAborts) {
    public:
     void on_start(NodeApi& api) override { api.set_alarm(1); }
     void on_round(NodeApi& api) override {
-      auto ch = api.open_stream_all(
-          StreamKey{kData, static_cast<NodeId>(api.round() % 1000), 0});
+      auto ch = api.open_stream_all(StreamKey{kData, api.id(), 0});
       ch.put_bit(true);
       ch.close();
     }
@@ -446,6 +445,49 @@ TEST(Runtime, OutOfRangeKindIsRejected) {
   Network net(g, cfg, [](NodeId) { return std::make_unique<BadKind>(); });
   const auto stats = net.run();
   EXPECT_FALSE(stats.stalled);
+}
+
+TEST(Runtime, TagWiderThanTheIdFieldIsRejected) {
+  // The header charges id_width(n) bits for the tag, so a wider tag is
+  // rejected before any link is touched, and the widest that fits is
+  // delivered and charged like any other.
+  const Graph g = testing::path_graph(5);
+  const unsigned id_bits = id_width(g.n());  // 3 bits: tags 0..7
+  const NodeId widest = (NodeId{1} << id_bits) - 1;
+  class Tagger : public INode {
+   public:
+    explicit Tagger(NodeId widest) : widest_(widest) {}
+    void on_start(NodeApi& api) override {
+      EXPECT_THROW(
+          (void)api.open_stream_all(StreamKey{kData, widest_ + 1, 0}),
+          std::invalid_argument);
+      auto ch = api.open_stream_all(StreamKey{kData, widest_, 0});
+      ch.put_bit(true);
+      ch.close();
+    }
+    void on_round(NodeApi& api) override {
+      std::size_t streams = 0;
+      api.for_each_in(kData, [&](std::size_t, const StreamKey& key,
+                                 InStream& in) {
+        EXPECT_EQ(key.tag, widest_);
+        EXPECT_TRUE(in.closed());
+        EXPECT_EQ(in.available(), 1u);
+        ++streams;
+      });
+      EXPECT_EQ(streams, api.degree());
+      api.set_done();
+    }
+
+   private:
+    NodeId widest_;
+  };
+  NetConfig cfg;
+  Network net(g, cfg,
+              [&](NodeId) { return std::make_unique<Tagger>(widest); });
+  const RunStats stats = net.run();
+  EXPECT_FALSE(stats.stalled);
+  EXPECT_EQ(stats.messages, 2 * g.m());  // the accepted streams only
+  EXPECT_EQ(stats.bits, stats.messages * (stream_header_bits(id_bits) + 1));
 }
 
 TEST(Runtime, MidRunExceptionPropagatesCleanlyAtEveryThreadCount) {
@@ -690,7 +732,8 @@ TEST(Runtime, LiveInboxBytesOfAPlantedRunArePinned) {
   // 3: the streams the nodes can still read. Round 2 delivers only the
   // kSampled bits, which every node retires as soon as it has read them,
   // so nothing is live after it; round 3 brings the election and
-  // participation streams. A node's whole inbox goes when it is done.
+  // participation streams, whose live bucket slots hold 2,755 entries of
+  // one key and one stream each. A node's whole inbox goes when it is done.
   // Live bytes depend only on each node's own buckets, so they are the same
   // at every thread count (carved bytes are not: slot reuse is per shard),
   // and they are 0 once every node is done.
@@ -716,7 +759,9 @@ TEST(Runtime, LiveInboxBytesOfAPlantedRunArePinned) {
     net.run_rounds(2);
     EXPECT_EQ(prof.inbox_bytes_live, 0u) << "after round 2";
     net.run_rounds(1);
-    EXPECT_EQ(prof.inbox_bytes_live, 198'360u) << "after round 3";
+    EXPECT_EQ(prof.inbox_bytes_live,
+              2'755 * (sizeof(InboxKey) + sizeof(InStream)))
+        << "after round 3";
     const RunStats stats = net.run();
     EXPECT_TRUE(net.all_done());
     EXPECT_FALSE(stats.stalled);
