@@ -150,8 +150,9 @@ int usage(std::FILE* to) {
       "reports min/median/mean wall-clock (scenario build excluded).\n"
       "run --profile adds engine per-phase seconds (stage/deliver/wake),\n"
       "the per-round arena high-water (all shards, largest shard; lanes\n"
-      "and the deliver log), broadcast dedup savings and inbox/link pool\n"
-      "bytes (carved, live) to the text and JSON output.\n");
+      "and the deliver log), broadcast dedup savings, the copies to done\n"
+      "nodes charged at stage time and inbox/link pool bytes (carved,\n"
+      "live) to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -528,6 +529,8 @@ int cmd_run(const Args& args) {
           .value(pr.delayed_msgs_peak)
           .key("broadcast_payload_bytes_saved")
           .value(pr.broadcast_payload_bytes_saved)
+          .key("done_copies")
+          .value(pr.done_copies)
           .key("inbox_bytes_carved")
           .value(pr.inbox_bytes_carved)
           .key("inbox_bytes_live")
@@ -599,18 +602,22 @@ int cmd_run(const Args& args) {
     // Per-phase engine seconds of the last run; the arena high-water is
     // the per-round transient storage (lanes and the deliver log), summed
     // over shards and for the largest one; bytes saved counts lane payload
-    // copies avoided by broadcast dedup; the pool bytes are the carved and
-    // still-live cross-round storage at the end of the run.
+    // copies avoided by broadcast dedup; done copies never entered a lane
+    // (their destination was done when they were staged); the pool bytes
+    // are the carved and still-live cross-round storage at the end of the
+    // run.
     const NetProfile& pr = result.profile;
     std::printf(
         "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
         "arena bytes total %llu, peak shard %llu; "
-        "broadcast payload bytes saved: %llu; inbox bytes carved %llu, "
-        "live %llu; link bytes carved %llu, live %llu\n",
+        "broadcast payload bytes saved: %llu; done copies %llu; "
+        "inbox bytes carved %llu, live %llu; link bytes carved %llu, "
+        "live %llu\n",
         pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
         static_cast<unsigned long long>(pr.arena_bytes_total),
         static_cast<unsigned long long>(pr.arena_bytes_peak_shard),
         static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved),
+        static_cast<unsigned long long>(pr.done_copies),
         static_cast<unsigned long long>(pr.inbox_bytes_carved),
         static_cast<unsigned long long>(pr.inbox_bytes_live),
         static_cast<unsigned long long>(pr.link_bytes_carved),

@@ -137,6 +137,12 @@ struct NetProfile {
   /// (NetConfig::broadcast_dedup).
   std::uint64_t broadcast_payload_bytes_saved = 0;
 
+  /// Copies to already-done destinations that the stage phase accounted
+  /// for itself instead of staging them: charged at once when on time,
+  /// tallied for their due round when delayed (Network::charge_done_copy).
+  /// The lane, delayed and broadcast counters above do not include them.
+  std::uint64_t done_copies = 0;
+
   /// Cross-round pool memory, summed over shards at the flush: bytes of
   /// the carved slots (live + on free lists) and of the live ones, for the
   /// inbox pools (key + stream columns) and the link pools. Live inbox

@@ -97,7 +97,7 @@ std::uint64_t NodeApi::rx_count(std::uint16_t kind) const {
 
 void NodeApi::set_alarm(std::uint64_t round) {
   auto& st = net_->states_[id_];
-  if (st.done || st.alarm == round) return;
+  if (net_->done_[id_] != 0 || st.alarm == round) return;
   st.alarm = round;  // latest call wins; stale bucket entries are skipped
   if (round != Network::kNoAlarm) {
     // The owning shard's buckets: a node only ever arms itself, so the
@@ -115,10 +115,10 @@ void NodeApi::set_alarm(std::uint64_t round) {
 }
 
 void NodeApi::set_done() {
-  auto& st = net_->states_[id_];
-  if (!st.done) {
-    st.done = true;
-    st.alarm = Network::kNoAlarm;
+  std::uint8_t& done = net_->done_[id_];
+  if (done == 0) {
+    done = 1;
+    net_->states_[id_].alarm = Network::kNoAlarm;
     ++net_->shards_[net_->plan_.node_shard[id_]].done_count;
   }
 }
@@ -291,6 +291,7 @@ Network::Network(const Graph& g, const NetConfig& config,
   const Rng master(config.seed);
   nodes_.reserve(n_);
   states_.reserve(n_);
+  done_.assign(n_, 0);
   for (NodeId v = 0; v < n_; ++v) {
     states_.push_back(NodeState{master.derive(v),
                                 Inbox(shards_[plan_.node_shard[v]].inbox_pool)});
@@ -315,15 +316,14 @@ Network::Network(const Graph& g, const NetConfig& config,
 
 void Network::wake(Shard& sh, NodeId v) {
   std::uint8_t& queued = sh.woken[v - sh.begin];
-  if (!queued && !states_[v].done) {
+  if (!queued && done_[v] == 0) {
     queued = 1;
     sh.wake_list.push_back(v);
   }
 }
 
 void Network::drop_inbox_if_done(NodeId v) {
-  NodeState& st = states_[v];
-  if (st.done) st.inbox.clear();
+  if (done_[v] != 0) states_[v].inbox.clear();
 }
 
 void Network::refresh_outgoing(NodeId v) {
@@ -344,7 +344,7 @@ std::uint64_t Network::next_alarm_round() {
       const std::uint64_t round = it->first;
       auto& entries = it->second;
       std::erase_if(entries, [&](NodeId v) {
-        return states_[v].done || states_[v].alarm != round;
+        return done_[v] != 0 || states_[v].alarm != round;
       });
       if (!entries.empty()) {
         best = std::min(best, round);
@@ -367,7 +367,7 @@ void Network::collect_due_alarms(Shard& sh) {
     const std::uint64_t round = it->first;
     for (const NodeId v : it->second) {
       auto& st = states_[v];
-      if (!st.done && st.alarm == round) {
+      if (done_[v] == 0 && st.alarm == round) {
         // One-shot: clear before the callback so a set_alarm inside it
         // re-arms for a future round.
         st.alarm = kNoAlarm;
@@ -390,21 +390,22 @@ void Network::apply_fault_events() {
       // which one a node fires is determined by its precomputed schedule.
       for (const NodeId v : sh.fault_events.begin()->second) {
         auto& st = states_[v];
+        std::uint8_t& done = done_[v];
         NodeApi api(*this, v);
         if (faults_->crash_round(v) == round_) {
           stats_.crash_events += 1;  // nclint:allow(stats-batch) serial round loop, one event per churn entry
-          if (!st.done) nodes_[v]->on_crash(api);
+          if (done == 0) nodes_[v]->on_crash(api);
           st.alarm = kNoAlarm;  // one-shot alarms are lost in the crash
-          if (faults_->recover_round(v) == FaultEngine::kNever && !st.done) {
+          if (faults_->recover_round(v) == FaultEngine::kNever && done == 0) {
             // Permanent: done-equivalent, so the execution can terminate
             // without it. The node's output registers keep whatever state
             // the crash froze.
-            st.done = true;
+            done = 1;
             ++sh.done_count;
           }
         } else {
           stats_.recover_events += 1;  // nclint:allow(stats-batch) serial round loop, one event per churn entry
-          if (!st.done) {
+          if (done == 0) {
             nodes_[v]->on_recover(api);
             wake(sh, v);  // guarantee an on_round to re-arm alarms
           }
@@ -420,12 +421,13 @@ void Network::apply_fault_events() {
 void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                            const MsgBlock::Copy* run, std::size_t count) {
   auto& st = states_[to];
+  const bool done = done_[to] != 0;
   for (std::size_t i = 0; i < count; ++i) {
     const MsgBlock::Rec r = MsgBlock::decode(run[i], header_bits_);
-    st.rx_by_kind[r.key.kind] += 1;
     batch.charge(r.key.kind, r.wire_bits);
     // A done node is never woken and its inbox is gone: charge, don't store.
-    if (st.done) continue;
+    if (done) continue;
+    st.rx_by_kind[r.key.kind] += 1;
     InStream& stream = st.inbox.open(r.back_index, r.key);
     if (r.spilled) {
       stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
@@ -438,6 +440,25 @@ void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
     if (r.eos) stream.deliver_eos();
   }
   wake(dst, to);
+}
+
+void Network::charge_done_copy(Shard& sh, TrafficBatch& batch, NodeId to,
+                               std::uint64_t due, std::uint16_t kind,
+                               std::uint64_t wire_bits) {
+  ++sh.done_copies;
+  if (due <= round_) {
+    batch.charge(kind, wire_bits);
+    return;
+  }
+  // The due round's deliver phase would silence the copy if the node is
+  // crashed then, and charge it otherwise; the crash schedule is fixed, so
+  // the verdict is known now.
+  DoneTally& tally = sh.done_tally[due];
+  if (faults_ && faults_->crashed_at(to, due)) {
+    tally.dropped_crash += 1;
+  } else {
+    tally.charged.charge(kind, wire_bits);
+  }
 }
 
 Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
@@ -541,7 +562,7 @@ void Network::park_row(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
   if (verdict.first_park) sh.rel_pending_edges.push_back(e);
 }
 
-void Network::resolve_fec_windows(Shard& sh) {
+void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
   // Split the pending edges into due (window closed before this round) and
   // still-open. Resolution order is ascending edge for cleanliness, but the
   // draws are keyed on (window, edge, chunk), so order cannot matter.
@@ -594,6 +615,10 @@ void Network::resolve_fec_windows(Shard& sh) {
   // while rows of still-blocked edges are compacted into a rebuilt hold.
   // Lanes were reset at the top of this stage phase and the link walk has
   // not run yet, so released rows sit ahead of the round's fresh traffic.
+  // A row released for this round whose destination is crashed now is
+  // silenced here: the lane walk applies on-time copies unchecked, since
+  // the stage phase has already silenced every other one (link_verdict).
+  // A row for a done destination is accounted for like any staged copy.
   MsgBlock keep;
   std::vector<std::size_t> keep_edge;
   std::vector<std::uint8_t> keep_lost;
@@ -611,6 +636,15 @@ void Network::resolve_fec_windows(Shard& sh) {
       continue;
     }
     const MsgBlock::Rec r = sh.rel_parked.record(i, header_bits_);
+    if (release[j] <= round_ && faults_ && faults_->crashed_at(r.to, round_)) {
+      sh.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) FEC resolution is a cold once-per-window path
+      continue;
+    }
+    if (done_[r.to] != 0) {
+      charge_done_copy(sh, done_batch, r.to, release[j], r.key.kind,
+                       r.wire_bits);
+      continue;
+    }
     sh.lanes[plan_.node_shard[r.to]].append_from(sh.rel_parked, i,
                                                  header_bits_, release[j]);
   }
@@ -629,12 +663,16 @@ void Network::stage_shard(unsigned s) {
   // re-carve the lane columns at last round's sizes.
   sh.arena.reset();
   for (auto& lane : sh.lanes) lane.begin_round();
+  // Charges of on-time copies to done destinations (charge_done_copy),
+  // flushed into the traffic partial at the end of the phase.
+  TrafficBatch done_batch;
+  const std::uint64_t done_before = sh.done_copies;
   // FEC window resolution first: released rows enter the lanes ahead of
   // this round's fresh traffic (they are stream-earlier by construction),
   // and a blocked edge is unblocked before any new message on it could be
   // staged into a later window.
   if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
-    resolve_fec_windows(sh);
+    resolve_fec_windows(sh, done_batch);
   }
   // Ascending (owner, neighbour-index) order within the shard; shards are
   // contiguous ID ranges, so concatenating the shards' sorted sets in shard
@@ -655,7 +693,9 @@ void Network::stage_shard(unsigned s) {
   // as a packed receiver entry on the group's open row — payload staged
   // once per (src-shard, dst-shard), not once per edge. Faults still run
   // per edge: a dropped copy simply adds no receiver, a delayed copy
-  // carries its own deliver round in the receiver entry.
+  // carries its own deliver round in the receiver entry. A copy to an
+  // already-done node enters no lane at all: charge_done_copy accounts for
+  // it on the spot.
   const bool dedup = config_.broadcast_dedup &&
                      config_.mode == NetConfig::Mode::kCongest;
   const bool profiling = config_.profile != nullptr;
@@ -675,6 +715,7 @@ void Network::stage_shard(unsigned s) {
     Link& link = links_[e];
     const NodeId to = graph_->neighbors(from)[ni];
     const auto back = static_cast<std::uint32_t>(reverse_index_[e]);
+    const bool to_done = done_[to] != 0;
     if (config_.mode == NetConfig::Mode::kLocal) {
       // One channel decision covers the whole drained batch; the count is
       // known up front (one message per pending stream). A dropped batch
@@ -690,7 +731,13 @@ void Network::stage_shard(unsigned s) {
       const bool drop = verdict.fate != LinkVerdict::Fate::kDeliver;
       const std::size_t produced =
           link.drain_views(header_bits_, [&](const MsgView& v) {
-            if (!drop) lane.push(v, to, back, verdict.deliver_round);
+            if (drop) return;
+            if (to_done) {
+              charge_done_copy(sh, done_batch, to, verdict.deliver_round,
+                               v.key.kind, v.wire_bits);
+            } else {
+              lane.push(v, to, back, verdict.deliver_round);
+            }
           });
       if (produced > 0) link.release_idle();
     } else if (group_live && from == group_from &&
@@ -701,7 +748,10 @@ void Network::stage_shard(unsigned s) {
         verdict = link_verdict(sh, e, from, to, 1, group_view.key.kind,
                                group_view.wire_bits);
       }
-      if (verdict.fate == LinkVerdict::Fate::kDeliver) {
+      if (verdict.fate == LinkVerdict::Fate::kDeliver && to_done) {
+        charge_done_copy(sh, done_batch, to, verdict.deliver_round,
+                         group_view.key.kind, group_view.wire_bits);
+      } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
         const unsigned d = plan_.node_shard[to];
         MsgBlock& lane = sh.lanes[d];
         if (sh.bcast_open[d]) {
@@ -729,9 +779,13 @@ void Network::stage_shard(unsigned s) {
               link_verdict(sh, e, from, to, 1, view.key.kind, view.wire_bits);
         }
         const unsigned d = plan_.node_shard[to];
-        const bool staged = verdict.fate == LinkVerdict::Fate::kDeliver;
+        const bool staged =
+            verdict.fate == LinkVerdict::Fate::kDeliver && !to_done;
         if (staged) {
           sh.lanes[d].push(view, to, back, verdict.deliver_round);
+        } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
+          charge_done_copy(sh, done_batch, to, verdict.deliver_round,
+                           view.key.kind, view.wire_bits);
         } else if (verdict.fate == LinkVerdict::Fate::kPark) {
           park_row(sh, e, view, to, back, verdict);
         }
@@ -755,15 +809,17 @@ void Network::stage_shard(unsigned s) {
   }
   close_group();
   sh.active_links.resize(kept);
+  if (done_batch.messages > 0) done_batch.flush_into(sh.traffic);
   // Observer epilogue: the round's lane message count (released FEC rows
-  // included) feeds the profile's lane peak and the metrics' per-shard
-  // load-balance columns; the span feeds the trace.
+  // included) feeds the profile's lane peak; with the copies accounted for
+  // at stage time added, it feeds the metrics' per-shard load-balance
+  // columns; the span feeds the trace.
   const bool metrics = telem_ && telem_->metrics_on();
   if (profiling || metrics) {
     std::uint64_t staged = 0;
     for (const auto& lane : sh.lanes) staged += lane.message_count();
     sh.staged_peak = std::max(sh.staged_peak, staged);
-    if (metrics) sh.telem_staged += staged;
+    if (metrics) sh.telem_staged += staged + (sh.done_copies - done_before);
   }
   if (trace_shard) {
     const auto tt1 = clock::now();
@@ -806,6 +862,10 @@ void Network::for_each_due_copy(Shard& dst, unsigned d, Fn&& fn) {
                    "staged row routed to a shard that does not own its "
                    "destination node");
       if (c.deliver_round <= round_) {
+        nc_invariant(done_[c.to] == 0 &&
+                         !(faults_ && faults_->crashed_at(c.to, round_)),
+                     "on-time lane copy addressed to a done or crashed node "
+                     "— the stage phase accounts for those itself");
         fn(lane, i, c);
         return;
       }
@@ -941,7 +1001,7 @@ void Network::wake_shard(unsigned s) {
   if (telem_) sh.telem_wakeups += sh.wake_list.size();
   for (const NodeId v : sh.wake_list) {
     sh.woken[v - sh.begin] = 0;
-    if (states_[v].done) continue;
+    if (done_[v] != 0) continue;
     NodeApi api(*this, v);
     nodes_[v]->on_round(api);
     refresh_outgoing(v);
@@ -1014,8 +1074,15 @@ bool Network::step(bool allow_fast_forward) {
   for_each_shard([this](unsigned s) { deliver_shard(s); });
   book("deliver", &NetProfile::deliver_seconds);
   // Serial reduction in shard order: exact (integer sums/maxes), so stats_
-  // is bit-identical to serial accumulation at every shard count.
+  // is bit-identical to serial accumulation at every shard count. The
+  // tallied copies to done nodes that fall due now join it here.
   for (auto& sh : shards_) {
+    while (!sh.done_tally.empty() && sh.done_tally.begin()->first <= round_) {
+      const DoneTally& tally = sh.done_tally.begin()->second;
+      tally.charged.flush_into(sh.traffic);
+      sh.traffic.messages_dropped_crash += tally.dropped_crash;  // nclint:allow(stats-batch) once per due round, batched over the tally's copies
+      sh.done_tally.erase(sh.done_tally.begin());
+    }
     stats_.merge_traffic(sh.traffic);
     sh.traffic = RunStats{};
   }
@@ -1060,7 +1127,7 @@ StallReport Network::stall_report() const {
   r.nodes_total = n_;
   for (NodeId v = 0; v < n_; ++v) {
     const auto& st = states_[v];
-    if (st.done) ++r.nodes_done;
+    if (done_[v] != 0) ++r.nodes_done;
     if (st.alarm != kNoAlarm) {
       ++r.armed_alarms;
       r.next_alarm_round = std::min(r.next_alarm_round, st.alarm);
@@ -1070,6 +1137,10 @@ StallReport Network::stall_report() const {
   for (const auto& sh : shards_) {
     for (const auto& [due, bucket] : sh.delayed) {
       r.delayed_in_flight += bucket.message_count();
+      r.next_delayed_round = std::min(r.next_delayed_round, due);
+    }
+    for (const auto& [due, tally] : sh.done_tally) {
+      r.delayed_in_flight += tally.copies();
       r.next_delayed_round = std::min(r.next_delayed_round, due);
     }
     r.fec_parked += sh.rel_parked.size();
@@ -1086,6 +1157,7 @@ void Network::flush_profile() {
   prof_.lane_msgs_peak = 0;
   prof_.delayed_msgs_peak = 0;
   prof_.broadcast_payload_bytes_saved = 0;
+  prof_.done_copies = 0;
   prof_.inbox_bytes_carved = 0;
   prof_.inbox_bytes_live = 0;
   prof_.link_bytes_carved = 0;
@@ -1097,6 +1169,7 @@ void Network::flush_profile() {
     prof_.lane_msgs_peak = std::max(prof_.lane_msgs_peak, sh.staged_peak);
     prof_.delayed_msgs_peak = std::max(prof_.delayed_msgs_peak, sh.delayed_peak);
     prof_.broadcast_payload_bytes_saved += sh.bcast_saved;
+    prof_.done_copies += sh.done_copies;
     prof_.inbox_bytes_carved += sh.inbox_pool.carved_bytes();
     prof_.inbox_bytes_live += sh.inbox_pool.live_bytes();
     prof_.link_bytes_carved += sh.link_pool.carved_bytes();

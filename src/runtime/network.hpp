@@ -37,7 +37,7 @@ class NodeApi;
 /// polled on a specific round must arm an alarm for it. A node signals
 /// completion via NodeApi::set_done(); until then `on_round` keeps being
 /// invoked on wake-ups. A done node is never woken again: its inbox is
-/// dropped, and deliveries to it are charged and discarded.
+/// dropped, and deliveries to it are charged to RunStats and discarded.
 class INode {
  public:
   virtual ~INode() = default;
@@ -127,11 +127,11 @@ struct NetConfig {
 
 /// The per-node view of the runtime: identity, topology (restricted to the
 /// node's own neighbourhood, as the model requires), randomness, stream I/O
-/// and the done flag. Handed to INode callbacks; never retained.
+/// and the done flag. Handed to INode callbacks; never retained. Only the
+/// Network constructs one, so everything it reads (find_in, rx_count) is
+/// read from inside a callback of its own node.
 class NodeApi {
  public:
-  NodeApi(Network& net, NodeId id) : net_(&net), id_(id) {}
-
   /// This node's ID (unique, O(log n) bits).
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
@@ -202,6 +202,8 @@ class NodeApi {
   /// Number of deliveries (messages) received so far whose kind is `kind`.
   /// Protocol code uses this to skip inbox scans on rounds where nothing of
   /// that kind arrived. Throws std::out_of_range for kind >= kMaxMsgKinds.
+  /// The count stops at set_done: deliveries to a done node are charged to
+  /// RunStats only, and no callback of a done node runs to read it.
   [[nodiscard]] std::uint64_t rx_count(std::uint16_t kind) const;
 
   /// Registers (or looks up) a named telemetry probe of counter kind
@@ -234,12 +236,17 @@ class NodeApi {
 
   /// Marks this node finished. A done node is never woken again, so once
   /// the current callback returns the runtime drops its whole inbox (every
-  /// find_in pointer and for_each_in reference dies with it), and later
-  /// deliveries to it are charged to RunStats and rx_count but not stored.
-  /// Within the callback the inbox stays readable.
+  /// find_in pointer and for_each_in reference dies with it). Later
+  /// deliveries to it are charged to RunStats, but neither stored nor
+  /// counted in rx_count; a copy staged for it from the next round on never
+  /// leaves its sender's shard (Network::charge_done_copy). Within the
+  /// callback the inbox stays readable.
   void set_done();
 
  private:
+  friend class Network;
+  NodeApi(Network& net, NodeId id) : net_(&net), id_(id) {}
+
   Network* net_;
   NodeId id_;
 };
@@ -352,12 +359,23 @@ class Network {
     Inbox inbox;
     std::array<std::uint64_t, kMaxMsgKinds> rx_by_kind{};
     std::uint64_t alarm = kNoAlarm;
-    bool done = false;
-    // The "queued in this round's wake list" flag lives in the owning
-    // shard's contiguous `woken` bitmap, not here: the wake phase scans it
-    // densely, and NodeState is far too big to stride for one byte.
+    // The done flag lives in the dense done_ array and the "queued in this
+    // round's wake list" flag in the owning shard's `woken` bitmap, not
+    // here: the stage and wake phases read them for many nodes, and
+    // NodeState is far too big to stride for one byte.
   };
   static constexpr std::uint64_t kNoAlarm = ~0ULL;
+
+  /// What the copies to done nodes that fall due in one round will charge
+  /// (Shard::done_tally): the arrivals' traffic, and the copies silenced
+  /// because the destination is crashed at that round.
+  struct DoneTally {
+    TrafficBatch charged;
+    std::uint64_t dropped_crash = 0;
+    [[nodiscard]] std::uint64_t copies() const noexcept {
+      return charged.messages + dropped_crash;
+    }
+  };
 
   /// Everything one shard owns. During the parallel phases a shard's data
   /// is touched only by the worker running that shard (lanes are written by
@@ -417,6 +435,18 @@ class Network {
     /// phase (in shard order; integer sums/maxes make the reduction exact).
     RunStats traffic;
 
+    /// Copies this shard staged for already-done destinations that fall
+    /// due in a future round (fault delay or ARQ recovery), by due round:
+    /// the charges their arrival makes, or the crash silencing when the
+    /// destination is crashed at that round. Written by this shard's stage
+    /// phase, merged into stats_ by the due round's serial reduction, and
+    /// counted as in flight (next_delayed_round, stall_report) until then.
+    std::map<std::uint64_t, DoneTally> done_tally;  // nclint:allow(ordered-map) cross-round tallies exist only under an active fault plan, a handful of due rounds at a time
+
+    /// Copies this shard charged or tallied at stage time because their
+    /// destination was done (cumulative; NetProfile::done_copies).
+    std::uint64_t done_copies = 0;
+
     /// In-flight delayed messages addressed to this shard's nodes, bucketed
     /// by delivery round (fault engine only). Filled by this shard's own
     /// deliver phase — staged rows whose deliver_round is in the future are
@@ -445,9 +475,10 @@ class Network {
     std::uint64_t bcast_saved = 0;
 
     /// Telemetry partials (NetConfig::telemetry only; zero cost otherwise):
-    /// per-round on_round invocations, lane messages staged and FEC parks,
-    /// plus this shard's phase spans of the round. All shard-thread-owned;
-    /// drained serially (in shard order) at the end of each round.
+    /// per-round on_round invocations, messages staged (copies to done
+    /// nodes included) and FEC parks, plus this shard's phase spans of the
+    /// round. All shard-thread-owned; drained serially (in shard order) at
+    /// the end of each round.
     std::uint64_t telem_wakeups = 0;
     std::uint64_t telem_staged = 0;
     std::uint64_t telem_fec_parks = 0;
@@ -474,7 +505,9 @@ class Network {
   bool step(bool allow_fast_forward);
 
   /// Stage phase: schedules shard s's active links into its outgoing lanes
-  /// and compacts the active set. Touches only shard-s-owned state.
+  /// and compacts the active set. A copy whose destination is already done
+  /// goes through charge_done_copy instead of a lane. Writes only
+  /// shard-s-owned state; reads done_ of every node.
   void stage_shard(unsigned s);
 
   /// Deliver phase of destination shard d: walks the round's copies in
@@ -512,19 +545,33 @@ class Network {
   /// order), then every source shard's lane d in ascending source-shard
   /// order, broadcast receivers expanded in packed order. Calls
   /// fn(block, row, copy) for each copy to apply now. Unless kCount, a
-  /// future copy goes to its delayed bucket and a due copy to a crashed
-  /// destination is charged as silenced; kCount skips both silently, so a
-  /// counting pass has no side effects.
+  /// future copy goes to its delayed bucket and a due bucket copy to a
+  /// crashed destination is charged as silenced; kCount skips both
+  /// silently, so a counting pass has no side effects. An on-time lane copy
+  /// always addresses a live node (an nc_invariant): the stage phase has
+  /// already accounted for those to done or crashed ones.
   template <bool kCount, typename Fn>
   void for_each_due_copy(Shard& dst, unsigned d, Fn&& fn);
 
   /// Applies `count` copies to node `to` in the given order. Every copy is
-  /// charged to rx_count and `batch` (flushed into the shard's traffic
-  /// partial once per phase) — broadcast copies included, at the full wire
-  /// bits a per-edge row would carry; the copies reach the inbox and wake
-  /// the node unless it is done.
+  /// charged to `batch` (flushed into the shard's traffic partial once per
+  /// phase) — broadcast copies included, at the full wire bits a per-edge
+  /// row would carry. Unless `to` is done, the copies also count in
+  /// rx_count, reach the inbox and wake the node. Only a delayed copy can
+  /// find its destination done: it was staged before the node finished.
   void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                     const MsgBlock::Copy* run, std::size_t count);
+
+  /// One copy, due at `due` (0 or the current round = on time), whose
+  /// destination `to` is already done, accounted for at stage time by its
+  /// source shard instead of entering a lane: an on-time copy is charged to
+  /// `batch` now; a later one goes into the shard's done_tally under its
+  /// due round, as crash-silenced if `to` is crashed then. Done is monotone
+  /// and no callback runs between stage and deliver, so RunStats and every
+  /// per-round total come out as if the copy had been delivered.
+  void charge_done_copy(Shard& sh, TrafficBatch& batch, NodeId to,
+                        std::uint64_t due, std::uint16_t kind,
+                        std::uint64_t wire_bits);
 
   /// Outcome of the combined fault + reliability channel decision for one
   /// scheduled message: deliver (possibly at a future round), drop
@@ -555,9 +602,12 @@ class Network {
   /// Resolves every pending FEC window of shard `sh` whose close round has
   /// passed: draws the repair survivals, releases the parked rows (in park
   /// = stream order) into the shard's lanes at the computed release round,
-  /// or drops the unrecovered losses. Runs at the top of the stage phase,
-  /// before any new traffic of the round is staged.
-  void resolve_fec_windows(Shard& sh);
+  /// or drops the unrecovered losses. A row released for this round to a
+  /// crashed destination is silenced, and one to a done destination goes
+  /// through charge_done_copy (on-time charges into `done_batch`). Runs at
+  /// the top of the stage phase, before any new traffic of the round is
+  /// staged.
+  void resolve_fec_windows(Shard& sh, TrafficBatch& done_batch);
 
   /// Queues `v` on its owning shard's wake list (no-op if done or queued).
   void wake(Shard& sh, NodeId v);
@@ -582,13 +632,17 @@ class Network {
   }
 
   /// Smallest future round holding an in-flight delayed message, or
-  /// kNoAlarm. Buckets at or before the current round are always drained
-  /// by the round's deliver phase, so every key is strictly future.
+  /// kNoAlarm — a copy to a done node tallied for its due round counts.
+  /// Buckets and tallies at or before the current round are always drained
+  /// by the round itself, so every key is strictly future.
   [[nodiscard]] std::uint64_t next_delayed_round() const noexcept {
     std::uint64_t best = kNoAlarm;
     for (const auto& sh : shards_) {
       if (!sh.delayed.empty()) {
         best = std::min(best, sh.delayed.begin()->first);
+      }
+      if (!sh.done_tally.empty()) {
+        best = std::min(best, sh.done_tally.begin()->first);
       }
     }
     return best;
@@ -648,6 +702,13 @@ class Network {
   std::uint64_t round_ = 0;
   std::vector<std::unique_ptr<INode>> nodes_;
   std::vector<NodeState> states_;
+
+  // Per-node done flags (n bytes), the only record of set_done and of a
+  // permanent crash. Written by the node's own callbacks (on_start and the
+  // wake phase, on the owning shard's thread) and the serial churn events;
+  // read by every shard's stage phase, after the pool barrier, to keep
+  // copies to done nodes out of the lanes.
+  std::vector<std::uint8_t> done_;
 
   // One Link per directed edge, indexed like the CSR mirror below (e =
   // edge_base_[v] + ni): v's links are contiguous and each draws its stream

@@ -31,8 +31,10 @@ struct Telemetry {
     std::vector<std::uint64_t> round;         ///< sampled round numbers
     std::vector<std::uint64_t> active_links;  ///< links pending after the round
     std::vector<std::uint64_t> wakeups;       ///< on_round callbacks in window
-    std::vector<std::uint64_t> staged;        ///< lane messages staged in window,
-                                              ///< summed over shards
+    std::vector<std::uint64_t> staged;        ///< messages staged in window
+                                              ///< (copies to done nodes
+                                              ///< included), summed over
+                                              ///< shards
     std::vector<std::uint64_t> delivered;     ///< messages delivered in window
     std::vector<std::uint64_t> lost;          ///< fault-engine drops in window
     std::vector<std::uint64_t> delayed;       ///< delay deferrals in window

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/driver.hpp"
 #include "core/protocol.hpp"
@@ -657,7 +659,8 @@ TEST(Runtime, DeliveriesToDoneNodesAreChargedNotStored) {
   // it. Every later delivery is charged to RunStats like any other, but
   // nothing is stored: the centre's inbox is dropped once the callback that
   // set it done returns, and the leaves receive nothing, so no inbox byte
-  // is live from then on.
+  // is live from then on. A copy staged once the centre is done never
+  // enters a lane: the profile's done_copies counts those.
   constexpr NodeId kLeaves = 8;
   const Graph g = testing::star_graph(kLeaves);
   const std::uint64_t wire = stream_header_bits(id_width(g.n())) + 8;
@@ -710,10 +713,17 @@ TEST(Runtime, DeliveriesToDoneNodesAreChargedNotStored) {
         EXPECT_EQ(stats.acks_sent, 67u);
         EXPECT_EQ(stats.bits_by_kind[kData], (sent + 11) * wire);
         EXPECT_EQ(stats.bits, 2258u);
+        // Every copy staged from round 2 on is accounted for at stage
+        // time, a lost one that ARQ recovers included: the centre woke,
+        // and finished, in round 1.
+        EXPECT_EQ(prof.done_copies, sent - kLeaves);
       } else {
         EXPECT_EQ(stats.bits, sent * wire);
         EXPECT_EQ(stats.bits_by_kind[kData], stats.bits);
         EXPECT_EQ(stats.messages_delayed, 0u);
+        // The centre is done after round 1, so each leaf's copies of
+        // rounds 2..kLast+1 never enter a lane.
+        EXPECT_EQ(prof.done_copies, sent - kLeaves);
       }
       EXPECT_EQ(prof.inbox_bytes_live, 0u);
       EXPECT_EQ(prof.link_bytes_live, 0u);
@@ -723,6 +733,162 @@ TEST(Runtime, DeliveriesToDoneNodesAreChargedNotStored) {
       } else {
         EXPECT_EQ(stats_json(stats), first_stats);
       }
+    }
+  }
+}
+
+/// What DoneCopiesInFlightKeepTheirDueRoundAndCrashVerdict reads after each
+/// round: RunStats' messages and messages_dropped_crash, and the stall
+/// report's in-flight delayed copies.
+struct RoundCounters {
+  std::uint64_t messages;
+  std::uint64_t dropped_crash;
+  std::uint64_t in_flight;
+  bool operator==(const RoundCounters&) const = default;
+};
+
+TEST(Runtime, DoneCopiesInFlightKeepTheirDueRoundAndCrashVerdict) {
+  // The centre of a 4-leaf star is crashed in rounds [4, 7); the leaves
+  // send to it in rounds 1..7 with up to 3 rounds of delay. Its first mail
+  // lands in round 2, when it sets done, so from round 3 on every delayed
+  // copy to it is tallied by its sender's shard under its due round:
+  // silenced if the centre is crashed then, charged otherwise. The counters
+  // must advance in the same rounds, by the same amounts, as when each such
+  // copy rode a delayed bucket to its due round — the values below, which
+  // the engine produced that way — and the stall report must count the
+  // tallied copies as in flight. Copies staged in rounds 1 and 2 reach
+  // buckets and are due by round 5, so the copies in flight after rounds
+  // 7..9 are all tallies.
+  constexpr NodeId kLeaves = 4;
+  const Graph g = testing::star_graph(kLeaves);
+  const FaultPlan plan = parse_fault_plan(
+      "delay_max=3,crash_frac=0.5,crash_round=4,recover_after=3,"
+      "fault_seed=96");
+  {
+    const FaultEngine schedule(plan, g.n(), 2 * kLeaves, 5);
+    ASSERT_EQ(schedule.crash_round(0), 4u);
+    ASSERT_EQ(schedule.recover_round(0), 7u);
+    for (NodeId v = 1; v <= kLeaves; ++v) {
+      ASSERT_EQ(schedule.crash_round(v), FaultEngine::kNever);
+    }
+  }
+  const std::vector<RoundCounters> kPinned = {
+      {0, 0, 4},  {1, 0, 7},  {3, 0, 9},  {3, 11, 2}, {3, 17, 0}, {3, 21, 0},
+      {3, 21, 4}, {4, 21, 3}, {6, 21, 1}, {7, 21, 0}, {7, 21, 0}, {7, 21, 0},
+  };
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetConfig cfg;
+    cfg.bandwidth_factor = 16;
+    cfg.seed = 5;
+    cfg.threads = threads;
+    cfg.faults = plan;
+    NetProfile prof;
+    cfg.profile = &prof;
+    Network net(g, cfg, [](NodeId v) -> std::unique_ptr<INode> {
+      if (v == 0) return std::make_unique<DoneSink>();
+      return std::make_unique<ChattyLeaf>();
+    });
+    std::vector<RoundCounters> seen;
+    for (std::size_t r = 0; r < kPinned.size(); ++r) {
+      net.run_rounds(1);
+      seen.push_back(RoundCounters{net.stats().messages,
+                                   net.stats().messages_dropped_crash,
+                                   net.stall_report().delayed_in_flight});
+    }
+    EXPECT_EQ(seen, kPinned);
+    EXPECT_EQ(static_cast<DoneSink&>(net.node(0)).wakeups, 1);
+    const RunStats stats = net.run();
+    EXPECT_FALSE(stats.stalled);
+    EXPECT_EQ(stats.rounds, ChattyLeaf::kLast + ChattyLeaf::kSlack);
+    EXPECT_EQ(stats.messages, kPinned.back().messages);
+    EXPECT_EQ(stats.messages_dropped_crash, kPinned.back().dropped_crash);
+    EXPECT_EQ(stats.crash_events, 1u);
+    // The copies staged in rounds 3 and 7; those of rounds 4..6 are
+    // silenced at stage time, since the centre is crashed then.
+    EXPECT_EQ(prof.done_copies, 2 * kLeaves);
+  }
+}
+
+/// Sender of FecReleaseNeverWakesACrashedNode: one 4-bit symbol a round on
+/// a stream to its only neighbour, opened in on_start, through round 40.
+class FecTicker : public INode {
+ public:
+  static constexpr std::uint64_t kLast = 40;
+  void on_start(NodeApi& api) override {
+    out_ = api.open_stream_one(StreamKey{kData, api.id(), 0}, 0);
+    out_.put(0, 4);
+    api.set_alarm(1);
+  }
+  void on_round(NodeApi& api) override {
+    const std::uint64_t r = api.round();
+    out_.put(r % 16, 4);
+    if (r == kLast) {
+      out_.close();
+      api.set_done();
+      return;
+    }
+    api.set_alarm(r + 1);
+  }
+
+ private:
+  OutChannel out_;
+};
+
+/// Listener of that test: records the rounds it is woken in and its churn
+/// hooks' rounds.
+class WakeRecorder : public INode {
+ public:
+  void on_start(NodeApi&) override {}
+  void on_round(NodeApi& api) override { woken.push_back(api.round()); }
+  void on_crash(NodeApi& api) override { crashed_at = api.round(); }
+  void on_recover(NodeApi& api) override { recovered_at = api.round(); }
+  std::vector<std::uint64_t> woken;
+  std::uint64_t crashed_at = 0;
+  std::uint64_t recovered_at = 0;
+};
+
+TEST(Runtime, FecReleaseNeverWakesACrashedNode) {
+  // A 2-node path under FEC and churn: the listener crashes in round 12
+  // and recovers in round 22, while an FEC window of the sender's stream is
+  // released at the top of round 13. A row released for the current round
+  // must be silenced like any copy arriving at a crashed host, not applied:
+  // INode::on_crash promises no on_round inside the window.
+  const Graph g = testing::path_graph(2);
+  std::string first_stats;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetConfig cfg;
+    cfg.bandwidth_factor = 16;
+    cfg.seed = 5;
+    cfg.threads = threads;
+    cfg.faults = parse_fault_plan(
+        "loss=0.3,crash_frac=0.5,crash_round=12,recover_after=10,"
+        "fault_seed=335");
+    cfg.reliability =
+        parse_reliability_plan("rel_mode=2,rel_fec_window=4,rel_fec_repair=1");
+    Network net(g, cfg, [](NodeId v) -> std::unique_ptr<INode> {
+      if (v == 0) return std::make_unique<FecTicker>();
+      return std::make_unique<WakeRecorder>();
+    });
+    const RunStats stats = net.run();
+    const auto& listener = static_cast<WakeRecorder&>(net.node(1));
+    ASSERT_EQ(listener.crashed_at, 12u);
+    ASSERT_EQ(listener.recovered_at, 22u);
+    EXPECT_FALSE(listener.woken.empty());
+    for (const std::uint64_t r : listener.woken) {
+      EXPECT_FALSE(r >= 12 && r < 22) << "woken in round " << r;
+    }
+    // Two rows released in round 13 are silenced; the engine used to
+    // deliver them (27 messages, 10 crash-silenced) and wake the listener.
+    EXPECT_EQ(stats.messages, 25u);
+    EXPECT_EQ(stats.messages_dropped_crash, 12u);
+    EXPECT_EQ(stats.messages_lost, 4u);
+    EXPECT_EQ(stats.fec_repairs, 8u);
+    if (first_stats.empty()) {
+      first_stats = stats_json(stats);
+    } else {
+      EXPECT_EQ(stats_json(stats), first_stats);
     }
   }
 }
