@@ -279,6 +279,13 @@ long long threads_from_args(const Args& args) {
 /// The plan the capture flags (--metrics / --trace) feed.
 constexpr const char* kCapturePlan = "telemetry";
 
+/// `flags` plus one flag per runtime plan (--faults, --reliability,
+/// --telemetry), named as runtime_plans() registers them.
+std::vector<std::string> with_plan_flags(std::vector<std::string> flags) {
+  for (const auto& plan : runtime_plans()) flags.push_back(plan.name);
+  return flags;
+}
+
 /// Forwards a run-wide knob's bag (`flag` names it: threads, profile or a
 /// plan) into one algorithm's params by the shared forward_params rule,
 /// and says so on stderr when the algorithm declares none of its keys
@@ -368,6 +375,10 @@ std::string capture_label(const TelemetryCapture::Entry& e) {
 }
 
 int cmd_run(const Args& args) {
+  args.reject_unknown(
+      "run", with_plan_flags({"scenario", "params", "algo", "algo-params",
+                              "seed", "threads", "metrics", "trace", "repeat",
+                              "time", "profile", "json", "dot"}));
   const auto scenario = args.get("scenario", "planted_near_clique");
   const auto algo = args.get("algo", "dist_near_clique");
   const std::uint64_t seed = seed_from_args(args);
@@ -507,39 +518,8 @@ int cmd_run(const Args& args) {
       result.stall.to_json(w);
     }
     if (profiled) {
-      // fused_seconds is always 0 (NetProfile); the key keeps the schema.
-      const NetProfile& pr = result.profile;
-      w.key("profile")
-          .begin_object()
-          .key("stage_seconds")
-          .value(pr.stage_seconds)
-          .key("deliver_seconds")
-          .value(pr.deliver_seconds)
-          .key("fused_seconds")
-          .value(pr.fused_seconds)
-          .key("wake_seconds")
-          .value(pr.wake_seconds)
-          .key("arena_bytes_total")
-          .value(pr.arena_bytes_total)
-          .key("arena_bytes_peak_shard")
-          .value(pr.arena_bytes_peak_shard)
-          .key("lane_msgs_peak")
-          .value(pr.lane_msgs_peak)
-          .key("delayed_msgs_peak")
-          .value(pr.delayed_msgs_peak)
-          .key("broadcast_payload_bytes_saved")
-          .value(pr.broadcast_payload_bytes_saved)
-          .key("done_copies")
-          .value(pr.done_copies)
-          .key("inbox_bytes_carved")
-          .value(pr.inbox_bytes_carved)
-          .key("inbox_bytes_live")
-          .value(pr.inbox_bytes_live)
-          .key("link_bytes_carved")
-          .value(pr.link_bytes_carved)
-          .key("link_bytes_live")
-          .value(pr.link_bytes_live)
-          .end_object();
+      w.key("profile");
+      result.profile.to_json(w);
     }
     if (timed) {
       w.key("timing")
@@ -650,18 +630,21 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
+  // The flags that define the experiment; a --spec document defines it
+  // instead, so spec mode rejects them.
+  const std::vector<std::string> experiment = with_plan_flags(
+      {"scenario", "params", "algos", "algo", "algo-params", "grid", "trials",
+       "seed", "seq-seeds", "threads", "success", "success2", "success-eps",
+       "success-delta", "success-min-size", "success-max-eps"});
+  std::vector<std::string> flags = experiment;
+  flags.insert(flags.end(), {"spec", "title", "json", "metrics", "trace"});
+  args.reject_unknown("sweep", flags);
   SweepSpec spec;
   if (args.has("spec")) {
     // Spec-file mode: the JSON document is the whole configuration;
     // --title and the --json output target still apply on top. Any other
     // experiment-defining flag would be silently dead, so reject it.
-    std::vector<std::string> flags = {
-        "scenario", "params", "algos", "algo", "algo-params", "grid",
-        "trials", "seed", "seq-seeds", "threads", "success", "success2",
-        "success-eps", "success-delta", "success-min-size",
-        "success-max-eps"};
-    for (const auto& plan : runtime_plans()) flags.push_back(plan.name);
-    for (const auto& flag : flags) {
+    for (const auto& flag : experiment) {
       if (args.has(flag)) {
         throw std::invalid_argument(
             "--" + flag +

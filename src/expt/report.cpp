@@ -1,6 +1,5 @@
 #include "expt/report.hpp"
 
-#include <iostream>
 #include <sstream>
 
 namespace nc {
@@ -22,10 +21,6 @@ void append_stats_cells(std::vector<std::string>& row,
   row.push_back(Table::num(stats.recall.mean(), 2));
   row.push_back(Table::num(stats.rounds.mean(), 0));
   row.push_back(Table::num(stats.max_msg_bits.max(), 0));
-}
-
-void print_table(const std::string& title, const Table& table) {
-  std::cout << "\n=== " << title << " ===\n" << table << "\n";
 }
 
 std::uint64_t bits_for_kinds(const RunStats& stats,

@@ -17,9 +17,6 @@ void append_stats_cells(std::vector<std::string>& row,
 /// The standard column headers matching append_stats_cells.
 std::vector<std::string> stats_headers();
 
-/// Prints a titled table to stdout with a blank line around it.
-void print_table(const std::string& title, const Table& table);
-
 /// Sum of RunStats::bits_by_kind over the listed kinds (out-of-range kinds
 /// contribute zero). Shared by the stage-breakdown experiments.
 [[nodiscard]] std::uint64_t bits_for_kinds(

@@ -37,7 +37,7 @@ ScenarioRegistry build_global_registry() {
   // These seed Rng(seed) directly — exactly what the examples historically
   // wrote by hand — so pre-registry fixed-seed outputs are reproduced
   // bit-for-bit. (The E1..E12 workload families further down keep their
-  // historical expt/workloads.cpp seed salts for the same reason.)
+  // historical seed salts for the same reason.)
   r.add({"erdos_renyi", "G(n, p): every pair independently an edge",
          ScenarioParams().with("n", 200).with("p", 0.1),
          [](const ScenarioParams& p, std::uint64_t seed) {
@@ -225,8 +225,8 @@ ScenarioRegistry build_global_registry() {
          }});
 
   // ---------------------------- canonical experiment workloads (E1..E12)
-  // Seed salts match the original expt/workloads.cpp constants so existing
-  // fixed-seed experiment instances are reproduced exactly.
+  // Each family keeps its historical seed salt so existing fixed-seed
+  // experiment instances are reproduced exactly.
   r.add({"theorem",
          "Theorem 2.1/5.7 premise: exactly-eps^3-near clique of size delta*n",
          ScenarioParams()

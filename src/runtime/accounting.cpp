@@ -72,4 +72,23 @@ void RunStats::to_json(JsonWriter& w) const {
   w.end_object();
 }
 
+void NetProfile::to_json(JsonWriter& w) const {
+  w.begin_object();
+  w.key("stage_seconds").value(stage_seconds);
+  w.key("deliver_seconds").value(deliver_seconds);
+  w.key("fused_seconds").value(fused_seconds);
+  w.key("wake_seconds").value(wake_seconds);
+  w.key("arena_bytes_total").value(arena_bytes_total);
+  w.key("arena_bytes_peak_shard").value(arena_bytes_peak_shard);
+  w.key("lane_msgs_peak").value(lane_msgs_peak);
+  w.key("delayed_msgs_peak").value(delayed_msgs_peak);
+  w.key("broadcast_payload_bytes_saved").value(broadcast_payload_bytes_saved);
+  w.key("done_copies").value(done_copies);
+  w.key("inbox_bytes_carved").value(inbox_bytes_carved);
+  w.key("inbox_bytes_live").value(inbox_bytes_live);
+  w.key("link_bytes_carved").value(link_bytes_carved);
+  w.key("link_bytes_live").value(link_bytes_live);
+  w.end_object();
+}
+
 }  // namespace nc

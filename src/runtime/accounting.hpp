@@ -152,6 +152,11 @@ struct NetProfile {
   std::uint64_t inbox_bytes_live = 0;
   std::uint64_t link_bytes_carved = 0;
   std::uint64_t link_bytes_live = 0;
+
+  /// Complete JSON object (begin_object .. end_object) via util/json, one
+  /// key per field in declaration order: the `profile` object of
+  /// `nearclique run --profile --json`.
+  void to_json(JsonWriter& w) const;
 };
 
 }  // namespace nc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -51,35 +50,6 @@ void FaultPlan::validate() const {
     throw std::invalid_argument(
         "fault plan: crash_round must be >= 1 (rounds start at 1)");
   }
-}
-
-std::string FaultPlan::summary() const {
-  if (!any()) return "none";
-  std::ostringstream os;
-  const char* sep = "";
-  if (loss > 0.0) {
-    os << sep << "loss=" << loss;
-    sep = " ";
-  }
-  if (ge_p > 0.0) {
-    os << sep << "ge=(p=" << ge_p << ",r=" << ge_r << ",good=" << ge_loss_good
-       << ",bad=" << ge_loss_bad << ")";
-    sep = " ";
-  }
-  if (delay_max > 0) {
-    os << sep << "delay=[" << delay_min << "," << delay_max << "]";
-    sep = " ";
-  }
-  if (crash_frac > 0.0) {
-    os << sep << "crash=" << crash_frac << "@r" << crash_round;
-    if (recover_after > 0) os << "+" << recover_after;
-    sep = " ";
-  }
-  if (loss_hook) {
-    os << sep << "hook";
-    sep = " ";
-  }
-  return os.str();
 }
 
 const ParamSet& fault_param_defaults() {

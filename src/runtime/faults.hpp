@@ -91,9 +91,6 @@ struct FaultPlan {
   /// delay_min > delay_max, ge_p > 0 with ge_r == 0 (the chain would absorb
   /// into the bad state), or crash_round == 0 (nodes exist from round 1).
   void validate() const;
-
-  /// One-line "loss=0.05 delay=[0,3] crash=1%@r10+50" style rendering.
-  [[nodiscard]] std::string summary() const;
 };
 
 /// The complete legal fault parameter set with its default (fault-free)

@@ -1,7 +1,6 @@
 #include "runtime/reliability.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -37,17 +36,6 @@ void ReliabilityPlan::validate() const {
     throw std::invalid_argument(
         "reliability plan: rel_fec_window must be >= 1 round");
   }
-}
-
-std::string ReliabilityPlan::summary() const {
-  if (!any()) return "none";
-  std::ostringstream os;
-  if (mode == Mode::kAck) {
-    os << "ack(timeout=" << ack_timeout << ",retx=" << max_retx << ")";
-  } else {
-    os << "fec(window=" << fec_window << ",repair=" << fec_repair << ")";
-  }
-  return os.str();
 }
 
 const ParamSet& reliability_param_defaults() {

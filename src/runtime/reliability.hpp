@@ -85,9 +85,6 @@ struct ReliabilityPlan {
 
   /// Throws std::invalid_argument on a zero timer/window or an unknown mode.
   void validate() const;
-
-  /// One-line "ack(timeout=2,retx=8)" / "fec(window=4,repair=2)" rendering.
-  [[nodiscard]] std::string summary() const;
 };
 
 /// The complete legal reliability parameter set with its default (off)

@@ -25,26 +25,6 @@ void TelemetryPlan::validate() const {
   }
 }
 
-std::string TelemetryPlan::summary() const {
-  if (!requested()) return "off";
-  std::ostringstream os;
-  const char* sep = "";
-  if (metrics) {
-    os << "metrics";
-    sep = "+";
-  }
-  if (trace) {
-    os << sep << "trace";
-    sep = "+";
-  }
-  if (probes) {
-    os << sep << "probes";
-  }
-  os << " stride=" << stride << " cap=" << max_samples << "/" << max_spans;
-  if (sink == nullptr) os << " (no sink)";
-  return os.str();
-}
-
 const ParamSet& telemetry_param_defaults() {
   static const ParamSet defaults = [] {
     TelemetryPlan d;

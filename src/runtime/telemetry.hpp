@@ -137,9 +137,6 @@ struct TelemetryPlan {
 
   /// Throws std::invalid_argument on stride == 0 or zero budgets.
   void validate() const;
-
-  /// One-line "metrics+trace stride=8 cap=65536/262144" style rendering.
-  [[nodiscard]] std::string summary() const;
 };
 
 /// The complete legal telemetry parameter set with its default (all-off)

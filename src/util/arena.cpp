@@ -6,10 +6,6 @@
 
 namespace nc {
 
-Arena::Arena(std::size_t initial_capacity) {
-  if (initial_capacity > 0) grow(initial_capacity);
-}
-
 Arena::~Arena() { release(); }
 
 Arena::Arena(Arena&& other) noexcept

@@ -37,7 +37,6 @@ namespace nc {
 class Arena {
  public:
   Arena() = default;
-  explicit Arena(std::size_t initial_capacity);
   ~Arena();
 
   Arena(const Arena&) = delete;

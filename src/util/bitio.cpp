@@ -1,38 +1,6 @@
 #include "util/bitio.hpp"
 
-#include <bit>
-#include <cassert>
-
 namespace nc {
-
-void BitWriter::put(std::uint64_t value, unsigned width) {
-  assert(width <= 64);
-  assert(width == 64 || value < (1ULL << width));
-  if (width == 0) return;
-  const std::size_t word = bits_ >> 6;
-  const unsigned off = static_cast<unsigned>(bits_ & 63);
-  if (word >= words_.size()) words_.push_back(0);
-  words_[word] |= value << off;
-  if (off + width > 64) {
-    words_.push_back(value >> (64 - off));
-  }
-  bits_ += width;
-}
-
-std::uint64_t BitReader::get(unsigned width) {
-  assert(width <= 64);
-  assert(remaining() >= width);
-  if (width == 0) return 0;
-  const std::size_t word = pos_ >> 6;
-  const unsigned off = static_cast<unsigned>(pos_ & 63);
-  std::uint64_t v = (*words_)[word] >> off;
-  if (off + width > 64) {
-    v |= (*words_)[word + 1] << (64 - off);
-  }
-  pos_ += width;
-  if (width < 64) v &= (1ULL << width) - 1;
-  return v;
-}
 
 unsigned id_width(std::uint64_t n) noexcept {
   // Smallest w with 2^w > n, i.e. enough to represent any value in [0, n].

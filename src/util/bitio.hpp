@@ -1,64 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace nc {
 
-/// Append-only bit-level encoder.
-///
-/// The CONGEST runtime accounts message sizes in bits, so every payload is
-/// serialized through this writer. Values are written little-endian,
-/// fixed-width; widths are chosen by the caller (typically ceil(log2(n+1))
-/// bits for IDs and counters, per the paper's "messages can describe a
-/// constant number of nodes, edges, and polynomially-bounded numbers").
-class BitWriter {
- public:
-  /// Appends the low `width` bits of `value`. Precondition: width <= 64 and
-  /// value < 2^width.
-  void put(std::uint64_t value, unsigned width);
-
-  /// Appends a single bit.
-  void put_bit(bool b) { put(b ? 1 : 0, 1); }
-
-  /// Number of bits written so far.
-  [[nodiscard]] std::size_t bit_size() const noexcept { return bits_; }
-
-  /// The backing words (little-endian bit order within each word).
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
-    return words_;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-  std::size_t bits_ = 0;
-};
-
-/// Sequential bit-level decoder over a BitWriter's output.
-class BitReader {
- public:
-  BitReader(const std::vector<std::uint64_t>& words, std::size_t bit_size)
-      : words_(&words), bits_(bit_size) {}
-
-  /// Reads the next `width` bits as an unsigned value.
-  /// Precondition: remaining() >= width.
-  std::uint64_t get(unsigned width);
-
-  /// Reads a single bit.
-  bool get_bit() { return get(1) != 0; }
-
-  /// Bits not yet consumed.
-  [[nodiscard]] std::size_t remaining() const noexcept { return bits_ - pos_; }
-
- private:
-  const std::vector<std::uint64_t>* words_;
-  std::size_t bits_;
-  std::size_t pos_ = 0;
-};
-
 /// Width in bits of the standard CONGEST "word": enough for any ID in [0, n]
 /// or any counter bounded by a polynomial in n of fixed degree. The paper's
-/// counters are at most n, so ceil(log2(n+1)) suffices.
+/// counters are at most n, so ceil(log2(n+1)) suffices. Stream tags and the
+/// protocols' ID and counter fields are charged at this width.
 unsigned id_width(std::uint64_t n) noexcept;
 
 }  // namespace nc

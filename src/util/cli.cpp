@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -75,5 +76,16 @@ bool Args::get_bool(const std::string& key, bool def) const {
 }
 
 bool Args::has(const std::string& key) const { return kv_.count(key) > 0; }
+
+void Args::reject_unknown(const std::string& command,
+                          const std::vector<std::string>& flags) const {
+  for (const auto& [key, value] : kv_) {
+    if (std::find(flags.begin(), flags.end(), key) != flags.end()) continue;
+    std::string msg =
+        "unknown flag '--" + key + "' for '" + command + "'; its flags:";
+    for (const auto& flag : flags) msg += " --" + flag;
+    throw std::invalid_argument(msg);
+  }
+}
 
 }  // namespace nc

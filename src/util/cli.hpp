@@ -3,12 +3,14 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace nc {
 
 /// Minimal `--key=value` / `--flag` command-line parser for the `nearclique`
 /// CLI, the example programs and perfbench's `nc_op`. A bare `--flag`
-/// stores "1". Unknown keys are kept; callers decide which keys they read.
+/// stores "1". Unknown keys are kept; a caller that declares its flags
+/// rejects the rest with reject_unknown.
 class Args {
  public:
   /// Parses argv; arguments not starting with "--" are ignored.
@@ -28,6 +30,13 @@ class Args {
 
   /// True if the key was present on the command line.
   [[nodiscard]] bool has(const std::string& key) const;
+
+  /// Throws std::invalid_argument naming the first key that is not in
+  /// `flags`, the `command` it was given to, and `flags` themselves. The
+  /// `nearclique` commands call it, so a typo such as --thread exits with
+  /// an error instead of running on the default.
+  void reject_unknown(const std::string& command,
+                      const std::vector<std::string>& flags) const;
 
  private:
   std::map<std::string, std::string> kv_;

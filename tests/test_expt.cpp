@@ -2,42 +2,65 @@
 
 #include "algo/registry.hpp"
 #include "expt/report.hpp"
+#include "expt/scenario.hpp"
 #include "expt/trial.hpp"
-#include "expt/workloads.hpp"
 #include "graph/metrics.hpp"
 
 namespace nc {
 namespace {
 
+/// The "theorem" family (Theorem 2.1/5.7 premise) at explicit parameters.
+Instance theorem_instance(NodeId n, double delta, double eps,
+                          double background_p, double halo_p,
+                          std::uint64_t seed) {
+  return make_scenario("theorem",
+                       ScenarioParams()
+                           .with("n", n)
+                           .with("delta", delta)
+                           .with("eps", eps)
+                           .with("background_p", background_p)
+                           .with("halo_p", halo_p),
+                       seed);
+}
+
 TEST(Workloads, TheoremInstanceMeetsPremise) {
   const double eps = 0.2;
-  const auto inst = make_theorem_instance(150, 0.4, eps, 0.08, 0.2, 7);
+  const auto inst = theorem_instance(150, 0.4, eps, 0.08, 0.2, 7);
   EXPECT_EQ(inst.planted.size(), 60u);
   // The premise of Theorem 5.7: D is an eps^3-near clique of size delta*n.
   EXPECT_TRUE(is_near_clique(inst.graph, inst.planted, eps * eps * eps));
 }
 
 TEST(Workloads, DeterministicInSeed) {
-  const auto a = make_theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 3);
-  const auto b = make_theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 3);
+  const auto a = theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 3);
+  const auto b = theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 3);
   EXPECT_EQ(a.graph.edge_list(), b.graph.edge_list());
   EXPECT_EQ(a.planted, b.planted);
-  const auto c = make_theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 4);
+  const auto c = theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 4);
   EXPECT_NE(a.graph.edge_list(), c.graph.edge_list());
 }
 
 TEST(Workloads, FamiliesProduceExpectedShapes) {
-  EXPECT_EQ(make_linear_instance(100, 0.2, 1).planted.size(), 50u);
-  const auto sub = make_sublinear_instance(500, 0.5, 2);
+  EXPECT_EQ(make_scenario("linear",
+                          ScenarioParams().with("n", 100).with("eps", 0.2), 1)
+                .planted.size(),
+            50u);
+  const auto sub = make_scenario(
+      "sublinear", ScenarioParams().with("n", 500).with("alpha", 0.5), 2);
   EXPECT_GT(sub.planted.size(), 200u);
   EXPECT_LT(sub.planted.size(), 500u);
-  const auto ce = make_counterexample_instance(100, 0.5, 3);
+  const auto ce = make_scenario(
+      "counterexample", ScenarioParams().with("n", 100).with("delta", 0.5), 3);
   EXPECT_EQ(ce.planted.size(), 50u);
-  const auto barbell = make_barbell_instance(64, false);
+  const auto barbell = make_scenario(
+      "barbell", ScenarioParams().with("n", 64).with("delete_a_edges", false),
+      0);
   EXPECT_EQ(barbell.planted.size(), 16u);
-  const auto web = make_web_instance(200, 30, 0.2, 4);
+  const auto web = make_scenario(
+      "web",
+      ScenarioParams().with("n", 200).with("community", 30).with("eps", 0.2),
+      4);
   EXPECT_EQ(web.planted.size(), 30u);
-  EXPECT_FALSE(describe_instance("planted", 100, 0.5).empty());
 }
 
 TEST(Theorem57, BoundsFormula) {
@@ -53,7 +76,7 @@ TEST(Theorem57, BoundsFormula) {
 TEST(TrialRunner, AggregatesDeterministically) {
   TrialSpec spec;
   spec.make_instance = [](std::uint64_t seed) {
-    return make_theorem_instance(60, 0.5, 0.2, 0.08, 0.2, seed);
+    return theorem_instance(60, 0.5, 0.2, 0.08, 0.2, seed);
   };
   spec.run = [](const Graph& g, std::uint64_t seed) {
     DriverConfig cfg;

@@ -66,13 +66,6 @@ TEST(FaultPlan, DefaultsDeclareEveryKey) {
   EXPECT_FALSE(fault_plan_from_params(defaults).any());
 }
 
-TEST(FaultPlan, SummaryNamesActiveModels) {
-  EXPECT_EQ(FaultPlan{}.summary(), "none");
-  const FaultPlan plan = parse_fault_plan("loss=0.1,crash_frac=0.5");
-  EXPECT_NE(plan.summary().find("loss=0.1"), std::string::npos);
-  EXPECT_NE(plan.summary().find("crash=0.5"), std::string::npos);
-}
-
 TEST(FaultHash, IsAPureKeyedFunction) {
   const std::uint64_t a = fault_mix(1, 2, 3, 4, 5);
   EXPECT_EQ(a, fault_mix(1, 2, 3, 4, 5));

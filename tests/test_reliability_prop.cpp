@@ -73,14 +73,6 @@ TEST(ReliabilityPlan, DefaultsDeclareEveryKey) {
   EXPECT_FALSE(reliability_plan_from_params(defaults).any());
 }
 
-TEST(ReliabilityPlan, SummaryNamesActiveMode) {
-  EXPECT_EQ(ReliabilityPlan{}.summary(), "none");
-  EXPECT_NE(parse_reliability_plan("rel_mode=1").summary().find("ack"),
-            std::string::npos);
-  EXPECT_NE(parse_reliability_plan("rel_mode=2").summary().find("fec"),
-            std::string::npos);
-}
-
 TEST(ReliabilityPlan, LocalModeRejectsReliability) {
   // The service's control traffic is accounted against the CONGEST
   // bandwidth budget; LOCAL mode defines none, so arming it there is a

@@ -601,6 +601,30 @@ TEST(Runtime, ProfileAttributesStageAndDeliverAtEveryThreadCount) {
   }
 }
 
+TEST(Runtime, ProfileJsonHasEveryFieldInOrder) {
+  // The `profile` object of `nearclique run --profile --json`: one key per
+  // NetProfile field in declaration order, fused_seconds included.
+  NetProfile prof;
+  prof.deliver_seconds = 0.5;
+  prof.done_copies = 7;
+  JsonWriter w;
+  prof.to_json(w);
+  const JsonValue doc = parse_json(w.str());
+  ASSERT_TRUE(doc.is_object());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "stage_seconds", "deliver_seconds", "fused_seconds",
+                      "wake_seconds", "arena_bytes_total",
+                      "arena_bytes_peak_shard", "lane_msgs_peak",
+                      "delayed_msgs_peak", "broadcast_payload_bytes_saved",
+                      "done_copies", "inbox_bytes_carved", "inbox_bytes_live",
+                      "link_bytes_carved", "link_bytes_live"}));
+  EXPECT_EQ(doc.find("deliver_seconds")->number, 0.5);
+  EXPECT_EQ(doc.find("done_copies")->number, 7.0);
+  EXPECT_EQ(doc.find("fused_seconds")->number, 0.0);
+}
+
 std::string stats_json(const RunStats& stats) {
   JsonWriter w;
   stats.to_json(w);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "expt/scenario.hpp"
-#include "expt/workloads.hpp"
 
 namespace nc {
 namespace {
@@ -128,22 +127,6 @@ TEST(ScenarioRegistry, ParseSpecRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_scenario_spec("erdos_renyi", "p=0.5x", 1),
                std::invalid_argument);
-}
-
-TEST(ScenarioRegistry, WorkloadFacadeMatchesRegistry) {
-  // The typed make_* helpers are facades over the registry: same family,
-  // same params, same seed => identical instance.
-  const Instance via_facade = make_theorem_instance(100, 0.5, 0.2, 0.1, 0.2, 3);
-  const Instance via_registry = make_scenario("theorem",
-                                              ScenarioParams()
-                                                  .with("n", 100)
-                                                  .with("delta", 0.5)
-                                                  .with("eps", 0.2)
-                                                  .with("background_p", 0.1)
-                                                  .with("halo_p", 0.2),
-                                              3);
-  EXPECT_EQ(via_facade.graph.edge_list(), via_registry.graph.edge_list());
-  EXPECT_EQ(via_facade.planted, via_registry.planted);
 }
 
 TEST(ScenarioRegistry, DescribeFamiliesMentionsEveryName) {

@@ -4,7 +4,7 @@
 
 #include "core/driver.hpp"
 #include "core/protocol.hpp"
-#include "expt/workloads.hpp"
+#include "expt/scenario.hpp"
 #include "graph/metrics.hpp"
 #include "runtime/network.hpp"
 
@@ -12,6 +12,14 @@ namespace nc {
 namespace {
 
 // ------------------------------------------- Section 6 impossibility ------
+
+/// The Section 6 barbell gadget (A - P - B), with or without A's edges.
+Instance barbell_instance(NodeId n, bool delete_a_edges) {
+  return make_scenario(
+      "barbell",
+      ScenarioParams().with("n", n).with("delete_a_edges", delete_a_edges),
+      /*seed=*/0);
+}
 
 /// Runs DistNearClique for exactly `rounds` rounds on `g` and returns the
 /// per-node labels at that point (kBottom where undecided).
@@ -39,8 +47,8 @@ TEST(Impossibility, BSideCannotDistinguishScenariosBeforePathRounds) {
   // behave identically for < |P| rounds whether or not A's edges exist —
   // because no information can cross the path faster than one hop per round.
   const NodeId n = 64;
-  const auto with_a = make_barbell_instance(n, false);
-  const auto without_a = make_barbell_instance(n, true);
+  const auto with_a = barbell_instance(n, false);
+  const auto without_a = barbell_instance(n, true);
   const auto lay = barbell_layout(n);
   const std::uint64_t horizon = lay.path_len / 2;  // well below |P|
   for (const std::uint64_t seed : {3ULL, 4ULL}) {
@@ -57,7 +65,7 @@ TEST(Impossibility, BothCliquesMayBeOutputAsSeparateNearCliques) {
   // The paper's resolution: the algorithm outputs a *disjoint collection*;
   // it never needs to suppress B globally. Run to completion and check that
   // any output cluster is a genuine near-clique on its side.
-  const auto inst = make_barbell_instance(48, false);
+  const auto inst = barbell_instance(48, false);
   DriverConfig cfg;
   cfg.proto.eps = 0.2;
   cfg.proto.p = 0.2;
@@ -84,7 +92,9 @@ TEST(Counterexample, DistNearCliqueSucceedsWhereShinglesCannot) {
   const double delta = 0.5;
   int good = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto inst = make_counterexample_instance(n, delta, seed);
+    const auto inst = make_scenario(
+        "counterexample", ScenarioParams().with("n", n).with("delta", delta),
+        seed);
     DriverConfig cfg;
     cfg.proto.eps = 0.2;
     cfg.proto.p = 0.05;
@@ -101,7 +111,10 @@ TEST(Counterexample, DistNearCliqueSucceedsWhereShinglesCannot) {
 // --------------------------------------------------- motivation domains ---
 
 TEST(WebCommunities, PlantedCommunityDiscoverable) {
-  const auto inst = make_web_instance(250, 35, 0.2, 11);
+  const auto inst = make_scenario(
+      "web",
+      ScenarioParams().with("n", 250).with("community", 35).with("eps", 0.2),
+      11);
   int good = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     DriverConfig cfg;

@@ -86,55 +86,7 @@ TEST(BitVec, AssignZeroResizes) {
   EXPECT_TRUE(v.none());
 }
 
-// --------------------------------------------------------------- Bit I/O --
-
-TEST(BitIo, SingleValueRoundTrip) {
-  BitWriter w;
-  w.put(0x2a, 7);
-  BitReader r(w.words(), w.bit_size());
-  EXPECT_EQ(r.get(7), 0x2au);
-  EXPECT_EQ(r.remaining(), 0u);
-}
-
-TEST(BitIo, MixedWidthsRoundTrip) {
-  BitWriter w;
-  w.put_bit(true);
-  w.put(0x1234, 16);
-  w.put_bit(false);
-  w.put(0xdeadbeefcafeULL, 48);
-  w.put(0xffffffffffffffffULL, 64);
-  BitReader r(w.words(), w.bit_size());
-  EXPECT_TRUE(r.get_bit());
-  EXPECT_EQ(r.get(16), 0x1234u);
-  EXPECT_FALSE(r.get_bit());
-  EXPECT_EQ(r.get(48), 0xdeadbeefcafeULL);
-  EXPECT_EQ(r.get(64), 0xffffffffffffffffULL);
-}
-
-TEST(BitIo, CrossesWordBoundaries) {
-  BitWriter w;
-  for (int i = 0; i < 13; ++i) w.put(static_cast<std::uint64_t>(i), 13);
-  EXPECT_EQ(w.bit_size(), 13u * 13u);
-  BitReader r(w.words(), w.bit_size());
-  for (int i = 0; i < 13; ++i) {
-    EXPECT_EQ(r.get(13), static_cast<std::uint64_t>(i));
-  }
-}
-
-TEST(BitIo, ManyBitsStressRoundTrip) {
-  BitWriter w;
-  std::vector<std::pair<std::uint64_t, unsigned>> data;
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < 1000; ++i) {
-    const unsigned width = 1 + (x % 64);
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const std::uint64_t value = width == 64 ? x : (x & ((1ULL << width) - 1));
-    data.emplace_back(value, width);
-    w.put(value, width);
-  }
-  BitReader r(w.words(), w.bit_size());
-  for (const auto& [value, width] : data) EXPECT_EQ(r.get(width), value);
-}
+// ------------------------------------------------------------ ID width --
 
 TEST(BitIo, IdWidthBounds) {
   EXPECT_EQ(id_width(0), 1u);

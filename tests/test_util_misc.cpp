@@ -6,7 +6,6 @@
 #include <string>
 
 #include "util/cli.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -197,21 +196,30 @@ TEST(Args, NumbersMustParseWholeAndBeFinite) {
   EXPECT_DOUBLE_EQ(args.get_double("g", 0.0), -0.5);
 }
 
-// ------------------------------------------------------------- Logging ----
-
-TEST(Logging, LevelFiltering) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Macro below must not evaluate its stream expression when filtered.
-  int evals = 0;
-  auto count = [&]() {
-    ++evals;
-    return "x";
-  };
-  NC_DEBUG << count();
-  EXPECT_EQ(evals, 0);
-  set_log_level(before);
+TEST(Args, RejectUnknownNamesFlagCommandAndFlagSet) {
+  const char* argv[] = {"prog", "--threads=4", "--json", "positional"};
+  const Args args(4, argv);
+  // Declared flags pass whether given or not; positionals are not flags.
+  EXPECT_NO_THROW(args.reject_unknown("run", {"threads", "json", "seed"}));
+  const std::string msg = invalid_argument_of(
+      [&] { args.reject_unknown("sweep", {"json", "trials", "seed"}); });
+  EXPECT_NE(msg.find("unknown flag '--threads' for 'sweep'"),
+            std::string::npos)
+      << msg;
+  for (const char* flag : {"--json", "--trials", "--seed"}) {
+    EXPECT_NE(msg.find(flag), std::string::npos) << flag << ": " << msg;
+  }
+  // A typo of a declared flag is unknown too; a bare flag counts.
+  const char* typo_argv[] = {"prog", "--thread=4"};
+  const Args typo(2, typo_argv);
+  EXPECT_NE(invalid_argument_of([&] {
+              typo.reject_unknown("run", {"threads"});
+            }).find("'--thread'"),
+            std::string::npos);
+  const char* bare_argv[] = {"prog", "--verbose"};
+  EXPECT_FALSE(invalid_argument_of([&] {
+                 Args(2, bare_argv).reject_unknown("run", {"threads"});
+               }).empty());
 }
 
 }  // namespace
