@@ -21,9 +21,10 @@
 //    track the handful of busy links, not n or m. Times run() alone.
 //  - planted_protocol n=10k: DistNearClique — the mixed stage/deliver/wake
 //    + protocol load. Times construction + run().
-//  - broadcast_fanout n=4k: DistNearClique on an avg-degree ~50 graph, the
-//    payload-dedup path; a lost dedup fast path shows up here long before
-//    it moves the low-degree rows. Times construction + run().
+//  - broadcast_fanout n=4k: DistNearClique on an avg-degree ~50 graph, where
+//    every open_stream_all fans wide: a lost view-reuse fast path
+//    (Link::schedule_matches) or a costlier staged copy shows up here long
+//    before it moves the low-degree rows. Times construction + run().
 // No timed run attaches a profile.
 //
 // A fourth check gates correctness, not throughput: the telemetry engine's

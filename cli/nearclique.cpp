@@ -149,10 +149,10 @@ int usage(std::FILE* to) {
       "run --repeat=N --time re-runs the fixed-seed execution N times and\n"
       "reports min/median/mean wall-clock (scenario build excluded).\n"
       "run --profile adds engine per-phase seconds (stage/deliver/wake),\n"
-      "the per-round arena high-water (all shards, largest shard; lanes\n"
-      "and the deliver log), broadcast dedup savings, the copies to done\n"
-      "nodes charged at stage time and inbox/link pool bytes (carved,\n"
-      "live) to the text and JSON output.\n");
+      "the per-round arena high-water (all shards, largest shard; staged\n"
+      "copy records and the deliver phase's sort references), the copies\n"
+      "to done nodes charged at stage time and inbox/link pool bytes\n"
+      "(carved, live) to the text and JSON output.\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -580,23 +580,20 @@ int cmd_run(const Args& args) {
   }
   if (profiled) {
     // Per-phase engine seconds of the last run; the arena high-water is
-    // the per-round transient storage (lanes and the deliver log), summed
-    // over shards and for the largest one; bytes saved counts lane payload
-    // copies avoided by broadcast dedup; done copies never entered a lane
-    // (their destination was done when they were staged); the pool bytes
-    // are the carved and still-live cross-round storage at the end of the
-    // run.
+    // the per-round transient storage (the lanes' copy records and the
+    // deliver phase's sort references), summed over shards and for the
+    // largest one; done copies never entered a lane (their destination was
+    // done when they were staged); the pool bytes are the carved and
+    // still-live cross-round storage at the end of the run.
     const NetProfile& pr = result.profile;
     std::printf(
         "per-phase: stage %.3fs, deliver %.3fs, wake %.3fs; "
-        "arena bytes total %llu, peak shard %llu; "
-        "broadcast payload bytes saved: %llu; done copies %llu; "
+        "arena bytes total %llu, peak shard %llu; done copies %llu; "
         "inbox bytes carved %llu, live %llu; link bytes carved %llu, "
         "live %llu\n",
         pr.stage_seconds, pr.deliver_seconds, pr.wake_seconds,
         static_cast<unsigned long long>(pr.arena_bytes_total),
         static_cast<unsigned long long>(pr.arena_bytes_peak_shard),
-        static_cast<unsigned long long>(pr.broadcast_payload_bytes_saved),
         static_cast<unsigned long long>(pr.done_copies),
         static_cast<unsigned long long>(pr.inbox_bytes_carved),
         static_cast<unsigned long long>(pr.inbox_bytes_live),
@@ -805,11 +802,13 @@ int main(int argc, char** argv) {
       throw std::invalid_argument(msg);
     }
     if (command == "list-scenarios") {
+      args.reject_unknown(command, {});
       std::printf("registered scenario families:\n%s",
                   describe_families(ScenarioRegistry::global()).c_str());
       return 0;
     }
     if (command == "list-algorithms") {
+      args.reject_unknown(command, {});
       std::printf("registered algorithms:\n%s",
                   describe_algorithms(AlgorithmRegistry::global()).c_str());
       return 0;

@@ -11,14 +11,17 @@
 //   ./adhoc_network [--n=300] [--radius=0.12] [--hotspot=40] [--seed=7]
 
 #include <cstdio>
+#include <exception>
 
 #include "algo/registry.hpp"
 #include "expt/scenario.hpp"
 #include "graph/metrics.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const nc::Args args(argc, argv);
+  args.reject_unknown("example_adhoc_network",
+                      {"n", "radius", "hotspot", "seed"});
   const auto n = static_cast<nc::NodeId>(args.get_int("n", 300));
   const double radius = args.get_double("radius", 0.12);
   const auto hotspot = static_cast<nc::NodeId>(args.get_int("hotspot", 40));
@@ -66,4 +69,9 @@ int main(int argc, char** argv) {
                 "retry with another --seed)\n");
   }
   return 0;
+} catch (const std::exception& e) {
+  // Malformed or unknown flags: name the flag and exit 2, like
+  // `nearclique run`.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -9,14 +9,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "algo/registry.hpp"
 #include "expt/scenario.hpp"
 #include "graph/metrics.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const nc::Args args(argc, argv);
+  args.reject_unknown("example_blog_burst", {"n", "event", "steps", "seed"});
   const auto n = static_cast<nc::NodeId>(args.get_int("n", 250));
   const auto event = static_cast<nc::NodeId>(args.get_int("event", 45));
   const auto steps = static_cast<unsigned>(args.get_int("steps", 6));
@@ -68,4 +70,9 @@ int main(int argc, char** argv) {
       "\nThe discovered near-clique emerges as the event's density crosses "
       "the detection threshold — the temporal signature of [14].\n");
   return 0;
+} catch (const std::exception& e) {
+  // Malformed or unknown flags: name the flag and exit 2, like
+  // `nearclique run`.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

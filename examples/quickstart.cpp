@@ -23,13 +23,8 @@
 #include "graph/metrics.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const nc::Args args(argc, argv);
-  if (args.has("list")) {
-    std::printf("registered scenario families:\n%s",
-                nc::describe_families(nc::ScenarioRegistry::global()).c_str());
-    return 0;
-  }
   // The pre-registry flags were --n/--clique/--pn; reject the removed ones
   // loudly instead of silently running the default instance.
   for (const auto* legacy : {"n", "clique"}) {
@@ -40,6 +35,14 @@ int main(int argc, char** argv) {
                                                            : legacy);
       return 2;
     }
+  }
+  args.reject_unknown(
+      "example_quickstart",
+      {"list", "scenario", "params", "seed", "eps", "pn", "dot"});
+  if (args.has("list")) {
+    std::printf("registered scenario families:\n%s",
+                nc::describe_families(nc::ScenarioRegistry::global()).c_str());
+    return 0;
   }
   const auto scenario = args.get("scenario", "planted_near_clique");
   const auto params = args.get("params", "");
@@ -111,4 +114,9 @@ int main(int argc, char** argv) {
         "another --seed or a larger --pn\n");
   }
   return 0;
+} catch (const std::exception& e) {
+  // Malformed or unknown flags: name the flag and exit 2, like
+  // `nearclique run`.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

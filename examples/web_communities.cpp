@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 #include "algo/registry.hpp"
 #include "expt/scenario.hpp"
@@ -33,8 +34,10 @@ std::size_t overlap_with(const std::vector<nc::NodeId>& sorted_planted,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const nc::Args args(argc, argv);
+  args.reject_unknown("example_web_communities",
+                      {"n", "community", "eps", "seed"});
   const auto n = static_cast<nc::NodeId>(args.get_int("n", 400));
   const auto community = static_cast<nc::NodeId>(args.get_int("community", 50));
   const double eps = args.get_double("eps", 0.2);
@@ -79,4 +82,9 @@ int main(int argc, char** argv) {
               peeled.size(), overlap_with(inst.planted, peeled),
               inst.planted.size());
   return 0;
+} catch (const std::exception& e) {
+  // Malformed or unknown flags: name the flag and exit 2, like
+  // `nearclique run`.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -123,7 +123,9 @@ struct NetProfile {
   double wake_seconds = 0.0;     ///< wake phase (protocol callbacks)
 
   /// Arena accounting: sum and per-shard max of the shard arenas'
-  /// high-water marks (bytes of per-round transient storage).
+  /// high-water marks (bytes of per-round transient storage: the lanes'
+  /// 40-byte copy records and spilled payloads, and the deliver phase's
+  /// per-node counts and 8-byte sort references).
   std::uint64_t arena_bytes_total = 0;
   std::uint64_t arena_bytes_peak_shard = 0;
 
@@ -132,15 +134,14 @@ struct NetProfile {
   std::uint64_t lane_msgs_peak = 0;
   std::uint64_t delayed_msgs_peak = 0;
 
-  /// Payload bytes the stage phase did not copy into lanes because
-  /// broadcast dedup fanned an already-staged row out to another receiver
-  /// (NetConfig::broadcast_dedup).
+  /// Always 0: every staged copy is a record of its own, so no payload
+  /// copy is saved. Kept only because perfbench/nc_op.cpp reads it.
   std::uint64_t broadcast_payload_bytes_saved = 0;
 
   /// Copies to already-done destinations that the stage phase accounted
   /// for itself instead of staging them: charged at once when on time,
   /// tallied for their due round when delayed (Network::charge_done_copy).
-  /// The lane, delayed and broadcast counters above do not include them.
+  /// The lane and delayed counters above do not include them.
   std::uint64_t done_copies = 0;
 
   /// Cross-round pool memory, summed over shards at the flush: bytes of

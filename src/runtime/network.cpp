@@ -214,15 +214,17 @@ Network::Network(const Graph& g, const NetConfig& config,
   plan_ = plan_shards(g, std::max(1u, config.threads));
   const unsigned k = plan_.shards();
   shards_.resize(k);
+  // Lanes carry a due round per copy only when faults or the reliability
+  // service can defer one.
+  const bool timed = config.faults.any() || config.reliability.any();
   for (unsigned s = 0; s < k; ++s) {
     shards_[s].begin = plan_.begin(s);
     shards_[s].end = plan_.end(s);
     shards_[s].woken.assign(shards_[s].end - shards_[s].begin, 0);
     shards_[s].lanes.resize(k);
-    shards_[s].bcast_open.assign(k, 0);
-    // Lane columns carve from the owning shard's per-round arena; the
-    // cross-round delayed buckets stay heap-backed (default bind).
-    for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena);
+    // Lanes carve from the owning shard's per-round arena; the cross-round
+    // delayed buckets and FEC hold stay heap-backed (default bind).
+    for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena, timed);
   }
   // The whole determinism story rests on this: shards are contiguous ID
   // ranges covering [0, n), so merging lanes in ascending source-shard
@@ -419,25 +421,27 @@ void Network::apply_fault_events() {
 }
 
 void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
-                           const MsgBlock::Copy* run, std::size_t count) {
+                           const MsgBlock::Copy* const* run,
+                           std::size_t count) {
   auto& st = states_[to];
   const bool done = done_[to] != 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const MsgBlock::Rec r = MsgBlock::decode(run[i], header_bits_);
-    batch.charge(r.key.kind, r.wire_bits);
+    const MsgBlock::Copy& c = *run[i];
+    batch.charge(c.kind(), c.wire_bits);
     // A done node is never woken and its inbox is gone: charge, don't store.
     if (done) continue;
-    st.rx_by_kind[r.key.kind] += 1;
-    InStream& stream = st.inbox.open(r.back_index, r.key);
-    if (r.spilled) {
-      stream.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                            r.pay_widths, r.symbol_count);
+    st.rx_by_kind[c.kind()] += 1;
+    InStream& stream = st.inbox.open(c.back_index, c.key());
+    if (c.spilled()) {
+      stream.deliver_packed(c.words, c.pay_word_count(header_bits_), 0,
+                            c.pay_bits(header_bits_),
+                            c.pay_widths(header_bits_), c.symbol_count);
     } else {
       // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
-      if (r.symbol_count >= 1) stream.deliver(r.v0, r.w0);
-      if (r.symbol_count == 2) stream.deliver(r.v1, r.w1);
+      if (c.symbol_count >= 1) stream.deliver(c.v[0], c.w0());
+      if (c.symbol_count == 2) stream.deliver(c.v[1], c.w1());
     }
-    if (r.eos) stream.deliver_eos();
+    if (c.eos()) stream.deliver_eos();
   }
   wake(dst, to);
 }
@@ -471,7 +475,7 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
       (faults_->crashed_at(from, round_) || faults_->crashed_at(to, round_))) {
     // Crash silencing is beneath the reliability service: a crashed
     // endpoint neither retransmits nor collects repair chunks.
-    sh.traffic.messages_dropped_crash += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
+    sh.traffic.messages_dropped_crash += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
     out.fate = LinkVerdict::Fate::kDrop;
     return out;
   }
@@ -480,7 +484,7 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
     // Fault-only path (faults_ is non-null here: the verdict is only
     // consulted when faults_ or rel_ is active).
     if (lost) {
-      sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
+      sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
       out.fate = LinkVerdict::Fate::kDrop;
       return out;
     }
@@ -526,7 +530,7 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
     const std::uint64_t rec =
         rel_->arq_recover(e, from, to, round_, kind, wire_bits, sh.traffic);
     if (rec == ReliabilityEngine::kNever) {
-      sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, already batched over the row's receivers
+      sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
       out.fate = LinkVerdict::Fate::kDrop;
       return out;
     }
@@ -551,10 +555,11 @@ Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
   return out;
 }
 
-void Network::park_row(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
-                       std::uint32_t back_index, const LinkVerdict& verdict) {
+void Network::park_copy(Shard& sh, std::size_t e, const MsgView& v,
+                        NodeId to, std::uint32_t back_index,
+                        const LinkVerdict& verdict) {
   if (telem_) sh.telem_fec_parks += 1;
-  // Heap-backed (default bind): parked rows outlive the round that staged
+  // Heap-backed (default bind): parked copies outlive the round that staged
   // them, so they must not live in the per-round arena.
   sh.rel_parked.push(v, to, back_index, 0);
   sh.rel_parked_edge.push_back(e);
@@ -585,7 +590,7 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     }
     return static_cast<std::size_t>(it - due.begin());
   };
-  // Pass 1: per-due-edge loss counts from the parked rows.
+  // Pass 1: per-due-edge loss counts from the parked copies.
   std::vector<std::uint64_t> losses(due.size(), 0);
   for (std::size_t i = 0; i < sh.rel_parked_edge.size(); ++i) {
     if (sh.rel_parked_lost[i] != 0) {
@@ -609,24 +614,25 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     release[j] = rr;
     rel_->raise_floor(e, rr);
   }
-  // Pass 3: walk the parked rows in park (= stream) order. Rows of due
+  // Pass 3: walk the parked copies in park (= stream) order. Copies of due
   // edges are released into the lanes at the edge's release round — or
   // dropped for good if they were lost and the window did not recover —
-  // while rows of still-blocked edges are compacted into a rebuilt hold.
-  // Lanes were reset at the top of this stage phase and the link walk has
-  // not run yet, so released rows sit ahead of the round's fresh traffic.
-  // A row released for this round whose destination is crashed now is
+  // while copies of still-blocked edges are compacted into a rebuilt hold.
+  // Lanes were sized at the top of this stage phase and the link walk has
+  // not run yet, so released copies sit ahead of the round's fresh traffic.
+  // A copy released for this round whose destination is crashed now is
   // silenced here: the lane walk applies on-time copies unchecked, since
   // the stage phase has already silenced every other one (link_verdict).
-  // A row for a done destination is accounted for like any staged copy.
+  // A copy for a done destination is accounted for like any staged copy.
   MsgBlock keep;
   std::vector<std::size_t> keep_edge;
   std::vector<std::uint8_t> keep_lost;
   for (std::size_t i = 0; i < sh.rel_parked.size(); ++i) {
+    const MsgBlock::Copy& c = sh.rel_parked[i];
     const std::size_t e = sh.rel_parked_edge[i];
     const std::size_t j = due_index(e);
     if (j == std::numeric_limits<std::size_t>::max()) {
-      keep.append_from(sh.rel_parked, i, header_bits_);
+      keep.append(c, header_bits_, 0);
       keep_edge.push_back(e);
       keep_lost.push_back(sh.rel_parked_lost[i]);
       continue;
@@ -635,22 +641,40 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
       sh.traffic.messages_lost += 1;  // nclint:allow(stats-batch) FEC resolution is a cold once-per-window path
       continue;
     }
-    const MsgBlock::Rec r = sh.rel_parked.record(i, header_bits_);
-    if (release[j] <= round_ && faults_ && faults_->crashed_at(r.to, round_)) {
+    if (release[j] <= round_ && faults_ && faults_->crashed_at(c.to, round_)) {
       sh.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) FEC resolution is a cold once-per-window path
       continue;
     }
-    if (done_[r.to] != 0) {
-      charge_done_copy(sh, done_batch, r.to, release[j], r.key.kind,
-                       r.wire_bits);
+    if (done_[c.to] != 0) {
+      charge_done_copy(sh, done_batch, c.to, release[j], c.kind(),
+                       c.wire_bits);
       continue;
     }
-    sh.lanes[plan_.node_shard[r.to]].append_from(sh.rel_parked, i,
-                                                 header_bits_, release[j]);
+    sh.lanes[plan_.node_shard[c.to]].append(c, header_bits_, release[j]);
   }
   sh.rel_parked = std::move(keep);
   sh.rel_parked_edge = std::move(keep_edge);
   sh.rel_parked_lost = std::move(keep_lost);
+}
+
+void Network::size_lanes(Shard& sh) {
+  const unsigned k = static_cast<unsigned>(shards_.size());
+  std::size_t* want = sh.arena.allocate_array<std::size_t>(k);
+  std::fill_n(want, k, std::size_t{0});
+  const bool local = config_.mode == NetConfig::Mode::kLocal;
+  for (const std::size_t e : sh.active_links) {
+    const NodeId from = edge_owner_[e];
+    const NodeId to = graph_->neighbors(from)[e - edge_base_[from]];
+    if (done_[to] != 0) continue;
+    want[plan_.node_shard[to]] +=
+        local ? links_[e].pending_stream_count() : 1;
+  }
+  if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
+    for (std::size_t i = 0; i < sh.rel_parked.size(); ++i) {
+      want[plan_.node_shard[sh.rel_parked[i].to]] += 1;
+    }
+  }
+  for (unsigned d = 0; d < k; ++d) sh.lanes[d].start_round(want[d]);
 }
 
 void Network::stage_shard(unsigned s) {
@@ -659,15 +683,15 @@ void Network::stage_shard(unsigned s) {
   const bool trace_shard = telem_ && telem_->trace_on() && shards_.size() > 1;
   clock::time_point tt0;
   if (trace_shard) tt0 = clock::now();
-  // O(1) rewind of the whole previous round's transient storage, then
-  // re-carve the lane columns at last round's sizes.
+  // O(1) rewind of the whole previous round's transient storage, then size
+  // every lane for this round before anything is staged into it.
   sh.arena.reset();
-  for (auto& lane : sh.lanes) lane.begin_round();
+  size_lanes(sh);
   // Charges of on-time copies to done destinations (charge_done_copy),
   // flushed into the traffic partial at the end of the phase.
   TrafficBatch done_batch;
   const std::uint64_t done_before = sh.done_copies;
-  // FEC window resolution first: released rows enter the lanes ahead of
+  // FEC window resolution first: released copies enter the lanes ahead of
   // this round's fresh traffic (they are stream-earlier by construction),
   // and a blocked edge is unblocked before any new message on it could be
   // staged into a later window.
@@ -683,32 +707,18 @@ void Network::stage_shard(unsigned s) {
     std::sort(sh.active_links.begin(), sh.active_links.end());
   }
   std::size_t kept = 0;
-  MsgView view;
-  // Broadcast grouping (CONGEST + dedup only): active links are walked in
-  // ascending (owner, neighbour-index) order, so the sibling links of one
-  // open_stream_all are consecutive. The first link of a run schedules
-  // normally and becomes the group head; every following link of the same
-  // owner whose next message is byte-identical to the head view
-  // (Link::schedule_matches) skips the packing loop and lands in its lane
-  // as a packed receiver entry on the group's open row — payload staged
-  // once per (src-shard, dst-shard), not once per edge. Faults still run
-  // per edge: a dropped copy simply adds no receiver, a delayed copy
-  // carries its own deliver round in the receiver entry. A copy to an
-  // already-done node enters no lane at all: charge_done_copy accounts for
+  // CONGEST view reuse: active links are walked in ascending (owner,
+  // neighbour-index) order, so the sibling links of one open_stream_all are
+  // consecutive. A link of the same owner whose next message is
+  // byte-identical to the previous link's view (Link::schedule_matches)
+  // takes that view without re-running the packing loop. Every copy still
+  // gets its own per-edge verdict and its own record; a copy to an
+  // already-done node enters no lane at all — charge_done_copy accounts for
   // it on the spot.
-  const bool dedup = config_.broadcast_dedup &&
-                     config_.mode == NetConfig::Mode::kCongest;
-  const bool profiling = config_.profile != nullptr;
+  MsgView view;
+  NodeId view_from = 0;
+  bool view_live = false;
   const bool adversity = faults_ != nullptr || rel_ != nullptr;
-  NodeId group_from = 0;
-  bool group_live = false;
-  MsgView group_view;
-  auto close_group = [&]() {
-    if (!group_live) return;
-    group_live = false;
-    for (const unsigned d : sh.bcast_touched) sh.bcast_open[d] = 0;
-    sh.bcast_touched.clear();
-  };
   for (const std::size_t e : sh.active_links) {
     const NodeId from = edge_owner_[e];
     const std::size_t ni = e - edge_base_[from];
@@ -740,63 +750,26 @@ void Network::stage_shard(unsigned s) {
             }
           });
       if (produced > 0) link.release_idle();
-    } else if (group_live && from == group_from &&
-               link.schedule_matches(bandwidth_bits_, header_bits_,
-                                     group_view)) {
-      LinkVerdict verdict;
-      if (adversity) {
-        verdict = link_verdict(sh, e, from, to, 1, group_view.key.kind,
-                               group_view.wire_bits);
-      }
-      if (verdict.fate == LinkVerdict::Fate::kDeliver && to_done) {
-        charge_done_copy(sh, done_batch, to, verdict.deliver_round,
-                         group_view.key.kind, group_view.wire_bits);
-      } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
-        const unsigned d = plan_.node_shard[to];
-        MsgBlock& lane = sh.lanes[d];
-        if (sh.bcast_open[d]) {
-          lane.add_receiver(to, back, verdict.deliver_round);
-          if (profiling) sh.bcast_saved += (group_view.bit_len + 7) / 8;
-        } else {
-          // First surviving copy headed for this destination shard: the
-          // lane needs its own payload copy (lanes never share storage).
-          lane.push(group_view, to, back, verdict.deliver_round);
-          sh.bcast_open[d] = 1;
-          sh.bcast_touched.push_back(d);
-        }
-      } else if (verdict.fate == LinkVerdict::Fate::kPark) {
-        // A parked copy leaves the broadcast group like a dropped one (no
-        // receiver entry); it gets its own heap row on the FEC hold.
-        park_row(sh, e, group_view, to, back, verdict);
-      }
-      link.release_idle();
     } else {
-      close_group();
-      if (link.schedule_view(bandwidth_bits_, header_bits_, view)) {
+      if (!(view_live && from == view_from &&
+            link.schedule_matches(bandwidth_bits_, header_bits_, view))) {
+        view_live = link.schedule_view(bandwidth_bits_, header_bits_, view);
+        view_from = from;
+      }
+      if (view_live) {
         LinkVerdict verdict;
         if (adversity) {
           verdict =
               link_verdict(sh, e, from, to, 1, view.key.kind, view.wire_bits);
         }
-        const unsigned d = plan_.node_shard[to];
-        const bool staged =
-            verdict.fate == LinkVerdict::Fate::kDeliver && !to_done;
-        if (staged) {
-          sh.lanes[d].push(view, to, back, verdict.deliver_round);
-        } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
+        if (verdict.fate == LinkVerdict::Fate::kPark) {
+          park_copy(sh, e, view, to, back, verdict);
+        } else if (verdict.fate == LinkVerdict::Fate::kDeliver && to_done) {
           charge_done_copy(sh, done_batch, to, verdict.deliver_round,
                            view.key.kind, view.wire_bits);
-        } else if (verdict.fate == LinkVerdict::Fate::kPark) {
-          park_row(sh, e, view, to, back, verdict);
-        }
-        if (dedup) {
-          group_from = from;
-          group_view = view;
-          group_live = true;
-          if (staged) {
-            sh.bcast_open[d] = 1;
-            sh.bcast_touched.push_back(d);
-          }
+        } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
+          sh.lanes[plan_.node_shard[to]].push(view, to, back,
+                                              verdict.deliver_round);
         }
         link.release_idle();
       }
@@ -807,17 +780,17 @@ void Network::stage_shard(unsigned s) {
       link_active_[e] = 0;
     }
   }
-  close_group();
   sh.active_links.resize(kept);
   if (done_batch.messages > 0) done_batch.flush_into(sh.traffic);
-  // Observer epilogue: the round's lane message count (released FEC rows
+  // Observer epilogue: the round's lane message count (released FEC copies
   // included) feeds the profile's lane peak; with the copies accounted for
   // at stage time added, it feeds the metrics' per-shard load-balance
   // columns; the span feeds the trace.
+  const bool profiling = config_.profile != nullptr;
   const bool metrics = telem_ && telem_->metrics_on();
   if (profiling || metrics) {
     std::uint64_t staged = 0;
-    for (const auto& lane : sh.lanes) staged += lane.message_count();
+    for (const auto& lane : sh.lanes) staged += lane.size();
     sh.staged_peak = std::max(sh.staged_peak, staged);
     if (metrics) sh.telem_staged += staged + (sh.done_copies - done_before);
   }
@@ -838,49 +811,48 @@ void Network::for_each_due_copy(Shard& dst, unsigned d, Fn&& fn) {
   for (auto it = dst.delayed.begin();
        it != dst.delayed.end() && it->first <= round_; ++it) {
     const MsgBlock& bucket = it->second;
-    bucket.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const MsgBlock::Copy& c = bucket[i];
       if (faults_ && faults_->crashed_at(c.to, round_)) {
         if constexpr (!kCount) {
           dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
         }
-        return;
+        continue;
       }
-      fn(bucket, i, c);
-    });
+      fn(c);
+    }
   }
-  // Then the lanes in ascending source-shard order. Touching lane[src][d]
-  // from shard d is safe: in the deliver phase a lane is read only by its
-  // destination shard (the pool barrier separates it from the stage phase's
-  // writes). Broadcast receivers expand in packed order — ascending edge
-  // order within the lane, exactly the sequence the per-edge path would have
-  // staged — and each carries its own deliver round (faults decide per
-  // copy).
+  // Then the lanes in ascending source-shard order, each in staging order.
+  // Touching lane[src][d] from shard d is safe: in the deliver phase a lane
+  // is read only by its destination shard (the pool barrier separates it
+  // from the stage phase's writes). Each copy carries its own due round
+  // (faults decide per copy).
   for (const Shard& src : shards_) {
     const MsgBlock& lane = src.lanes[d];
-    lane.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      const MsgBlock::Copy& c = lane[i];
       nc_invariant(c.to >= dst.begin && c.to < dst.end,
-                   "staged row routed to a shard that does not own its "
+                   "staged copy routed to a shard that does not own its "
                    "destination node");
-      if (c.deliver_round <= round_) {
+      const std::uint64_t due = lane.due(i);
+      if (due <= round_) {
         nc_invariant(done_[c.to] == 0 &&
                          !(faults_ && faults_->crashed_at(c.to, round_)),
                      "on-time lane copy addressed to a done or crashed node "
                      "— the stage phase accounts for those itself");
-        fn(lane, i, c);
-        return;
+        fn(c);
+        continue;
       }
       if constexpr (!kCount) {
         // In flight: the arena-backed lane is rewound next round, so this
-        // shard's future bucket takes a heap copy of the row (a broadcast
-        // copy leaves its shared row as a plain per-edge row).
-        dst.delayed[c.deliver_round].append_receiver_from(lane, i, c,
-                                                          header_bits_);
+        // shard's future bucket takes a heap copy of the record.
+        dst.delayed[due].append(c, header_bits_, 0);
         if (config_.profile != nullptr) {
           ++dst.delayed_msgs;
           dst.delayed_peak = std::max(dst.delayed_peak, dst.delayed_msgs);
         }
       }
-    });
+    }
   }
 }
 
@@ -895,21 +867,21 @@ void Network::deliver_shard(unsigned d) {
        it != dst.delayed.end() && it->first <= round_; ++it) {
     copies += it->second.size();
   }
-  for (const Shard& src : shards_) copies += src.lanes[d].message_count();
+  for (const Shard& src : shards_) copies += src.lanes[d].size();
   TrafficBatch batch;
   const std::size_t span = static_cast<std::size_t>(dst.end - dst.begin);
   // A round with at least span/8 copies (the wake phase's rule) is sorted
   // by destination — a counting sort: count each node's on-time copies,
-  // scatter the copies into a per-round log in walk order (stable, so each
-  // node's run keeps the canonical order), then apply node by node in
-  // ascending ID order. A node's inbox bucket, key and stream slots are
-  // then fetched once per round instead of once per copy. Both arrays live
-  // in this shard's arena until its next stage phase; spilled copies point
-  // into the lanes and the due buckets, which live at least as long. A
-  // sparser round is applied in walk order, so it costs O(copies), not
-  // O(span) — and so is a round whose walk already keeps every node's
-  // copies together (a ring's one copy per node), where the log would only
-  // copy them.
+  // scatter references to the copies into a per-round log in walk order
+  // (stable, so each node's run keeps the canonical order), then apply node
+  // by node in ascending ID order. A node's inbox bucket, key and stream
+  // slots are then fetched once per round instead of once per copy. Both
+  // arrays live in this shard's arena until its next stage phase; the
+  // copies themselves stay where they were staged — the lanes and the due
+  // buckets, which live at least as long. A sparser round is applied in
+  // walk order, so it costs O(copies), not O(span) — and so is a round
+  // whose walk already keeps every node's copies together (a ring's one
+  // copy per node), where the log would only add a pass.
   std::uint32_t* next = nullptr;
   if (copies * 8 >= span) {
     nc_invariant(copies < (std::size_t{1} << 32),
@@ -918,30 +890,26 @@ void Network::deliver_shard(unsigned d) {
     std::fill_n(next, span + 1, 0u);
     bool grouped = true;
     NodeId last = kNoNode;
-    for_each_due_copy<true>(
-        dst, d, [&](const MsgBlock&, std::size_t, const MsgBlock::Receiver& c) {
-          std::uint32_t& count = next[c.to - dst.begin + 1];
-          grouped = grouped && (count == 0 || c.to == last);
-          ++count;
-          last = c.to;
-        });
+    for_each_due_copy<true>(dst, d, [&](const MsgBlock::Copy& c) {
+      std::uint32_t& count = next[c.to - dst.begin + 1];
+      grouped = grouped && (count == 0 || c.to == last);
+      ++count;
+      last = c.to;
+    });
     if (grouped) next = nullptr;
   }
   if (next == nullptr) {
-    for_each_due_copy<false>(
-        dst, d,
-        [&](const MsgBlock& b, std::size_t i, const MsgBlock::Receiver& c) {
-          const MsgBlock::Copy one = b.copy(i, c.back_index);
-          apply_copies(dst, batch, c.to, &one, 1);
-        });
+    for_each_due_copy<false>(dst, d, [&](const MsgBlock::Copy& c) {
+      const MsgBlock::Copy* one = &c;
+      apply_copies(dst, batch, c.to, &one, 1);
+    });
   } else {
     for (std::size_t v = 1; v <= span; ++v) next[v] += next[v - 1];
-    MsgBlock::Copy* log = dst.arena.allocate_array<MsgBlock::Copy>(next[span]);
-    for_each_due_copy<false>(
-        dst, d,
-        [&](const MsgBlock& b, std::size_t i, const MsgBlock::Receiver& c) {
-          log[next[c.to - dst.begin]++] = b.copy(i, c.back_index);
-        });
+    const MsgBlock::Copy** log =
+        dst.arena.allocate_array<const MsgBlock::Copy*>(next[span]);
+    for_each_due_copy<false>(dst, d, [&](const MsgBlock::Copy& c) {
+      log[next[c.to - dst.begin]++] = &c;
+    });
     // next[v] is now the end of node v's run, and so the start of v + 1's.
     std::uint32_t lo = 0;
     for (std::size_t v = 0; v < span; ++v) {
@@ -952,7 +920,7 @@ void Network::deliver_shard(unsigned d) {
       lo = next[v];
     }
   }
-  // The due buckets go only now: copies in the log may point into them.
+  // The due buckets go only now: the log may point into them.
   while (!dst.delayed.empty() && dst.delayed.begin()->first <= round_) {
     if (config_.profile != nullptr) {
       dst.delayed_msgs -= dst.delayed.begin()->second.size();
@@ -1136,7 +1104,7 @@ StallReport Network::stall_report() const {
   }
   for (const auto& sh : shards_) {
     for (const auto& [due, bucket] : sh.delayed) {
-      r.delayed_in_flight += bucket.message_count();
+      r.delayed_in_flight += bucket.size();
       r.next_delayed_round = std::min(r.next_delayed_round, due);
     }
     for (const auto& [due, tally] : sh.done_tally) {
@@ -1156,7 +1124,6 @@ void Network::flush_profile() {
   prof_.arena_bytes_peak_shard = 0;
   prof_.lane_msgs_peak = 0;
   prof_.delayed_msgs_peak = 0;
-  prof_.broadcast_payload_bytes_saved = 0;
   prof_.done_copies = 0;
   prof_.inbox_bytes_carved = 0;
   prof_.inbox_bytes_live = 0;
@@ -1168,7 +1135,6 @@ void Network::flush_profile() {
     prof_.arena_bytes_peak_shard = std::max(prof_.arena_bytes_peak_shard, hw);
     prof_.lane_msgs_peak = std::max(prof_.lane_msgs_peak, sh.staged_peak);
     prof_.delayed_msgs_peak = std::max(prof_.delayed_msgs_peak, sh.delayed_peak);
-    prof_.broadcast_payload_bytes_saved += sh.bcast_saved;
     prof_.done_copies += sh.done_copies;
     prof_.inbox_bytes_carved += sh.inbox_pool.carved_bytes();
     prof_.inbox_bytes_live += sh.inbox_pool.live_bytes();

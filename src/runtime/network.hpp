@@ -97,18 +97,6 @@ struct NetConfig {
   /// fixed-seed reliable runs stay bit-identical at every thread count.
   ReliabilityPlan reliability;
 
-  /// Broadcast payload dedup (CONGEST only): consecutive sibling links that
-  /// would schedule the identical view of one shared stream are staged as a
-  /// single broadcast row per (src-shard → dst-shard) lane — payload once,
-  /// receivers as packed indices — instead of one payload copy per edge.
-  /// Purely an engine optimization: fixed-seed RunStats, labels and fault
-  /// verdicts are bit-identical either way (every copy still gets its own
-  /// per-(src, dst) loss/delay/crash decision; locked by
-  /// tests/test_determinism.cpp). False forces one row per edge — the
-  /// reference that test compares the broadcast rows against; only tests
-  /// set it.
-  bool broadcast_dedup = true;
-
   /// Opt-in engine profiling: when non-null, the network accumulates
   /// per-phase wall-clock and arena/lane peaks here over its lifetime
   /// (flushed at the end of run()/run_rounds()). Null — the default —
@@ -420,15 +408,15 @@ class Network {
     LinkPool link_pool;
     InboxPool inbox_pool;
 
-    /// Per-round transient storage: every lane column below and the deliver
-    /// phase's per-destination log carve from this bump arena, which the
-    /// stage phase rewinds in O(1) at the top of each round
-    /// (src/util/arena.hpp).
+    /// Per-round transient storage: the lanes' copy records and spilled
+    /// payloads, and the deliver phase's per-node counts and sort
+    /// references, all carve from this bump arena, which the stage phase
+    /// rewinds in O(1) at the top of each round (src/util/arena.hpp).
     Arena arena;
 
-    /// Staged outgoing messages, by destination shard — SoA columns plus a
-    /// shared packed-payload region per lane (src/runtime/msgblock.hpp),
-    /// arena-backed.
+    /// Staged outgoing copies, by destination shard: one 40-byte record per
+    /// copy (src/runtime/msgblock.hpp), arena-backed and sized once per
+    /// round by size_lanes.
     std::vector<MsgBlock> lanes;
 
     /// Per-round traffic partials, reduced into stats_ after the deliver
@@ -449,7 +437,7 @@ class Network {
 
     /// In-flight delayed messages addressed to this shard's nodes, bucketed
     /// by delivery round (fault engine only). Filled by this shard's own
-    /// deliver phase — staged rows whose deliver_round is in the future are
+    /// deliver phase — staged copies whose due round is in the future are
     /// copied here in canonical merge order, so the bucket's insertion
     /// order is thread-count-invariant — walked first by the deliver phase
     /// of the due round and dropped at its end. Heap-backed MsgBlocks,
@@ -457,22 +445,12 @@ class Network {
     /// arena cannot rewind storage that crosses its reset boundary.
     std::map<std::uint64_t, MsgBlock> delayed;  // nclint:allow(ordered-map) cross-round delay buckets exist only under an active fault plan
 
-    /// Broadcast-grouping scratch for the stage phase: bcast_open[d] marks
-    /// that lane d's *last* row belongs to the broadcast group currently
-    /// being staged (so the next sibling copy extends it via add_receiver
-    /// instead of pushing a fresh payload); bcast_touched lists the lanes
-    /// with a set flag so closing a group is O(group lanes), not O(k).
-    std::vector<std::uint8_t> bcast_open;
-    std::vector<unsigned> bcast_touched;
-
     /// Profiling partials (NetConfig::profile only; zero cost otherwise):
-    /// peak messages staged by this shard in one round, the current / peak
-    /// count of messages parked in `delayed`, and the payload bytes this
-    /// shard avoided re-staging thanks to broadcast dedup.
+    /// peak messages staged by this shard in one round, and the current /
+    /// peak count of messages parked in `delayed`.
     std::uint64_t staged_peak = 0;
     std::uint64_t delayed_msgs = 0;
     std::uint64_t delayed_peak = 0;
-    std::uint64_t bcast_saved = 0;
 
     /// Telemetry partials (NetConfig::telemetry only; zero cost otherwise):
     /// per-round on_round invocations, messages staged (copies to done
@@ -491,10 +469,10 @@ class Network {
     /// Reliability service, FEC mode: messages of this shard's edges parked
     /// behind an in-window loss (head-of-line blocking preserves stream
     /// order while the window's recovery is undecided). Heap-backed like
-    /// the delayed buckets — parked rows cross rounds. The parallel vectors
-    /// carry each row's owning directed edge and its own loss verdict;
-    /// rel_pending_edges lists the blocked edges awaiting resolution
-    /// (appended on first park, drained by resolve_fec_windows).
+    /// the delayed buckets — parked copies cross rounds. The parallel
+    /// vectors carry each copy's owning directed edge and its own loss
+    /// verdict; rel_pending_edges lists the blocked edges awaiting
+    /// resolution (appended on first park, drained by resolve_fec_windows).
     MsgBlock rel_parked;
     std::vector<std::size_t> rel_parked_edge;
     std::vector<std::uint8_t> rel_parked_lost;
@@ -509,6 +487,14 @@ class Network {
   /// goes through charge_done_copy instead of a lane. Writes only
   /// shard-s-owned state; reads done_ of every node.
   void stage_shard(unsigned s);
+
+  /// Sizes each of shard sh's lanes, once per round and before anything is
+  /// staged, for at most the copies the round can put there: one per
+  /// active link to a live node in CONGEST (one per pending stream in
+  /// LOCAL), plus every parked copy when an FEC window may release them.
+  /// Exact in a clean CONGEST round; a lost, parked or silenced copy leaves
+  /// its record unused.
+  void size_lanes(Shard& sh);
 
   /// Deliver phase of destination shard d: walks the round's copies in
   /// canonical order (for_each_due_copy), hands future ones to the delayed
@@ -543,24 +529,22 @@ class Network {
   /// Walks the copies addressed to shard d that fall due this round, in
   /// canonical order: the due delayed buckets (by due round, then queue
   /// order), then every source shard's lane d in ascending source-shard
-  /// order, broadcast receivers expanded in packed order. Calls
-  /// fn(block, row, copy) for each copy to apply now. Unless kCount, a
-  /// future copy goes to its delayed bucket and a due bucket copy to a
-  /// crashed destination is charged as silenced; kCount skips both
-  /// silently, so a counting pass has no side effects. An on-time lane copy
-  /// always addresses a live node (an nc_invariant): the stage phase has
-  /// already accounted for those to done or crashed ones.
+  /// order, each in staging order. Calls fn(copy) for each copy to apply
+  /// now. Unless kCount, a future copy goes to its delayed bucket and a due
+  /// bucket copy to a crashed destination is charged as silenced; kCount
+  /// skips both silently, so a counting pass has no side effects. An
+  /// on-time lane copy always addresses a live node (an nc_invariant): the
+  /// stage phase has already accounted for those to done or crashed ones.
   template <bool kCount, typename Fn>
   void for_each_due_copy(Shard& dst, unsigned d, Fn&& fn);
 
   /// Applies `count` copies to node `to` in the given order. Every copy is
   /// charged to `batch` (flushed into the shard's traffic partial once per
-  /// phase) — broadcast copies included, at the full wire bits a per-edge
-  /// row would carry. Unless `to` is done, the copies also count in
-  /// rx_count, reach the inbox and wake the node. Only a delayed copy can
-  /// find its destination done: it was staged before the node finished.
+  /// phase). Unless `to` is done, the copies also count in rx_count, reach
+  /// the inbox and wake the node. Only a delayed copy can find its
+  /// destination done: it was staged before the node finished.
   void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
-                    const MsgBlock::Copy* run, std::size_t count);
+                    const MsgBlock::Copy* const* run, std::size_t count);
 
   /// One copy, due at `due` (0 or the current round = on time), whose
   /// destination `to` is already done, accounted for at stage time by its
@@ -596,17 +580,17 @@ class Network {
                            std::uint64_t wire_bits);
 
   /// Parks one scheduled view on its shard's FEC hold (LinkVerdict::kPark).
-  void park_row(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
-                std::uint32_t back_index, const LinkVerdict& verdict);
+  void park_copy(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
+                 std::uint32_t back_index, const LinkVerdict& verdict);
 
   /// Resolves every pending FEC window of shard `sh` whose close round has
-  /// passed: draws the repair survivals, releases the parked rows (in park
-  /// = stream order) into the shard's lanes at the computed release round,
-  /// or drops the unrecovered losses. A row released for this round to a
-  /// crashed destination is silenced, and one to a done destination goes
-  /// through charge_done_copy (on-time charges into `done_batch`). Runs at
-  /// the top of the stage phase, before any new traffic of the round is
-  /// staged.
+  /// passed: draws the repair survivals, releases the parked copies (in
+  /// park = stream order) into the shard's lanes at the computed release
+  /// round, or drops the unrecovered losses. A copy released for this
+  /// round to a crashed destination is silenced, and one to a done
+  /// destination goes through charge_done_copy (on-time charges into
+  /// `done_batch`). Runs at the top of the stage phase, before any new
+  /// traffic of the round is staged.
   void resolve_fec_windows(Shard& sh, TrafficBatch& done_batch);
 
   /// Queues `v` on its owning shard's wake list (no-op if done or queued).

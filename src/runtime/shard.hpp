@@ -64,7 +64,7 @@ class ShardPool {
   /// Runs fn(0), ..., fn(jobs - 1) across the pool and the calling thread;
   /// returns when every job finished. Jobs must not touch shared mutable
   /// state (the simulator's phases hand each job its own shard — including
-  /// the shard's bump arena and the SoA staging lanes it writes; see the
+  /// the shard's bump arena and the staging lanes it writes; see the
   /// shard-owned/shared inventory in runtime/README.md).
   void run(unsigned jobs, const std::function<void(unsigned)>& fn);
 

@@ -14,7 +14,7 @@ namespace nc {
 /// Chunked bump allocator for per-round transient storage.
 ///
 /// The sharded simulator's hot path produces large volumes of short-lived
-/// data every round — staged message columns, lane payload buffers — whose
+/// data every round — staged copy records, spilled payloads — whose
 /// lifetime ends at a phase barrier. An arena turns that churn into pointer
 /// bumps: `allocate` advances an offset inside the current block, `reset`
 /// rewinds in O(1) and keeps the memory for the next round. Nothing is ever
@@ -109,8 +109,8 @@ class Arena {
 ///
 /// Unlike std::vector the element type contract is explicit (memcpy moves,
 /// no destructors), `clear()` never touches memory, and the backing policy
-/// is a runtime property — the SoA message block uses one type for both
-/// lane and bucket storage (src/runtime/msgblock.hpp).
+/// is a runtime property — the message block uses one type for both lane
+/// and bucket records (src/runtime/msgblock.hpp).
 template <typename T>
 class ArenaVec {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -158,8 +158,9 @@ class ArenaVec {
 
   void clear() noexcept { size_ = 0; }
 
+  /// Makes room for exactly `want` elements (no doubling slack).
   void reserve(std::size_t want) {
-    if (want > capacity_) grow(want);
+    if (want > capacity_) reallocate(want);
   }
 
   T& push_back(const T& value) {
@@ -181,17 +182,16 @@ class ArenaVec {
   [[nodiscard]] std::size_t capacity_slots() const noexcept {
     return capacity_;
   }
-  [[nodiscard]] T* data() noexcept { return data_; }
-  [[nodiscard]] const T* data() const noexcept { return data_; }
   T& operator[](std::size_t i) noexcept { return data_[i]; }
   const T& operator[](std::size_t i) const noexcept { return data_[i]; }
-  T& back() noexcept { return data_[size_ - 1]; }
-  void pop_back() noexcept { --size_; }
 
  private:
   void grow(std::size_t need) {
     std::size_t want = capacity_ < 8 ? 8 : capacity_ * 2;
-    if (want < need) want = need;
+    reallocate(want < need ? need : want);
+  }
+
+  void reallocate(std::size_t want) {
     T* fresh;
     if (arena_ != nullptr) {
       fresh = arena_->allocate_array<T>(want);

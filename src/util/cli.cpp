@@ -81,8 +81,8 @@ void Args::reject_unknown(const std::string& command,
                           const std::vector<std::string>& flags) const {
   for (const auto& [key, value] : kv_) {
     if (std::find(flags.begin(), flags.end(), key) != flags.end()) continue;
-    std::string msg =
-        "unknown flag '--" + key + "' for '" + command + "'; its flags:";
+    std::string msg = "unknown flag '--" + key + "' for '" + command + "'";
+    msg += flags.empty() ? "; it takes no flags" : "; its flags:";
     for (const auto& flag : flags) msg += " --" + flag;
     throw std::invalid_argument(msg);
   }

@@ -33,8 +33,8 @@ class Args {
 
   /// Throws std::invalid_argument naming the first key that is not in
   /// `flags`, the `command` it was given to, and `flags` themselves. The
-  /// `nearclique` commands call it, so a typo such as --thread exits with
-  /// an error instead of running on the default.
+  /// `nearclique` commands and the examples call it, so a typo such as
+  /// --thread exits with an error instead of running on the default.
   void reject_unknown(const std::string& command,
                       const std::vector<std::string>& flags) const;
 

@@ -1,6 +1,7 @@
 #include "util/paramset.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -13,8 +14,21 @@ namespace {
   throw std::invalid_argument("parameter '" + key + "' is not set");
 }
 
+constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+
+// A numeric param as describe_params prints it: an integral value as an
+// integer (1000000, not 1e+06), anything else in the shortest form that
+// parses back to the same double (0.2, 1e-05).
+std::string describe_param_value(double value) {
+  if (std::abs(value) <= kMaxExact && value == std::floor(value)) {
+    return std::to_string(static_cast<std::int64_t>(value));
+  }
+  char buf[32];  // the shortest round-trip form is at most 24 characters
+  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  return std::string(buf, end);
+}
+
 std::uint64_t checked_count(const std::string& key, double value) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
   if (!(value >= 0.0 && value <= kMaxExact) || value != std::floor(value)) {
     std::ostringstream os;
     os << "parameter '" << key << "' must be an integer in [0, 2^53], got "
@@ -156,7 +170,7 @@ double parse_number(const std::string& text, const std::string& what) {
 std::string describe_params(const ParamSet& params) {
   std::ostringstream os;
   for (const auto& [key, value] : params.values()) {
-    os << " " << key << "=" << value;
+    os << " " << key << "=" << describe_param_value(value);
   }
   for (const auto& [key, value] : params.strings()) {
     os << " " << key << "=" << (value.empty() ? "<unset>" : value);

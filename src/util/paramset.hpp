@@ -104,7 +104,9 @@ ParamSet parse_params_csv(const std::string& csv,
                           const ParamSet* declared = nullptr);
 
 /// One-line " key=value key2=value2" rendering (defaults catalogues, table
-/// cells). Numeric values use the default ostream format.
+/// cells). An integral number prints as an integer (n=1000000, not
+/// n=1e+06), any other in the shortest form that parses back to the same
+/// double (eps=0.2, p=1e-05).
 std::string describe_params(const ParamSet& params);
 
 /// "a, b, c" — shared by every registry's catalogue-listing error message.

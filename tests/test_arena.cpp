@@ -140,8 +140,8 @@ TEST(ArenaVec, AppendReturnsWritableSlots) {
 }
 
 TEST(ArenaVec, RoundLifecycleMatchesLaneUsage) {
-  // The lane pattern: bind once, then per round release + reserve(previous
-  // size) against a freshly reset arena.
+  // The lane pattern: bind once, then per round release + reserve(the
+  // round's count) against a freshly reset arena.
   Arena arena;
   ArenaVec<std::uint32_t> v;
   v.bind(&arena);

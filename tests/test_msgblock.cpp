@@ -1,19 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "runtime/link.hpp"
 #include "runtime/message.hpp"
 #include "runtime/msgblock.hpp"
+#include "runtime/network.hpp"
 #include "runtime/reliability.hpp"
 #include "runtime/stream.hpp"
+#include "test_helpers.hpp"
 #include "util/arena.hpp"
+#include "util/bitio.hpp"
+#include "util/rng.hpp"
 
-// Round-trip tests of the SoA staging lanes: a message scheduled as a
-// zero-copy MsgView, pushed into a MsgBlock (inline or spilled encoding),
-// decoded with record() and replayed into an InStream must reproduce the
-// exact symbol sequence, EOS flag and wire accounting of the direct path.
+// Round-trip tests of the staging lanes: a message scheduled as a zero-copy
+// MsgView, pushed into a MsgBlock as one Copy record (inline or spilled
+// encoding) and replayed into an InStream must reproduce the exact symbol
+// sequence, EOS flag and wire accounting of the direct path. The
+// StagedCopies tests drive the same records through a whole Network.
 
 namespace nc {
 namespace {
@@ -39,42 +47,33 @@ void schedule(Scheduled& s, const StreamKey& key,
   s.ok = s.link.schedule_view(budget_bits, kHeader, s.view);
 }
 
-// The physical copies of row `row`, in staged order (for_each_copy, as the
-// deliver phase expands them).
-std::vector<MsgBlock::Receiver> copies_of(const MsgBlock& block,
-                                          std::size_t row) {
-  std::vector<MsgBlock::Receiver> out;
-  block.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
-    if (i == row) out.push_back(c);
-  });
-  return out;
-}
-
-// Replays a decoded record into an InStream exactly as Network::apply_copies
-// does, then pops everything back.
-std::vector<std::pair<std::uint64_t, unsigned>> replay(const MsgBlock::Rec& r) {
+// Replays a record into an InStream exactly as Network::apply_copies does,
+// then pops everything back.
+std::vector<std::pair<std::uint64_t, unsigned>> replay(
+    const MsgBlock::Copy& r) {
   InStream in;
-  if (r.spilled) {
-    in.deliver_packed(r.pay_words, r.pay_word_count, 0, r.pay_bits,
-                      r.pay_widths, r.symbol_count);
+  if (r.spilled()) {
+    in.deliver_packed(r.words, r.pay_word_count(kHeader), 0,
+                      r.pay_bits(kHeader), r.pay_widths(kHeader),
+                      r.symbol_count);
   } else {
-    if (r.symbol_count >= 1) in.deliver(r.v0, r.w0);
-    if (r.symbol_count == 2) in.deliver(r.v1, r.w1);
+    if (r.symbol_count >= 1) in.deliver(r.v[0], r.w0());
+    if (r.symbol_count == 2) in.deliver(r.v[1], r.w1());
   }
-  if (r.eos) in.deliver_eos();
+  if (r.eos()) in.deliver_eos();
   std::vector<std::pair<std::uint64_t, unsigned>> out;
   // Widths are recoverable from the record for verification purposes.
   for (std::uint32_t i = 0; i < r.symbol_count; ++i) {
     unsigned w;
-    if (r.spilled) {
-      w = r.pay_widths[i];
+    if (r.spilled()) {
+      w = r.pay_widths(kHeader)[i];
     } else {
-      w = i == 0 ? r.w0 : r.w1;
+      w = i == 0 ? r.w0() : r.w1();
     }
     out.emplace_back(in.pop(), w);
   }
   EXPECT_EQ(in.available(), 0u);
-  EXPECT_EQ(in.closed(), r.eos);
+  EXPECT_EQ(in.closed(), r.eos());
   return out;
 }
 
@@ -97,14 +96,14 @@ TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
   }
   ASSERT_EQ(block.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const MsgBlock::Rec r = block.record(i, kHeader);
+    const MsgBlock::Copy& r = block[i];
     EXPECT_EQ(r.to, NodeId(i));
     EXPECT_EQ(r.back_index, i);
-    EXPECT_EQ(r.key.kind, keys[i].kind);
-    EXPECT_EQ(r.key.tag, keys[i].tag);
-    EXPECT_EQ(r.key.version, keys[i].version);
-    EXPECT_TRUE(r.eos);  // budget held the whole stream, EOS piggybacked
-    EXPECT_FALSE(r.spilled);
+    EXPECT_EQ(r.key().kind, keys[i].kind);
+    EXPECT_EQ(r.key().tag, keys[i].tag);
+    EXPECT_EQ(r.key().version, keys[i].version);
+    EXPECT_TRUE(r.eos());  // budget held the whole stream, EOS piggybacked
+    EXPECT_FALSE(r.spilled());
     EXPECT_EQ(r.symbol_count, 1u);
     EXPECT_EQ(r.wire_bits, kHeader + 20u);
     const auto symbols = replay(r);
@@ -122,9 +121,9 @@ TEST(MsgBlock, InlineTwoSymbolsIncludingMaxWidth) {
            kHeader + 64 + 16);
   ASSERT_TRUE(s.ok);
   block.push(s.view, 9, 2, 0);
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_FALSE(r.spilled);
-  EXPECT_FALSE(r.eos);  // stream not closed
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_FALSE(r.spilled());
+  EXPECT_FALSE(r.eos());  // stream not closed
   ASSERT_EQ(r.symbol_count, 2u);
   EXPECT_EQ(r.wire_bits, kHeader + 80u);
   const auto symbols = replay(r);
@@ -147,11 +146,11 @@ TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
            kHeader + payload_bits);
   ASSERT_TRUE(s.ok);
   block.push(s.view, 5, 0, 0);
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
-  EXPECT_TRUE(r.eos);
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_TRUE(r.spilled());
+  EXPECT_TRUE(r.eos());
   ASSERT_EQ(r.symbol_count, 50u);
-  EXPECT_EQ(r.pay_bits, payload_bits);
+  EXPECT_EQ(r.pay_bits(kHeader), payload_bits);
   const auto got = replay(r);
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     EXPECT_EQ(got[i], symbols[i]) << "symbol " << i;
@@ -169,8 +168,8 @@ TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   schedule(s, StreamKey{1, 2, 0}, symbols, /*close=*/true, kHeader + 8 * 64);
   ASSERT_TRUE(s.ok);
   block.push(s.view, 1, 0, 0);
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_TRUE(r.spilled());
   ASSERT_EQ(r.symbol_count, 8u);
   const auto got = replay(r);
   for (std::size_t i = 0; i < symbols.size(); ++i) EXPECT_EQ(got[i], symbols[i]);
@@ -182,13 +181,13 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
   schedule(s, StreamKey{2, 8, 0}, {}, /*close=*/true, kHeader);
   ASSERT_TRUE(s.ok);  // empty-but-closed stream schedules a pure-EOS message
   block.push(s.view, 3, 1, 0);
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.eos);
-  EXPECT_FALSE(r.spilled);
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_TRUE(r.eos());
+  EXPECT_FALSE(r.spilled());
   EXPECT_EQ(r.symbol_count, 0u);
   EXPECT_EQ(r.wire_bits, kHeader);
   InStream in;
-  if (r.eos) in.deliver_eos();
+  if (r.eos()) in.deliver_eos();
   EXPECT_TRUE(in.finished());
 }
 
@@ -211,8 +210,8 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
         block.push(v, 0, 0, 0);
       });
   ASSERT_EQ(produced, 1u);
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.spilled);
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_TRUE(r.spilled());
   ASSERT_EQ(r.symbol_count, 200u);
   const auto got = replay(r);
   for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -222,12 +221,12 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
 }
 
 TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
-  // The delayed-bucket hand-off: rows staged in an arena-backed lane are
-  // copied into a heap-backed bucket that outlives the round.
+  // The delayed-bucket hand-off: copies staged in an arena-backed lane are
+  // copied into a heap-backed block that outlives the round.
   Arena arena;
   MsgBlock lane;
-  lane.bind(&arena);
-  lane.begin_round();
+  lane.bind(&arena, /*timed=*/true);
+  lane.start_round(2);
 
   Scheduled small;
   schedule(small, StreamKey{6, 11, 2}, {{0xabcd, 16}}, /*close=*/false,
@@ -243,29 +242,30 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   ASSERT_TRUE(big.ok);
   lane.push(big.view, 11, 5, 9);
 
-  MsgBlock bucket;  // heap mode
-  bucket.append_from(lane, 0, kHeader);
-  bucket.append_from(lane, 1, kHeader);
+  MsgBlock bucket;
+  bucket.bind(nullptr, /*timed=*/true);  // heap mode
+  bucket.append(lane[0], kHeader, lane.due(0));
+  bucket.append(lane[1], kHeader, lane.due(1));
 
-  // Simulate the next round: the arena rewinds and the lane re-carves. The
-  // bucket's copies must be unaffected.
+  // Simulate the next round: the arena rewinds and the lane is sized
+  // afresh. The bucket's copies must be unaffected.
   arena.reset();
-  lane.begin_round();
+  lane.start_round(2);
 
-  const MsgBlock::Rec r0 = bucket.record(0, kHeader);
+  const MsgBlock::Copy& r0 = bucket[0];
   EXPECT_EQ(r0.to, 10u);
   EXPECT_EQ(r0.back_index, 4u);
-  EXPECT_EQ(r0.deliver_round, 7u);
-  EXPECT_FALSE(r0.spilled);
+  EXPECT_EQ(bucket.due(0), 7u);
+  EXPECT_FALSE(r0.spilled());
   const auto got0 = replay(r0);
   ASSERT_EQ(got0.size(), 1u);
   EXPECT_EQ(got0[0], (std::pair<std::uint64_t, unsigned>{0xabcdu, 16u}));
 
-  const MsgBlock::Rec r1 = bucket.record(1, kHeader);
+  const MsgBlock::Copy& r1 = bucket[1];
   EXPECT_EQ(r1.to, 11u);
-  EXPECT_EQ(r1.deliver_round, 9u);
-  EXPECT_TRUE(r1.spilled);
-  EXPECT_TRUE(r1.eos);
+  EXPECT_EQ(bucket.due(1), 9u);
+  EXPECT_TRUE(r1.spilled());
+  EXPECT_TRUE(r1.eos());
   const auto got1 = replay(r1);
   ASSERT_EQ(got1.size(), 20u);
   for (std::size_t i = 0; i < 20; ++i) {
@@ -276,10 +276,10 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
 TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
   Arena arena;
   MsgBlock lane;
-  lane.bind(&arena);
+  lane.bind(&arena, /*timed=*/false);
   for (int round = 0; round < 8; ++round) {
     arena.reset();
-    lane.begin_round();
+    lane.start_round(32);
     for (int m = 0; m < 32; ++m) {
       Scheduled s;
       schedule(s, StreamKey{1, NodeId(m), 0},
@@ -290,176 +290,18 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
     }
     ASSERT_EQ(lane.size(), 32u);
   }
-  // After the first two rounds (growth then coalesce) the arena should stop
-  // growing: identical per-round footprint.
+  // A presized lane holds exactly its records: the arena should stop
+  // growing, at one 40-byte record per copy.
   const std::size_t hw = arena.high_water_bytes();
+  EXPECT_EQ(hw, 32 * sizeof(MsgBlock::Copy));
   arena.reset();
-  lane.begin_round();
+  lane.start_round(32);
   for (int m = 0; m < 32; ++m) {
     Scheduled s;
     schedule(s, StreamKey{1, NodeId(m), 0}, {{7, 24}}, true, kHeader + 24);
     lane.push(s.view, NodeId(m), 0, 0);
   }
   EXPECT_EQ(arena.high_water_bytes(), hw);
-}
-
-TEST(MsgBlock, BroadcastUpgradeKeepsFirstReceiverAndSharesPayload) {
-  // A row starts unicast; the first add_receiver upgrades it in place and
-  // the original (to, back, round) must come back as receiver 0, in order.
-  MsgBlock block;
-  Scheduled s;
-  schedule(s, StreamKey{3, 21, 1}, {{0xbeef, 16}, {0x7, 3}}, /*close=*/true,
-           kHeader + 19);
-  ASSERT_TRUE(s.ok);
-  block.push(s.view, 40, 4, 0);
-  block.add_receiver(41, 5, 0);
-  block.add_receiver(47, 9, 0);
-
-  ASSERT_EQ(block.size(), 1u);            // one row...
-  EXPECT_EQ(block.message_count(), 3u);   // ...three physical messages
-  const MsgBlock::Rec r = block.record(0, kHeader);
-  EXPECT_TRUE(r.bcast);
-  EXPECT_FALSE(r.spilled);
-  EXPECT_TRUE(r.eos);
-  ASSERT_EQ(r.rcv_count, 3u);
-  const MsgBlock::Receiver want[] = {{40, 4, 0}, {41, 5, 0}, {47, 9, 0}};
-  const auto copies = copies_of(block, 0);
-  ASSERT_EQ(copies.size(), 3u);
-  for (std::uint32_t j = 0; j < r.rcv_count; ++j) {
-    const MsgBlock::Receiver rcv = copies[j];
-    EXPECT_EQ(rcv.to, want[j].to);
-    EXPECT_EQ(rcv.back_index, want[j].back_index);
-    EXPECT_EQ(rcv.deliver_round, want[j].deliver_round);
-  }
-  // The shared payload decodes once and serves every copy.
-  const auto symbols = replay(r);
-  ASSERT_EQ(symbols.size(), 2u);
-  EXPECT_EQ(symbols[0], (std::pair<std::uint64_t, unsigned>{0xbeefu, 16u}));
-  EXPECT_EQ(symbols[1], (std::pair<std::uint64_t, unsigned>{0x7u, 3u}));
-}
-
-TEST(MsgBlock, BroadcastSpilledMaxWidthFansOutToEveryDegree) {
-  // Spilled all-64-bit payload (the widest legal symbols) fanned out to
-  // 1..deg receivers: one receiver must stay a plain unicast row; larger
-  // fans share the single spilled payload and keep per-copy rounds.
-  for (std::uint32_t deg = 1; deg <= 5; ++deg) {
-    MsgBlock block;
-    Scheduled s;
-    std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-    for (unsigned i = 0; i < 6; ++i) {
-      symbols.emplace_back(0x1111111111111111u * (i + 1), 64);
-    }
-    schedule(s, StreamKey{7, 900, 2}, symbols, /*close=*/true,
-             kHeader + 6 * 64);
-    ASSERT_TRUE(s.ok);
-    block.push(s.view, 100, 0, 0);
-    for (std::uint32_t j = 1; j < deg; ++j) {
-      block.add_receiver(100 + j, j, /*deliver_round=*/j);  // per-copy delay
-    }
-    ASSERT_EQ(block.size(), 1u) << "deg " << deg;
-    EXPECT_EQ(block.message_count(), deg);
-    const MsgBlock::Rec r = block.record(0, kHeader);
-    EXPECT_TRUE(r.spilled);
-    if (deg == 1) {
-      EXPECT_FALSE(r.bcast);  // single receiver costs exactly a unicast
-      EXPECT_EQ(r.to, 100u);
-    } else {
-      EXPECT_TRUE(r.bcast);
-      ASSERT_EQ(r.rcv_count, deg);
-      const auto copies = copies_of(block, 0);
-      ASSERT_EQ(copies.size(), deg);
-      for (std::uint32_t j = 0; j < deg; ++j) {
-        const MsgBlock::Receiver rcv = copies[j];
-        EXPECT_EQ(rcv.to, 100u + j);
-        EXPECT_EQ(rcv.deliver_round, j);
-      }
-    }
-    const auto got = replay(r);
-    ASSERT_EQ(got.size(), symbols.size());
-    for (std::size_t i = 0; i < symbols.size(); ++i) {
-      EXPECT_EQ(got[i], symbols[i]) << "deg " << deg << " symbol " << i;
-    }
-  }
-}
-
-TEST(MsgBlock, BroadcastReceiversSplitAcrossDstShardLanes) {
-  // The stage phase groups per (src, dst-shard) lane: a broadcast whose
-  // receivers live on two destination shards stages one row per lane, each
-  // fanning only its own shard's receivers. Two lanes, same scheduled view.
-  Arena arena0, arena1;
-  MsgBlock lane0, lane1;
-  lane0.bind(&arena0);
-  lane1.bind(&arena1);
-  lane0.begin_round();
-  lane1.begin_round();
-
-  Scheduled s;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-  for (unsigned i = 0; i < 12; ++i) symbols.emplace_back(i * 3 + 1, 33);
-  schedule(s, StreamKey{5, 77, 0}, symbols, /*close=*/false,
-           kHeader + 12 * 33);
-  ASSERT_TRUE(s.ok);
-
-  // Shard 0 gets receivers {2, 4, 6}; shard 1 gets only {9001}.
-  lane0.push(s.view, 2, 0, 0);
-  lane0.add_receiver(4, 1, 0);
-  lane0.add_receiver(6, 2, 0);
-  lane1.push(s.view, 9001, 3, 0);
-
-  const MsgBlock::Rec r0 = lane0.record(0, kHeader);
-  const MsgBlock::Rec r1 = lane1.record(0, kHeader);
-  EXPECT_TRUE(r0.bcast);
-  ASSERT_EQ(r0.rcv_count, 3u);
-  EXPECT_EQ(copies_of(lane0, 0).at(2).to, 6u);
-  EXPECT_FALSE(r1.bcast);  // lone receiver on its shard: plain unicast row
-  EXPECT_EQ(r1.to, 9001u);
-  // Both lanes decode the identical payload and identical wire charge.
-  EXPECT_EQ(r0.wire_bits, r1.wire_bits);
-  const auto got0 = replay(r0);
-  const auto got1 = replay(r1);
-  EXPECT_EQ(got0, got1);
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    EXPECT_EQ(got0[i], symbols[i]) << "symbol " << i;
-  }
-}
-
-TEST(MsgBlock, AppendReceiverFromMaterializesDelayedUnicastCopy) {
-  // A delayed broadcast copy leaves the shared row: append_receiver_from
-  // parks it in a heap bucket as an independent unicast message carrying
-  // its own deliver round, surviving the lane's arena reset.
-  Arena arena;
-  MsgBlock lane;
-  lane.bind(&arena);
-  lane.begin_round();
-
-  Scheduled s;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-  for (unsigned i = 0; i < 9; ++i) symbols.emplace_back(0xa0 + i, 12);
-  schedule(s, StreamKey{6, 13, 1}, symbols, /*close=*/true, kHeader + 9 * 12);
-  ASSERT_TRUE(s.ok);
-  lane.push(s.view, 50, 0, 0);
-  lane.add_receiver(51, 1, /*deliver_round=*/17);  // this copy is delayed
-
-  const MsgBlock::Rec staged = lane.record(0, kHeader);
-  ASSERT_TRUE(staged.bcast);
-  const MsgBlock::Receiver delayed = copies_of(lane, 0).at(1);
-  MsgBlock bucket;  // heap mode, outlives the round
-  bucket.append_receiver_from(lane, 0, delayed, kHeader);
-
-  arena.reset();
-  lane.begin_round();
-
-  const MsgBlock::Rec r = bucket.record(0, kHeader);
-  EXPECT_FALSE(r.bcast);  // materialized as a plain unicast row
-  EXPECT_EQ(r.to, 51u);
-  EXPECT_EQ(r.back_index, 1u);
-  EXPECT_EQ(r.deliver_round, 17u);
-  EXPECT_TRUE(r.eos);
-  const auto got = replay(r);
-  ASSERT_EQ(got.size(), symbols.size());
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    EXPECT_EQ(got[i], symbols[i]) << "symbol " << i;
-  }
 }
 
 TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
@@ -481,12 +323,12 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
                0);
   }
   for (std::size_t i = 0; i < 2; ++i) {
-    const MsgBlock::Rec r = block.record(i, kHeader);
-    EXPECT_EQ(r.key.kind, kinds[i]);  // survives the 5-bit meta packing
-    EXPECT_EQ(r.key.tag, NodeId(40 + i));
-    EXPECT_EQ(r.key.version, 2u);
-    EXPECT_TRUE(r.eos);
-    EXPECT_FALSE(r.spilled);
+    const MsgBlock::Copy& r = block[i];
+    EXPECT_EQ(r.key().kind, kinds[i]);  // survives the 5-bit meta packing
+    EXPECT_EQ(r.key().tag, NodeId(40 + i));
+    EXPECT_EQ(r.key().version, 2u);
+    EXPECT_TRUE(r.eos());
+    EXPECT_FALSE(r.spilled());
     EXPECT_EQ(r.wire_bits, kHeader + 80u);
     const auto got = replay(r);
     ASSERT_EQ(got.size(), 2u);
@@ -497,8 +339,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
 
 TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
   // Same kinds through the spilled encoding (meta's kSpillBit set alongside
-  // the top kind bits), plus the FEC-release hand-off: append_from with an
-  // explicit deliver round must rewrite the round column and nothing else.
+  // the top kind bits), plus the FEC-release hand-off: append with an
+  // explicit due round must set the due column and copy the rest.
   MsgBlock block;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
   std::size_t payload_bits = 0;
@@ -515,19 +357,20 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     ASSERT_TRUE(s.ok);
     block.push(s.view, 7, 3, 0);
   }
-  MsgBlock released;  // heap mode, the rel_parked -> lane release path
-  released.append_from(block, 0, kHeader, /*deliver_round=*/123);
-  released.append_from(block, 1, kHeader, /*deliver_round=*/456);
+  MsgBlock released;  // the rel_parked -> lane release path
+  released.bind(nullptr, /*timed=*/true);
+  released.append(block[0], kHeader, /*due=*/123);
+  released.append(block[1], kHeader, /*due=*/456);
   const std::uint64_t rounds[2] = {123, 456};
   const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
   for (std::size_t i = 0; i < 2; ++i) {
-    const MsgBlock::Rec r = released.record(i, kHeader);
-    EXPECT_EQ(r.key.kind, kinds[i]);
-    EXPECT_EQ(r.deliver_round, rounds[i]);
+    const MsgBlock::Copy& r = released[i];
+    EXPECT_EQ(r.key().kind, kinds[i]);
+    EXPECT_EQ(released.due(i), rounds[i]);
     EXPECT_EQ(r.to, 7u);
     EXPECT_EQ(r.back_index, 3u);
-    EXPECT_TRUE(r.spilled);
-    EXPECT_TRUE(r.eos);
+    EXPECT_TRUE(r.spilled());
+    EXPECT_TRUE(r.eos());
     ASSERT_EQ(r.symbol_count, symbols.size());
     const auto got = replay(r);
     for (std::size_t j = 0; j < symbols.size(); ++j) {
@@ -537,11 +380,13 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
 }
 
 TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
-  // The deliver phase's per-round log: for_each_copy yields every physical
-  // copy in staged order (broadcast receivers expanded in packed order),
-  // and a 32-byte Copy decodes to its row's key, flags, wire bits and
-  // payload — inline rows carried whole, spilled rows through the block.
+  // The deliver phase reads the records in staged order: every physical
+  // copy — both copies of one scheduled view included — is a record of its
+  // own with its own destination, back index and due round, and decodes
+  // to the key, flags, wire bits and payload of the view it was staged
+  // from: inline rows carried whole, spilled rows through their payload.
   MsgBlock block;
+  block.bind(nullptr, /*timed=*/true);
   Scheduled inline_row, bcast_row, spilled_row;
   schedule(inline_row, StreamKey{31, 7, 15}, {{~std::uint64_t{0}, 64}, {5, 3}},
            /*close=*/true, kHeader + 67);
@@ -554,37 +399,192 @@ TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
   ASSERT_TRUE(inline_row.ok && bcast_row.ok && spilled_row.ok);
   block.push(inline_row.view, 10, 1, 0);
   block.push(bcast_row.view, 11, 2, 0);
-  block.add_receiver(12, 3, 9);
+  block.push(bcast_row.view, 12, 3, 9);
   block.push(spilled_row.view, 13, 4, 0);
 
-  struct Seen {
-    std::size_t row;
-    MsgBlock::Receiver rcv;
+  struct Want {
+    const MsgView* view;
+    NodeId to;
+    std::uint32_t back_index;
+    std::uint64_t due;
   };
-  std::vector<Seen> seen;
-  block.for_each_copy([&](std::size_t i, const MsgBlock::Receiver& c) {
-    seen.push_back({i, c});
-  });
-  const Seen want[] = {{0, {10, 1, 0}}, {1, {11, 2, 0}}, {1, {12, 3, 9}},
-                       {2, {13, 4, 0}}};
-  ASSERT_EQ(seen.size(), 4u);
-  for (std::size_t j = 0; j < seen.size(); ++j) {
-    EXPECT_EQ(seen[j].row, want[j].row) << "copy " << j;
-    EXPECT_EQ(seen[j].rcv.to, want[j].rcv.to) << "copy " << j;
-    EXPECT_EQ(seen[j].rcv.back_index, want[j].rcv.back_index) << "copy " << j;
-    EXPECT_EQ(seen[j].rcv.deliver_round, want[j].rcv.deliver_round);
-    const MsgBlock::Rec row = block.record(seen[j].row, kHeader);
-    const MsgBlock::Rec got = MsgBlock::decode(
-        block.copy(seen[j].row, seen[j].rcv.back_index), kHeader);
-    EXPECT_EQ(got.back_index, seen[j].rcv.back_index);
-    EXPECT_EQ(got.key, row.key);
-    EXPECT_EQ(got.eos, row.eos);
-    EXPECT_EQ(got.spilled, row.spilled);
-    EXPECT_EQ(got.symbol_count, row.symbol_count);
-    EXPECT_EQ(got.wire_bits, row.wire_bits);
-    EXPECT_EQ(replay(got), replay(row)) << "copy " << j;
+  const Want want[] = {{&inline_row.view, 10, 1, 0},
+                       {&bcast_row.view, 11, 2, 0},
+                       {&bcast_row.view, 12, 3, 9},
+                       {&spilled_row.view, 13, 4, 0}};
+  ASSERT_EQ(block.size(), 4u);
+  for (std::size_t j = 0; j < block.size(); ++j) {
+    const MsgBlock::Copy& got = block[j];
+    const MsgView& v = *want[j].view;
+    EXPECT_EQ(got.to, want[j].to) << "copy " << j;
+    EXPECT_EQ(got.back_index, want[j].back_index) << "copy " << j;
+    EXPECT_EQ(block.due(j), want[j].due) << "copy " << j;
+    EXPECT_EQ(got.key(), v.key);
+    EXPECT_EQ(got.eos(), v.eos);
+    EXPECT_EQ(got.symbol_count, v.symbol_count);
+    EXPECT_EQ(got.wire_bits, v.wire_bits);
   }
-  EXPECT_TRUE(block.record(2, kHeader).spilled);
+  EXPECT_EQ(replay(block[1]), replay(block[2]));
+  EXPECT_EQ(replay(block[3]), spilled);
+  EXPECT_TRUE(block[3].spilled());
+}
+
+// Broadcasts kMessages spilled messages of kPerMessage 64-bit symbols (the
+// widest legal symbol) to every neighbour through one open_stream_all, and
+// checks on every receiver that each neighbour's stream arrives whole and
+// in order, kPerMessage symbols a round.
+class WideCaster : public INode {
+ public:
+  static constexpr std::uint16_t kKind = 3;
+  static constexpr unsigned kPerMessage = 6;  // > 2 symbols: spilled
+  static constexpr unsigned kMessages = 3;
+
+  static std::uint64_t symbol(NodeId from, unsigned i) {
+    return ~std::uint64_t{0} - (std::uint64_t{from} << 16) - i;
+  }
+
+  void on_start(NodeApi& api) override {
+    OutChannel ch = api.open_stream_all(StreamKey{kKind, 0, 0});
+    for (unsigned i = 0; i < kPerMessage * kMessages; ++i) {
+      ch.put(symbol(api.id(), i), 64);
+    }
+    ch.close();
+    got_.assign(api.degree(), 0);
+  }
+
+  void on_round(NodeApi& api) override {
+    std::size_t finished = 0;
+    std::uint64_t popped = 0;
+    api.for_each_in(kKind, [&](std::size_t ni, const StreamKey&,
+                               InStream& in) {
+      const NodeId from = api.neighbors()[ni];
+      while (in.available() > 0) {
+        const std::uint64_t v = in.pop();
+        if (v != symbol(from, got_[ni])) ++corrupt;
+        ++got_[ni];
+        ++popped;
+      }
+      if (in.finished()) ++finished;
+    });
+    log.push_back({api.round(), popped});
+    if (finished == api.degree()) api.set_done();
+  }
+
+  struct Arrival {
+    std::uint64_t round;
+    std::uint64_t symbols;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<Arrival> log;
+  std::uint64_t corrupt = 0;
+
+ private:
+  std::vector<unsigned> got_;
+};
+
+TEST(StagedCopies, SpilledMaxWidthBroadcastArrivesIntactAtEveryThreadCount) {
+  // Every copy of a spilled max-width broadcast is its own record, staged
+  // into the lane of its destination shard: on K9 at 2 and 4 threads the
+  // fan-out crosses every lane, and each neighbour must still receive every
+  // symbol intact, in stream order, one message per round, with the
+  // RunStats of one thread and of the closed form.
+  constexpr NodeId kN = 9;
+  const Graph g = testing::complete_graph(kN);
+  RunStats serial;
+  std::vector<std::vector<WideCaster::Arrival>> serial_logs;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetConfig cfg;
+    cfg.bandwidth_factor = 100;  // room for six 64-bit symbols a message
+    cfg.threads = threads;
+    Network net(g, cfg, [](NodeId) { return std::make_unique<WideCaster>(); });
+    const RunStats stats = net.run();
+    ASSERT_TRUE(net.all_done());
+    const std::uint64_t wire =
+        stream_header_bits(id_width(kN)) + WideCaster::kPerMessage * 64;
+    ASSERT_LE(wire, net.bandwidth_bits());
+    EXPECT_EQ(stats.messages, kN * (kN - 1) * WideCaster::kMessages);
+    EXPECT_EQ(stats.bits, stats.messages * wire);
+    EXPECT_EQ(stats.max_message_bits, wire);
+    EXPECT_EQ(stats.rounds, WideCaster::kMessages);
+    std::vector<std::vector<WideCaster::Arrival>> logs;
+    for (NodeId v = 0; v < kN; ++v) {
+      auto& node = static_cast<WideCaster&>(net.node(v));
+      EXPECT_EQ(node.corrupt, 0u) << "node " << v;
+      ASSERT_EQ(node.log.size(), WideCaster::kMessages) << "node " << v;
+      for (std::uint64_t r = 0; r < WideCaster::kMessages; ++r) {
+        EXPECT_EQ(node.log[r].round, r + 1);
+        EXPECT_EQ(node.log[r].symbols, (kN - 1) * WideCaster::kPerMessage);
+      }
+      logs.push_back(node.log);
+    }
+    if (threads == 1) {
+      serial = stats;
+      serial_logs = logs;
+    } else {
+      EXPECT_EQ(stats, serial);
+      EXPECT_EQ(logs, serial_logs);
+    }
+  }
+}
+
+// Broadcasts one symbol on every link in each of its first kRounds wake-ups,
+// then closes the stream and finishes: every round but the last stages a
+// copy on every link.
+class Chatter : public INode {
+ public:
+  static constexpr std::uint64_t kRounds = 4;
+
+  void on_start(NodeApi& api) override {
+    ch_ = api.open_stream_all(StreamKey{1, 0, 0});
+    ch_.put(api.id() & 0xffu, 8);
+  }
+
+  void on_round(NodeApi& api) override {
+    if (api.round() < kRounds) {
+      ch_.put(api.round(), 8);
+    } else if (!closed_) {
+      ch_.close();
+      closed_ = true;
+    } else {
+      api.set_done();
+    }
+  }
+
+ private:
+  OutChannel ch_;
+  bool closed_ = false;
+};
+
+TEST(StagedCopies, ArenaPeakIsOneRecordAndOneReferencePerCopy) {
+  // The byte budget of the data path: a staged copy costs one 40-byte
+  // record in its source shard's arena and, in a dense round, one 8-byte
+  // sort reference in its destination shard's arena, next to a 4-byte
+  // count per node. Lane doubling or a second per-copy encoding breaks the
+  // bound. kSlack covers what is neither: each round's lane-size table,
+  // alignment padding and the load imbalance of 4 shards (a shard may
+  // receive a few more copies than the busiest shard stages).
+  constexpr std::uint64_t kSlack = 64 * 1024;
+  Rng rng(5);
+  const Graph g = erdos_renyi(3000, 0.01, rng);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetProfile prof;
+    NetConfig cfg;
+    cfg.threads = threads;
+    cfg.profile = &prof;
+    Network net(g, cfg, [](NodeId) { return std::make_unique<Chatter>(); });
+    net.run();
+    ASSERT_TRUE(net.all_done());
+    // The peak round stages a copy on every link.
+    EXPECT_GE(prof.lane_msgs_peak * threads, 2 * g.m());
+    const std::uint64_t per_copy =
+        sizeof(MsgBlock::Copy) + sizeof(const MsgBlock::Copy*);
+    const std::uint64_t counts = (std::uint64_t{g.n()} + 1) * 4;
+    EXPECT_LE(prof.arena_bytes_peak_shard,
+              prof.lane_msgs_peak * per_copy + counts + kSlack)
+        << "lane_msgs_peak=" << prof.lane_msgs_peak;
+  }
 }
 
 TEST(ReadPackedBits, GuardsTailWordAndMasks) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/cli.hpp"
+#include "util/paramset.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -220,6 +221,33 @@ TEST(Args, RejectUnknownNamesFlagCommandAndFlagSet) {
   EXPECT_FALSE(invalid_argument_of([&] {
                  Args(2, bare_argv).reject_unknown("run", {"threads"});
                }).empty());
+  // A command that declares no flags says so.
+  EXPECT_NE(invalid_argument_of([&] {
+              Args(2, bare_argv).reject_unknown("list-scenarios", {});
+            }).find("'--verbose' for 'list-scenarios'; it takes no flags"),
+            std::string::npos);
+}
+
+
+TEST(ParamSet, DescribeParamsPrintsCountsWholeAndFractionsExactly) {
+  // Catalogues and sweep tables print params through describe_params: a
+  // count reads as an integer (n=1000000, not n=1e+06), and any other
+  // value in a form that parses back to the same double.
+  const ParamSet params = ParamSet()
+                              .with("n", 1e6)
+                              .with("max_rounds", 3.2e7)
+                              .with("eps", 0.2)
+                              .with("p", 1e-5);
+  const std::string text = describe_params(params) + " ";
+  EXPECT_NE(text.find(" n=1000000 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" max_rounds=32000000 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" eps=0.2 "), std::string::npos) << text;
+  EXPECT_EQ(text.find("e+"), std::string::npos) << text;
+  for (const auto& [key, want] : params.values()) {
+    const std::size_t at = text.find(" " + key + "=") + key.size() + 2;
+    const std::string shown = text.substr(at, text.find(' ', at) - at);
+    EXPECT_EQ(std::stod(shown), want) << key << "=" << shown;
+  }
 }
 
 }  // namespace
