@@ -3,8 +3,9 @@
 // Shared glue for the experiment benchmarks (E1..E12). Each bench binary is
 // a google-benchmark executable whose cases run seeded trial batches, export
 // the headline measurement as benchmark counters, and append one row per
-// configuration to a process-global table that main() prints — the table is
-// the artifact EXPERIMENTS.md records against the paper's prediction.
+// configuration to a process-global table that main() prints — the table,
+// which `bench/run_benches.sh --experiments` prints for E1..E12, is the
+// artifact to read against the paper's prediction.
 
 #include <benchmark/benchmark.h>
 

@@ -27,13 +27,14 @@
 // Usage: bench_fault_sweep [--json PATH] [--full] [--threads N]
 //   --json PATH  write the artifact to PATH (default BENCH_faults.json)
 //   --full       add the 1M-node instance (slow: several protocol runs)
-//   --threads N  delivery sharding (results are bit-identical at any N)
+//   --threads N  delivery sharding, N in [1, 256] (results are
+//                bit-identical at any N)
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -44,6 +45,7 @@
 #include "algo/registry.hpp"
 #include "expt/scenario.hpp"
 #include "graph/metrics.hpp"
+#include "runtime/shard.hpp"
 #include "util/json.hpp"
 
 namespace nc {
@@ -229,7 +231,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      // Checked whole, before any instance is built.
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, threads);
+      if (ec != std::errc() || ptr != end || threads < 1 ||
+          threads > nc::kMaxShards) {
+        std::cerr << "error: --threads expects an integer in [1, "
+                  << nc::kMaxShards << "], got '" << text << "'\n";
+        return 2;
+      }
     } else {
       std::cerr << "usage: bench_fault_sweep [--json PATH] [--full] "
                    "[--threads N]\nunknown argument: "

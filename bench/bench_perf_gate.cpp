@@ -36,7 +36,8 @@
 // Usage: bench_perf_gate [--floor-scale=X]
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 
@@ -112,16 +113,21 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--floor-scale=", 14) == 0) {
-      scale = std::atof(argv[i] + 14);
+      // Checked whole, before any workload runs.
+      const char* text = argv[i] + 14;
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, scale);
+      if (ec != std::errc() || ptr != end || !std::isfinite(scale) ||
+          scale <= 0) {
+        std::cerr << "error: --floor-scale expects a number > 0, got '"
+                  << text << "'\n";
+        return 2;
+      }
     } else {
       std::cerr << "usage: bench_perf_gate [--floor-scale=X]\n"
                 << "unknown argument: " << argv[i] << "\n";
       return 2;
     }
-  }
-  if (scale <= 0) {
-    std::cerr << "error: floor scale must be > 0, got " << scale << "\n";
-    return 2;
   }
   std::cout << "perf gate: floor scale " << scale << "\n";
 

@@ -15,9 +15,10 @@ namespace nc {
 /// components, K/T sets with bit-identical integer thresholds, the same
 /// argmax/tie-breaking, the same voting, and must therefore produce the
 /// same labels whenever the distributed execution completes without hitting
-/// a version window or the decision deadline (generous budgets; see
-/// DESIGN.md). It is also the reference for Lemma 5.3 / 5.6 measurements,
-/// since it can expose every candidate T_eps(X), not just the winner.
+/// a version window or the decision deadline (generous budgets for the
+/// Section 4.1 wrappers, arXiv:0905.4147). It is also the reference for
+/// Lemma 5.3 / 5.6 measurements, since it can expose every candidate
+/// T_eps(X), not just the winner.
 struct OracleResult {
   std::vector<Label> labels;                ///< per node, kBottom if none
   std::vector<RootCandidate> candidates;    ///< every live component

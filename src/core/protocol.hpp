@@ -205,9 +205,10 @@ struct VersionState {
 };
 
 /// One processor running Algorithm DistNearClique (Section 4) under the
-/// Section 4.1 wrappers. See DESIGN.md for the stage-by-stage narrative;
-/// stage handlers live in protocol_election.cpp, protocol_gather.cpp,
-/// protocol_explore.cpp and protocol_decide.cpp.
+/// Section 4.1 wrappers (arXiv:0905.4147). The stages follow the paper's
+/// steps, and each handler file opens with the steps it implements:
+/// protocol_election.cpp, protocol_gather.cpp, protocol_explore.cpp and
+/// protocol_decide.cpp.
 class DistNearCliqueNode : public INode {
  public:
   explicit DistNearCliqueNode(const ProtocolParams& params, Schedule schedule);

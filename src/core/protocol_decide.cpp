@@ -11,10 +11,11 @@
 // broadcasts it down; nodes in T_eps(X(S_i)) of a surviving candidate output
 // its label, everyone else outputs bottom.
 //
-// Liveness note (see DESIGN.md): a candidate is reported only if its whole
-// exploration completed, which implies every participant has complete
-// structures and will eventually vote; unreported pairs can therefore only
-// stall and are force-resolved at the decision deadline.
+// Liveness note: a candidate is reported only if its whole exploration
+// completed, which implies every participant has complete structures and
+// will eventually vote; unreported pairs can therefore only stall and are
+// force-resolved at the decision deadline (the deterministic time bound of
+// Section 4.1, arXiv:0905.4147).
 
 namespace nc {
 

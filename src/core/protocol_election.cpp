@@ -15,7 +15,9 @@
 // acks release only when a node's own forwards are all acknowledged. A
 // candidate whose deficit reaches zero with no flag raised is the unique
 // minimum-ID root of its component and locally knows its BFS tree is
-// complete (see DESIGN.md for the correctness argument).
+// complete: any other candidate's flood stays inside its component, so it
+// reaches the minimum-ID member or a node that adopted a smaller root, and
+// that node's ack raises the flag; no ack to the minimum-ID root ever does.
 
 namespace nc {
 

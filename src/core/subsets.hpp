@@ -14,8 +14,8 @@ namespace nc {
 /// sorted member list; "coordinate" j of every exploration vector refers to
 /// the subset with mask j+1. The paper enumerates all subsets including the
 /// empty one, but K(∅) = V cannot be counted by a convergecast over
-/// Gamma(S_i) and the analysis only needs the non-empty X* = S(1) ∩ C, so ∅
-/// is skipped (see DESIGN.md).
+/// Gamma(S_i) and the analysis (arXiv:0905.4147, Section 5) only needs the
+/// non-empty X* = S(1) ∩ C, so ∅ is skipped.
 
 /// Number of non-empty subsets of an s-element set: 2^s - 1.
 /// Precondition: s <= 63.

@@ -10,7 +10,8 @@ namespace nc {
 
 /// Appends the standard measurement columns of a TrialStats row to a table
 /// row (success rate with Wilson interval, output size/density, rounds,
-/// traffic). Keeps every bench binary's table consistent for EXPERIMENTS.md.
+/// traffic). Keeps the experiment tables every bench binary prints
+/// (`bench/run_benches.sh --experiments`) consistent.
 void append_stats_cells(std::vector<std::string>& row,
                         const TrialStats& stats);
 

@@ -125,12 +125,17 @@ struct NetProfile {
   /// Arena accounting: sum and per-shard max of the shard arenas'
   /// high-water marks (bytes of per-round transient storage: the lanes'
   /// 40-byte copy records and spilled payloads, and the deliver phase's
-  /// per-node counts and 8-byte sort references).
+  /// per-node counts and 8-byte sort references). A copy due in a later
+  /// round is not in it: it waits in a heap-backed in-flight bucket, and
+  /// no copy carries a due round.
   std::uint64_t arena_bytes_total = 0;
   std::uint64_t arena_bytes_peak_shard = 0;
 
-  /// Peak messages staged by one shard in one round, and peak in-flight
-  /// delayed messages held by one shard (fault runs only).
+  /// Peak messages staged by one shard in one round (into its lanes, or
+  /// into its in-flight buckets when due later), and peak copies waiting
+  /// at one sending shard, in its in-flight buckets, at the end of its
+  /// stage phase (fault and reliability runs only; an FEC release due that
+  /// round counts).
   std::uint64_t lane_msgs_peak = 0;
   std::uint64_t delayed_msgs_peak = 0;
 
@@ -141,7 +146,7 @@ struct NetProfile {
   /// Copies to already-done destinations that the stage phase accounted
   /// for itself instead of staging them: charged at once when on time,
   /// tallied for their due round when delayed (Network::charge_done_copy).
-  /// The lane and delayed counters above do not include them.
+  /// The staged and waiting counters above do not include them.
   std::uint64_t done_copies = 0;
 
   /// Cross-round pool memory, summed over shards at the flush: bytes of

@@ -12,8 +12,8 @@
 namespace nc {
 
 /// Block of staged message copies — the storage behind the sharded engine's
-/// (src-shard → dst-shard) lanes, the fault engine's delayed buckets and the
-/// reliability service's FEC hold.
+/// (src-shard → dst-shard) lanes, the sending shard's in-flight buckets and
+/// the reliability service's FEC hold.
 ///
 /// One physical copy is one 40-byte Copy record, written once by the stage
 /// phase and read in place by the deliver phase: no second encoding, no
@@ -26,19 +26,19 @@ namespace nc {
 ///     and the record points at it.
 /// Either way the payload is copied exactly once at stage time, straight
 /// from the producer's shared SymbolBuffer via a MsgView; moving a copy to
-/// another block (a delayed bucket, the FEC hold, a lane on release) copies
-/// the record and, when spilled, its one payload allocation.
+/// another block (an FEC release from the hold into an in-flight bucket)
+/// copies the record and, when spilled, its one payload allocation.
 ///
 /// Backing storage: a lane binds its shard's per-round Arena for records
 /// and payloads alike, and start_round() sizes the records once per round,
 /// after the arena's O(1) reset — the stage phase counts an upper bound
-/// first, so a lane never grows mid-round. Delayed buckets and the FEC hold
-/// stay heap-backed, with spilled payloads in an arena of their own,
+/// first, so a lane never grows mid-round. In-flight buckets and the FEC
+/// hold stay heap-backed, with spilled payloads in an arena of their own,
 /// because they outlive rounds and the shard arena rewinds every round.
-/// A *timed* block (bound under an active fault or reliability plan) also
-/// keeps each copy's due round in a side column, so clean runs pay nothing
-/// for it. RunStats bit accounting is untouched: wire_bits carries header +
-/// payload exactly as Link::schedule_view computed it.
+/// A block holds no due round: a lane carries only copies due in the round
+/// that staged them, and an in-flight bucket is keyed by its due round.
+/// RunStats bit accounting is untouched: wire_bits carries header + payload
+/// exactly as Link::schedule_view computed it.
 class MsgBlock {
  public:
   /// One staged physical copy.
@@ -86,14 +86,12 @@ class MsgBlock {
   };
   static_assert(sizeof(Copy) == 40, "a staged copy is 40 bytes");
 
-  /// Binds the block to `arena` (nullptr = heap mode) and says whether it
-  /// keeps a due round per copy. Call once, while empty.
-  void bind(Arena* arena, bool timed) noexcept {
+  /// Binds the block to `arena` (nullptr = heap mode). Call once, while
+  /// empty.
+  void bind(Arena* arena) noexcept {
     nc_invariant(empty(), "MsgBlock::bind must run on an empty block");
     recs_.bind(arena);
-    due_.bind(arena);
     arena_ = arena;
-    timed_ = timed;
   }
 
   /// Arena mode only: called after the owning arena's reset() invalidated
@@ -101,20 +99,14 @@ class MsgBlock {
   /// records — the stage phase's upper bound on this round's copies.
   void start_round(std::size_t capacity) {
     recs_.release();
-    due_.release();
-    if (capacity > 0) {
-      recs_.reserve(capacity);
-      if (timed_) due_.reserve(capacity);
-    }
+    if (capacity > 0) recs_.reserve(capacity);
   }
 
-  /// Stages one scheduled message for `to`, due at `due` (0 = on time). The
-  /// view's payload is copied into the block now; the caller may prune the
-  /// source link afterwards.
-  void push(const MsgView& v, NodeId to, std::uint32_t back_index,
-            std::uint64_t due) {
+  /// Stages one scheduled message for `to`. The view's payload is copied
+  /// into the block now; the caller may prune the source link afterwards.
+  void push(const MsgView& v, NodeId to, std::uint32_t back_index) {
     const bool spill = v.symbol_count > kInlineSymbols;
-    Copy& c = new_slot(due);
+    Copy& c = *recs_.append(1);
     c.to = to;
     c.back_index = back_index;
     c.tag = v.key.tag;
@@ -152,11 +144,10 @@ class MsgBlock {
     c.words = dst;
   }
 
-  /// Appends copy `c` of another block, due at `due`: a delayed copy
-  /// leaving its lane, a parked copy kept or released. A spilled payload is
-  /// copied into this block's storage in one memcpy.
-  void append(const Copy& c, unsigned header_bits, std::uint64_t due) {
-    Copy& out = new_slot(due);
+  /// Appends copy `c` of another block: a parked copy kept or released. A
+  /// spilled payload is copied into this block's storage in one memcpy.
+  void append(const Copy& c, unsigned header_bits) {
+    Copy& out = *recs_.append(1);
     out = c;
     if (c.spilled()) {
       const std::size_t nwords = c.pay_word_count(header_bits);
@@ -171,9 +162,16 @@ class MsgBlock {
     return recs_[i];
   }
 
-  /// Copy `i`'s due round (0 = on time; always 0 in an untimed block).
-  [[nodiscard]] std::uint64_t due(std::size_t i) const noexcept {
-    return timed_ ? due_[i] : 0;
+  /// Keeps, in order and in place, only the copies `keep(copy)` accepts.
+  /// Payload storage is not reclaimed: a kept spilled copy still points
+  /// into it, and the rest goes with the block.
+  template <typename Keep>
+  void retain(Keep&& keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      if (keep(recs_[i])) recs_[kept++] = recs_[i];
+    }
+    recs_.truncate(kept);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return recs_.size(); }
@@ -187,15 +185,6 @@ class MsgBlock {
   static constexpr std::uint16_t kEosBit = 1u << 9;
   static constexpr std::uint16_t kSpillBit = 1u << 10;
 
-  Copy& new_slot(std::uint64_t due) {
-    if (timed_) {
-      due_.push_back(due);
-    } else {
-      nc_invariant(due == 0, "an untimed block holds only on-time copies");
-    }
-    return *recs_.append(1);
-  }
-
   /// One word-aligned allocation for `words` payload words followed by
   /// `symbols` width bytes: in the bound arena, else in the block's own.
   std::uint64_t* alloc_payload(std::size_t words, std::size_t symbols) {
@@ -205,10 +194,8 @@ class MsgBlock {
   }
 
   ArenaVec<Copy> recs_;
-  ArenaVec<std::uint64_t> due_;  ///< timed blocks: due round per copy
   Arena* arena_ = nullptr;
   Arena own_;  ///< heap mode: spilled payloads
-  bool timed_ = false;
 };
 
 }  // namespace nc

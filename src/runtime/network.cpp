@@ -214,17 +214,14 @@ Network::Network(const Graph& g, const NetConfig& config,
   plan_ = plan_shards(g, std::max(1u, config.threads));
   const unsigned k = plan_.shards();
   shards_.resize(k);
-  // Lanes carry a due round per copy only when faults or the reliability
-  // service can defer one.
-  const bool timed = config.faults.any() || config.reliability.any();
   for (unsigned s = 0; s < k; ++s) {
     shards_[s].begin = plan_.begin(s);
     shards_[s].end = plan_.end(s);
     shards_[s].woken.assign(shards_[s].end - shards_[s].begin, 0);
     shards_[s].lanes.resize(k);
     // Lanes carve from the owning shard's per-round arena; the cross-round
-    // delayed buckets and FEC hold stay heap-backed (default bind).
-    for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena, timed);
+    // in-flight buckets and FEC hold stay heap-backed (default bind).
+    for (auto& lane : shards_[s].lanes) lane.bind(&shards_[s].arena);
   }
   // The whole determinism story rests on this: shards are contiguous ID
   // ranges covering [0, n), so merging lanes in ascending source-shard
@@ -424,12 +421,9 @@ void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                            const MsgBlock::Copy* const* run,
                            std::size_t count) {
   auto& st = states_[to];
-  const bool done = done_[to] != 0;
   for (std::size_t i = 0; i < count; ++i) {
     const MsgBlock::Copy& c = *run[i];
     batch.charge(c.kind(), c.wire_bits);
-    // A done node is never woken and its inbox is gone: charge, don't store.
-    if (done) continue;
     st.rx_by_kind[c.kind()] += 1;
     InStream& stream = st.inbox.open(c.back_index, c.key());
     if (c.spilled()) {
@@ -454,117 +448,99 @@ void Network::charge_done_copy(Shard& sh, TrafficBatch& batch, NodeId to,
     batch.charge(kind, wire_bits);
     return;
   }
-  // The due round's deliver phase would silence the copy if the node is
-  // crashed then, and charge it otherwise; the crash schedule is fixed, so
-  // the verdict is known now.
-  DoneTally& tally = sh.done_tally[due];
+  // The due round's settle would silence the copy if the node is crashed
+  // then, and charge it otherwise; the crash schedule is fixed, so the
+  // verdict is known now.
+  InFlight& later = sh.in_flight[due];
   if (faults_ && faults_->crashed_at(to, due)) {
-    tally.dropped_crash += 1;
+    later.done_dropped_crash += 1;
   } else {
-    tally.charged.charge(kind, wire_bits);
+    later.done_charged.charge(kind, wire_bits);
   }
 }
 
-Network::LinkVerdict Network::link_verdict(Shard& sh, std::size_t e,
-                                           NodeId from, NodeId to,
-                                           std::uint64_t count,
-                                           std::uint16_t kind,
-                                           std::uint64_t wire_bits) {
-  LinkVerdict out;
+void Network::stage_copy(Shard& sh, TrafficBatch& done_batch, const MsgView& v,
+                         NodeId to, std::uint32_t back_index,
+                         std::uint64_t due) {
+  if (done_[to] != 0) {
+    charge_done_copy(sh, done_batch, to, due, v.key.kind, v.wire_bits);
+  } else if (due <= round_) {
+    sh.lanes[plan_.node_shard[to]].push(v, to, back_index);
+  } else {
+    held_block(sh, due, to).push(v, to, back_index);
+  }
+}
+
+MsgBlock& Network::held_block(Shard& sh, std::uint64_t due, NodeId to) {
+  InFlight& later = sh.in_flight[due];
+  if (later.to.empty()) later.to.resize(shards_.size());
+  ++sh.held_copies;
+  return later.to[plan_.node_shard[to]];
+}
+
+std::uint64_t Network::link_verdict(Shard& sh, std::size_t e, NodeId from,
+                                    NodeId to, std::uint64_t count,
+                                    const MsgView* view,
+                                    std::uint32_t back_index) {
   if (faults_ &&
       (faults_->crashed_at(from, round_) || faults_->crashed_at(to, round_))) {
     // Crash silencing is beneath the reliability service: a crashed
     // endpoint neither retransmits nor collects repair chunks.
     sh.traffic.messages_dropped_crash += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
-    out.fate = LinkVerdict::Fate::kDrop;
-    return out;
+    return kNoArrival;
   }
   const bool lost = faults_ != nullptr && faults_->lose(e, from, to, round_);
-  if (!rel_) {
-    // Fault-only path (faults_ is non-null here: the verdict is only
-    // consulted when faults_ or rel_ is active).
-    if (lost) {
-      sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
-      out.fate = LinkVerdict::Fate::kDrop;
-      return out;
-    }
-    const std::uint64_t delay = faults_->delay_of(e, from, to, round_);
-    if (delay > 0) {
-      out.deliver_round = round_ + delay;
-      sh.traffic.messages_delayed += count;  // nclint:allow(stats-batch) one charge per link verdict
-    }
-    return out;
+  bool first_park = false;
+  if (rel_ && rel_->fec() &&
+      rel_->fec_on_message(e, from, to, round_, lost, sh.traffic,
+                           &first_park)) {
+    // The edge has (or this loss opens) an unresolved window: park the
+    // message — stream order is only decidable at the window close. The
+    // copy's own loss verdict rides along for the resolution. So past this
+    // point a lost message is never FEC traffic.
+    if (telem_) sh.telem_fec_parks += 1;
+    sh.rel_parked.push(*view, to, back_index);
+    sh.rel_parked_edge.push_back(e);
+    sh.rel_parked_lost.push_back(lost ? 1 : 0);
+    if (first_park) sh.rel_pending_edges.push_back(e);
+    return kNoArrival;
   }
-  if (rel_->fec()) {
-    bool first_park = false;
-    if (rel_->fec_on_message(e, from, to, round_, lost, sh.traffic,
-                             &first_park)) {
-      // The edge has (or this loss opens) an unresolved window: park the
-      // message — stream order is only decidable at the window close. The
-      // copy's own loss verdict rides along for the resolution.
-      out.fate = LinkVerdict::Fate::kPark;
-      out.lost = lost;
-      out.first_park = first_park;
-      return out;
-    }
-    std::uint64_t due = round_;
-    if (faults_) {
-      const std::uint64_t delay = faults_->delay_of(e, from, to, round_);
-      if (delay > 0) {
-        due = round_ + delay;
-        sh.traffic.messages_delayed += count;  // nclint:allow(stats-batch) one charge per link verdict
-      }
-    }
-    // The release floor keeps the stream FIFO across window releases: a
-    // message staged after a release may never undercut it.
-    due = std::max(due, rel_->floor_of(e));
-    rel_->raise_floor(e, due);
-    if (due > round_) out.deliver_round = due;
-    return out;
-  }
-  // ARQ. The whole exchange resolves in closed form at stage time: the
-  // recovery round (if any) is computable now, so the recovered message
-  // simply rides the ordinary delayed-delivery machinery — no parking.
   std::uint64_t due = round_;
   if (lost) {
+    // ARQ resolves the whole exchange in closed form now: the recovery
+    // round, if any, is computable at stage time, so the recovered message
+    // simply waits for it like a delayed one.
     const std::uint64_t rec =
-        rel_->arq_recover(e, from, to, round_, kind, wire_bits, sh.traffic);
+        rel_ ? rel_->arq_recover(e, from, to, round_, view->key.kind,
+                                 view->wire_bits, sh.traffic)
+             : ReliabilityEngine::kNever;
     if (rec == ReliabilityEngine::kNever) {
       sh.traffic.messages_lost += count;  // nclint:allow(stats-batch) one charge per link verdict, batched over a LOCAL drain's messages
-      out.fate = LinkVerdict::Fate::kDrop;
-      return out;
+      return kNoArrival;
     }
     // Recovered copies take the attempt schedule, not the jitter model
     // (the attempt slots dominate); the fault watermark still floors them
     // so they never overtake an earlier jittered delivery.
     due = std::max(rec, faults_->arrival_floor(e));
   } else {
-    rel_->arq_account_delivered(e, from, to, round_, kind, wire_bits,
-                                sh.traffic);
-    if (faults_) {
-      const std::uint64_t delay = faults_->delay_of(e, from, to, round_);
-      if (delay > 0) {
-        due = round_ + delay;
-        sh.traffic.messages_delayed += count;  // nclint:allow(stats-batch) one charge per link verdict
-      }
+    if (rel_ && rel_->arq()) {
+      rel_->arq_account_delivered(e, from, to, round_, view->key.kind,
+                                  view->wire_bits, sh.traffic);
+    }
+    const std::uint64_t delay =
+        faults_ ? faults_->delay_of(e, from, to, round_) : 0;
+    if (delay > 0) {
+      due = round_ + delay;
+      sh.traffic.messages_delayed += count;  // nclint:allow(stats-batch) one charge per link verdict
     }
   }
-  due = std::max(due, rel_->floor_of(e));
-  rel_->raise_floor(e, due);
-  if (due > round_) out.deliver_round = due;
-  return out;
-}
-
-void Network::park_copy(Shard& sh, std::size_t e, const MsgView& v,
-                        NodeId to, std::uint32_t back_index,
-                        const LinkVerdict& verdict) {
-  if (telem_) sh.telem_fec_parks += 1;
-  // Heap-backed (default bind): parked copies outlive the round that staged
-  // them, so they must not live in the per-round arena.
-  sh.rel_parked.push(v, to, back_index, 0);
-  sh.rel_parked_edge.push_back(e);
-  sh.rel_parked_lost.push_back(verdict.lost ? 1 : 0);
-  if (verdict.first_park) sh.rel_pending_edges.push_back(e);
+  if (rel_) {
+    // The release floor keeps the stream FIFO across FEC window releases
+    // and ARQ recoveries: a message staged later may never undercut it.
+    due = std::max(due, rel_->floor_of(e));
+    rel_->raise_floor(e, due);
+  }
+  return due;
 }
 
 void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
@@ -615,15 +591,15 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     rel_->raise_floor(e, rr);
   }
   // Pass 3: walk the parked copies in park (= stream) order. Copies of due
-  // edges are released into the lanes at the edge's release round — or
-  // dropped for good if they were lost and the window did not recover —
-  // while copies of still-blocked edges are compacted into a rebuilt hold.
-  // Lanes were sized at the top of this stage phase and the link walk has
-  // not run yet, so released copies sit ahead of the round's fresh traffic.
-  // A copy released for this round whose destination is crashed now is
-  // silenced here: the lane walk applies on-time copies unchecked, since
-  // the stage phase has already silenced every other one (link_verdict).
-  // A copy for a done destination is accounted for like any staged copy.
+  // edges are released into the in-flight bucket of the edge's release
+  // round — this round's too — or dropped for good if they were lost and
+  // the window did not recover, while copies of still-blocked edges are
+  // compacted into a rebuilt hold. The link walk has not run yet, so a
+  // released copy sits ahead of the round's fresh traffic on its stream. A
+  // copy released for this round whose destination is crashed now is
+  // silenced here, and one for a done destination is accounted for like
+  // any staged copy, so every released copy is counted as staged exactly
+  // when it would have been delivered.
   MsgBlock keep;
   std::vector<std::size_t> keep_edge;
   std::vector<std::uint8_t> keep_lost;
@@ -632,7 +608,7 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     const std::size_t e = sh.rel_parked_edge[i];
     const std::size_t j = due_index(e);
     if (j == std::numeric_limits<std::size_t>::max()) {
-      keep.append(c, header_bits_, 0);
+      keep.append(c, header_bits_);
       keep_edge.push_back(e);
       keep_lost.push_back(sh.rel_parked_lost[i]);
       continue;
@@ -650,7 +626,7 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
                        c.wire_bits);
       continue;
     }
-    sh.lanes[plan_.node_shard[c.to]].append(c, header_bits_, release[j]);
+    held_block(sh, release[j], c.to).append(c, header_bits_);
   }
   sh.rel_parked = std::move(keep);
   sh.rel_parked_edge = std::move(keep_edge);
@@ -669,12 +645,34 @@ void Network::size_lanes(Shard& sh) {
     want[plan_.node_shard[to]] +=
         local ? links_[e].pending_stream_count() : 1;
   }
-  if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
-    for (std::size_t i = 0; i < sh.rel_parked.size(); ++i) {
-      want[plan_.node_shard[sh.rel_parked[i].to]] += 1;
-    }
-  }
   for (unsigned d = 0; d < k; ++d) sh.lanes[d].start_round(want[d]);
+}
+
+void Network::settle_due(Shard& sh, TrafficBatch& done_batch) {
+  if (sh.in_flight.empty()) return;
+  nc_invariant(sh.in_flight.begin()->first >= round_,
+               "an in-flight bucket outlived its due round");
+  if (sh.in_flight.begin()->first != round_) return;
+  InFlight& now = sh.in_flight.begin()->second;
+  now.done_charged.flush_into(sh.traffic);
+  std::uint64_t silenced = now.done_dropped_crash;
+  // A copy waits with the verdicts of its stage round; what happened to
+  // its destination since is decided here, as its arrival would: a crashed
+  // host silences it, and a done one is charged but stores nothing.
+  for (MsgBlock& block : now.to) {
+    block.retain([&](const MsgBlock::Copy& c) {
+      if (faults_ && faults_->crashed_at(c.to, round_)) {
+        ++silenced;
+        return false;
+      }
+      if (done_[c.to] != 0) {
+        done_batch.charge(c.kind(), c.wire_bits);
+        return false;
+      }
+      return true;
+    });
+  }
+  sh.traffic.messages_dropped_crash += silenced;  // nclint:allow(stats-batch) once per settled bucket
 }
 
 void Network::stage_shard(unsigned s) {
@@ -687,17 +685,21 @@ void Network::stage_shard(unsigned s) {
   // every lane for this round before anything is staged into it.
   sh.arena.reset();
   size_lanes(sh);
-  // Charges of on-time copies to done destinations (charge_done_copy),
-  // flushed into the traffic partial at the end of the phase.
+  // Charges of copies to done destinations that arrive now
+  // (charge_done_copy, settle_due), flushed into the traffic partial at the
+  // end of the phase.
   TrafficBatch done_batch;
   const std::uint64_t done_before = sh.done_copies;
-  // FEC window resolution first: released copies enter the lanes ahead of
-  // this round's fresh traffic (they are stream-earlier by construction),
-  // and a blocked edge is unblocked before any new message on it could be
-  // staged into a later window.
+  const std::uint64_t held_before = sh.held_copies;
+  // FEC window resolution first: released copies join the in-flight
+  // buckets ahead of this round's fresh traffic (they are stream-earlier by
+  // construction), and a blocked edge is unblocked before any new message
+  // on it could be staged into a later window. Then the bucket due now is
+  // settled, before anything else can join it.
   if (rel_ && rel_->fec() && !sh.rel_pending_edges.empty()) {
     resolve_fec_windows(sh, done_batch);
   }
+  settle_due(sh, done_batch);
   // Ascending (owner, neighbour-index) order within the shard; shards are
   // contiguous ID ranges, so concatenating the shards' sorted sets in shard
   // order reproduces the historical global-scan delivery order exactly —
@@ -712,9 +714,9 @@ void Network::stage_shard(unsigned s) {
   // consecutive. A link of the same owner whose next message is
   // byte-identical to the previous link's view (Link::schedule_matches)
   // takes that view without re-running the packing loop. Every copy still
-  // gets its own per-edge verdict and its own record; a copy to an
-  // already-done node enters no lane at all — charge_done_copy accounts for
-  // it on the spot.
+  // gets its own per-edge verdict and its own record; stage_copy sends it
+  // to its lane, to an in-flight bucket, or, when its destination is
+  // already done, to charge_done_copy.
   MsgView view;
   NodeId view_from = 0;
   bool view_live = false;
@@ -725,29 +727,20 @@ void Network::stage_shard(unsigned s) {
     Link& link = links_[e];
     const NodeId to = graph_->neighbors(from)[ni];
     const auto back = static_cast<std::uint32_t>(reverse_index_[e]);
-    const bool to_done = done_[to] != 0;
     if (config_.mode == NetConfig::Mode::kLocal) {
       // One channel decision covers the whole drained batch; the count is
       // known up front (one message per pending stream). A dropped batch
       // still advances the streams — the traffic was sent, then lost.
-      MsgBlock& lane = sh.lanes[plan_.node_shard[to]];
+      // Reliability is CONGEST-only (rel_ is null here by construction),
+      // so the verdict is the fault decision.
       const std::size_t count = link.pending_stream_count();
-      LinkVerdict verdict;
-      if (faults_ && count > 0) {
-        // Reliability is CONGEST-only (rel_ is null here by construction),
-        // so the verdict degenerates to the fault decision.
-        verdict = link_verdict(sh, e, from, to, count, 0, 0);
-      }
-      const bool drop = verdict.fate != LinkVerdict::Fate::kDeliver;
+      const std::uint64_t due =
+          faults_ && count > 0
+              ? link_verdict(sh, e, from, to, count, nullptr, back)
+              : round_;
       const std::size_t produced =
           link.drain_views(header_bits_, [&](const MsgView& v) {
-            if (drop) return;
-            if (to_done) {
-              charge_done_copy(sh, done_batch, to, verdict.deliver_round,
-                               v.key.kind, v.wire_bits);
-            } else {
-              lane.push(v, to, back, verdict.deliver_round);
-            }
+            if (due != kNoArrival) stage_copy(sh, done_batch, v, to, back, due);
           });
       if (produced > 0) link.release_idle();
     } else {
@@ -757,20 +750,9 @@ void Network::stage_shard(unsigned s) {
         view_from = from;
       }
       if (view_live) {
-        LinkVerdict verdict;
-        if (adversity) {
-          verdict =
-              link_verdict(sh, e, from, to, 1, view.key.kind, view.wire_bits);
-        }
-        if (verdict.fate == LinkVerdict::Fate::kPark) {
-          park_copy(sh, e, view, to, back, verdict);
-        } else if (verdict.fate == LinkVerdict::Fate::kDeliver && to_done) {
-          charge_done_copy(sh, done_batch, to, verdict.deliver_round,
-                           view.key.kind, view.wire_bits);
-        } else if (verdict.fate == LinkVerdict::Fate::kDeliver) {
-          sh.lanes[plan_.node_shard[to]].push(view, to, back,
-                                              verdict.deliver_round);
-        }
+        const std::uint64_t due =
+            adversity ? link_verdict(sh, e, from, to, 1, &view, back) : round_;
+        if (due != kNoArrival) stage_copy(sh, done_batch, view, to, back, due);
         link.release_idle();
       }
     }
@@ -782,17 +764,26 @@ void Network::stage_shard(unsigned s) {
   }
   sh.active_links.resize(kept);
   if (done_batch.messages > 0) done_batch.flush_into(sh.traffic);
-  // Observer epilogue: the round's lane message count (released FEC copies
-  // included) feeds the profile's lane peak; with the copies accounted for
-  // at stage time added, it feeds the metrics' per-shard load-balance
-  // columns; the span feeds the trace.
+  // Observer epilogue: the round's staged copies — its lanes plus the
+  // copies it put into in-flight buckets (released FEC copies included) —
+  // feed the profile's lane peak; with the copies accounted for at stage
+  // time added, they feed the metrics' per-shard load-balance columns; the
+  // copies waiting in the buckets feed the profile's delayed peak; the
+  // span feeds the trace.
   const bool profiling = config_.profile != nullptr;
   const bool metrics = telem_ && telem_->metrics_on();
   if (profiling || metrics) {
-    std::uint64_t staged = 0;
+    std::uint64_t staged = sh.held_copies - held_before;
     for (const auto& lane : sh.lanes) staged += lane.size();
     sh.staged_peak = std::max(sh.staged_peak, staged);
     if (metrics) sh.telem_staged += staged + (sh.done_copies - done_before);
+  }
+  if (profiling) {
+    std::uint64_t waiting = 0;
+    for (const auto& [due, later] : sh.in_flight) {
+      for (const MsgBlock& block : later.to) waiting += block.size();
+    }
+    sh.delayed_peak = std::max(sh.delayed_peak, waiting);
   }
   if (trace_shard) {
     const auto tt1 = clock::now();
@@ -802,58 +793,38 @@ void Network::stage_shard(unsigned s) {
   }
 }
 
-template <bool kCount, typename Fn>
-void Network::for_each_due_copy(Shard& dst, unsigned d, Fn&& fn) {
-  // Delayed traffic falls due ahead of this round's on-time traffic, in the
-  // order it was queued (by stage round, then canonical merge order within
-  // one — a thread-count-invariant sequence). A destination that crashed
-  // while the message was in flight silences it on arrival.
-  for (auto it = dst.delayed.begin();
-       it != dst.delayed.end() && it->first <= round_; ++it) {
-    const MsgBlock& bucket = it->second;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const MsgBlock::Copy& c = bucket[i];
-      if (faults_ && faults_->crashed_at(c.to, round_)) {
-        if constexpr (!kCount) {
-          dst.traffic.messages_dropped_crash += 1;  // nclint:allow(stats-batch) crash-silencing is rare; batching it would complicate the delayed-bucket walk
-        }
-        continue;
-      }
-      fn(c);
-    }
-  }
-  // Then the lanes in ascending source-shard order, each in staging order.
-  // Touching lane[src][d] from shard d is safe: in the deliver phase a lane
-  // is read only by its destination shard (the pool barrier separates it
-  // from the stage phase's writes). Each copy carries its own due round
-  // (faults decide per copy).
-  for (const Shard& src : shards_) {
-    const MsgBlock& lane = src.lanes[d];
-    for (std::size_t i = 0; i < lane.size(); ++i) {
-      const MsgBlock::Copy& c = lane[i];
-      nc_invariant(c.to >= dst.begin && c.to < dst.end,
+template <typename Fn>
+void Network::for_each_arrival(unsigned d, Fn&& fn) const {
+  // Per source shard, in ascending order: the copies that waited for this
+  // round, in the order they were held (by stage round, then staging order
+  // — a thread-count-invariant sequence), then this round's lane. A stream
+  // has one source, so its held copies, stream-earlier by construction,
+  // arrive ahead of its on-time ones. Touching the source shard's bucket
+  // and lane from shard d is safe: in the deliver phase they are only read
+  // (the pool barrier separates them from the stage phase's writes).
+  const auto walk = [&](const MsgBlock& block) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const MsgBlock::Copy& c = block[i];
+      nc_invariant(plan_.node_shard[c.to] == d,
                    "staged copy routed to a shard that does not own its "
                    "destination node");
-      const std::uint64_t due = lane.due(i);
-      if (due <= round_) {
-        nc_invariant(done_[c.to] == 0 &&
-                         !(faults_ && faults_->crashed_at(c.to, round_)),
-                     "on-time lane copy addressed to a done or crashed node "
-                     "— the stage phase accounts for those itself");
-        fn(c);
-        continue;
-      }
-      if constexpr (!kCount) {
-        // In flight: the arena-backed lane is rewound next round, so this
-        // shard's future bucket takes a heap copy of the record.
-        dst.delayed[due].append(c, header_bits_, 0);
-        if (config_.profile != nullptr) {
-          ++dst.delayed_msgs;
-          dst.delayed_peak = std::max(dst.delayed_peak, dst.delayed_msgs);
-        }
-      }
+      nc_invariant(done_[c.to] == 0 &&
+                       !(faults_ && faults_->crashed_at(c.to, round_)),
+                   "arriving copy addressed to a done or crashed node — the "
+                   "stage phase accounts for those itself");
+      fn(c);
     }
+  };
+  for (const Shard& src : shards_) {
+    if (const MsgBlock* held = held_due(src, d)) walk(*held);
+    walk(src.lanes[d]);
   }
+}
+
+const MsgBlock* Network::held_due(const Shard& src, unsigned d) const {
+  const auto now = src.in_flight.find(round_);
+  if (now == src.in_flight.end() || now->second.to.empty()) return nullptr;
+  return &now->second.to[d];
 }
 
 void Network::deliver_shard(unsigned d) {
@@ -863,25 +834,25 @@ void Network::deliver_shard(unsigned d) {
   clock::time_point tt0;
   if (trace_shard) tt0 = clock::now();
   std::size_t copies = 0;
-  for (auto it = dst.delayed.begin();
-       it != dst.delayed.end() && it->first <= round_; ++it) {
-    copies += it->second.size();
+  for (const Shard& src : shards_) {
+    const MsgBlock* held = held_due(src, d);
+    copies += src.lanes[d].size() + (held != nullptr ? held->size() : 0);
   }
-  for (const Shard& src : shards_) copies += src.lanes[d].size();
   TrafficBatch batch;
   const std::size_t span = static_cast<std::size_t>(dst.end - dst.begin);
   // A round with at least span/8 copies (the wake phase's rule) is sorted
-  // by destination — a counting sort: count each node's on-time copies,
-  // scatter references to the copies into a per-round log in walk order
-  // (stable, so each node's run keeps the canonical order), then apply node
-  // by node in ascending ID order. A node's inbox bucket, key and stream
+  // by destination — a counting sort: count each node's copies, scatter
+  // references to the copies into a per-round log in walk order (stable,
+  // so each node's run keeps the canonical order), then apply node by node
+  // in ascending ID order. A node's inbox bucket, key and stream
   // slots are then fetched once per round instead of once per copy. Both
   // arrays live in this shard's arena until its next stage phase; the
-  // copies themselves stay where they were staged — the lanes and the due
-  // buckets, which live at least as long. A sparser round is applied in
-  // walk order, so it costs O(copies), not O(span) — and so is a round
-  // whose walk already keeps every node's copies together (a ring's one
-  // copy per node), where the log would only add a pass.
+  // copies themselves stay where they were staged — the lanes and the
+  // source shards' in-flight buckets, which live at least as long. A
+  // sparser round is applied in walk order, so it costs O(copies), not
+  // O(span) — and so is a round whose walk already keeps every node's
+  // copies together (a ring's one copy per node), where the log would only
+  // add a pass.
   std::uint32_t* next = nullptr;
   if (copies * 8 >= span) {
     nc_invariant(copies < (std::size_t{1} << 32),
@@ -890,7 +861,7 @@ void Network::deliver_shard(unsigned d) {
     std::fill_n(next, span + 1, 0u);
     bool grouped = true;
     NodeId last = kNoNode;
-    for_each_due_copy<true>(dst, d, [&](const MsgBlock::Copy& c) {
+    for_each_arrival(d, [&](const MsgBlock::Copy& c) {
       std::uint32_t& count = next[c.to - dst.begin + 1];
       grouped = grouped && (count == 0 || c.to == last);
       ++count;
@@ -899,7 +870,7 @@ void Network::deliver_shard(unsigned d) {
     if (grouped) next = nullptr;
   }
   if (next == nullptr) {
-    for_each_due_copy<false>(dst, d, [&](const MsgBlock::Copy& c) {
+    for_each_arrival(d, [&](const MsgBlock::Copy& c) {
       const MsgBlock::Copy* one = &c;
       apply_copies(dst, batch, c.to, &one, 1);
     });
@@ -907,7 +878,7 @@ void Network::deliver_shard(unsigned d) {
     for (std::size_t v = 1; v <= span; ++v) next[v] += next[v - 1];
     const MsgBlock::Copy** log =
         dst.arena.allocate_array<const MsgBlock::Copy*>(next[span]);
-    for_each_due_copy<false>(dst, d, [&](const MsgBlock::Copy& c) {
+    for_each_arrival(d, [&](const MsgBlock::Copy& c) {
       log[next[c.to - dst.begin]++] = &c;
     });
     // next[v] is now the end of node v's run, and so the start of v + 1's.
@@ -919,13 +890,6 @@ void Network::deliver_shard(unsigned d) {
       }
       lo = next[v];
     }
-  }
-  // The due buckets go only now: the log may point into them.
-  while (!dst.delayed.empty() && dst.delayed.begin()->first <= round_) {
-    if (config_.profile != nullptr) {
-      dst.delayed_msgs -= dst.delayed.begin()->second.size();
-    }
-    dst.delayed.erase(dst.delayed.begin());
   }
   batch.flush_into(dst.traffic);
   if (trace_shard) {
@@ -1042,15 +1006,10 @@ bool Network::step(bool allow_fast_forward) {
   for_each_shard([this](unsigned s) { deliver_shard(s); });
   book("deliver", &NetProfile::deliver_seconds);
   // Serial reduction in shard order: exact (integer sums/maxes), so stats_
-  // is bit-identical to serial accumulation at every shard count. The
-  // tallied copies to done nodes that fall due now join it here.
+  // is bit-identical to serial accumulation at every shard count. Every
+  // deliver phase is past, so the in-flight buckets due now are done with.
   for (auto& sh : shards_) {
-    while (!sh.done_tally.empty() && sh.done_tally.begin()->first <= round_) {
-      const DoneTally& tally = sh.done_tally.begin()->second;
-      tally.charged.flush_into(sh.traffic);
-      sh.traffic.messages_dropped_crash += tally.dropped_crash;  // nclint:allow(stats-batch) once per due round, batched over the tally's copies
-      sh.done_tally.erase(sh.done_tally.begin());
-    }
+    sh.in_flight.erase(round_);
     stats_.merge_traffic(sh.traffic);
     sh.traffic = RunStats{};
   }
@@ -1103,12 +1062,10 @@ StallReport Network::stall_report() const {
     if (faults_ && faults_->crashed_at(v, round_)) ++r.nodes_crashed;
   }
   for (const auto& sh : shards_) {
-    for (const auto& [due, bucket] : sh.delayed) {
-      r.delayed_in_flight += bucket.size();
-      r.next_delayed_round = std::min(r.next_delayed_round, due);
-    }
-    for (const auto& [due, tally] : sh.done_tally) {
-      r.delayed_in_flight += tally.copies();
+    for (const auto& [due, later] : sh.in_flight) {
+      r.delayed_in_flight +=
+          later.done_charged.messages + later.done_dropped_crash;
+      for (const MsgBlock& b : later.to) r.delayed_in_flight += b.size();
       r.next_delayed_round = std::min(r.next_delayed_round, due);
     }
     r.fec_parked += sh.rel_parked.size();

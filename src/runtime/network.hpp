@@ -262,16 +262,17 @@ class NodeApi {
 /// bit-identical at every thread count (locked by
 /// tests/test_determinism.cpp).
 ///
-/// With NetConfig::faults active the stage phase additionally runs every
-/// scheduled message through the fault engine — crash silencing, loss,
-/// delay — and the deliver phase holds delayed messages in per-destination-
-/// shard round buckets until they fall due (drained ahead of the round's
-/// on-time traffic, in canonical order). Fault decisions are keyed hashes
-/// of (fault seed, round, src, dst), never draws tied to iteration order,
-/// so faulty fixed-seed executions remain bit-identical at every thread
-/// count. Node churn fires the INode::on_crash / on_recover hooks at the
-/// boundary rounds; a permanently crashed node counts as done so the
-/// execution can still terminate.
+/// With NetConfig::faults or NetConfig::reliability active the stage phase
+/// additionally decides every scheduled message's fate — crash silencing,
+/// loss, FEC parking, ARQ recovery, delay — and a copy due in a later round
+/// waits at its sending shard, in an in-flight bucket for that round, which
+/// the deliver phase of the due round reads ahead of that shard's lanes, so
+/// every stream stays FIFO. Fault decisions are keyed hashes of (fault
+/// seed, round, src, dst), never draws tied to iteration order, so faulty
+/// fixed-seed executions remain bit-identical at every thread count. Node
+/// churn fires the INode::on_crash / on_recover hooks at the boundary
+/// rounds; a permanently crashed node counts as done so the execution can
+/// still terminate.
 ///
 /// Execution stops when every node is done, when max_rounds is hit (sets
 /// RunStats::hit_round_limit — the deterministic time-bound wrapper of
@@ -354,15 +355,14 @@ class Network {
   };
   static constexpr std::uint64_t kNoAlarm = ~0ULL;
 
-  /// What the copies to done nodes that fall due in one round will charge
-  /// (Shard::done_tally): the arrivals' traffic, and the copies silenced
-  /// because the destination is crashed at that round.
-  struct DoneTally {
-    TrafficBatch charged;
-    std::uint64_t dropped_crash = 0;
-    [[nodiscard]] std::uint64_t copies() const noexcept {
-      return charged.messages + dropped_crash;
-    }
+  /// What one shard holds for one due round (Shard::in_flight): the copies,
+  /// by destination shard, and what its copies to already-done nodes will
+  /// charge then — the arrivals' traffic, and the copies silenced because
+  /// the destination is crashed at that round.
+  struct InFlight {
+    std::vector<MsgBlock> to;  ///< heap-backed; empty or one per shard
+    TrafficBatch done_charged;
+    std::uint64_t done_dropped_crash = 0;
   };
 
   /// Everything one shard owns. During the parallel phases a shard's data
@@ -414,42 +414,37 @@ class Network {
     /// rewinds in O(1) at the top of each round (src/util/arena.hpp).
     Arena arena;
 
-    /// Staged outgoing copies, by destination shard: one 40-byte record per
-    /// copy (src/runtime/msgblock.hpp), arena-backed and sized once per
-    /// round by size_lanes.
+    /// This round's on-time copies, by destination shard: one 40-byte
+    /// record per copy (src/runtime/msgblock.hpp), arena-backed and sized
+    /// once per round by size_lanes.
     std::vector<MsgBlock> lanes;
 
     /// Per-round traffic partials, reduced into stats_ after the deliver
     /// phase (in shard order; integer sums/maxes make the reduction exact).
     RunStats traffic;
 
-    /// Copies this shard staged for already-done destinations that fall
-    /// due in a future round (fault delay or ARQ recovery), by due round:
-    /// the charges their arrival makes, or the crash silencing when the
-    /// destination is crashed at that round. Written by this shard's stage
-    /// phase, merged into stats_ by the due round's serial reduction, and
-    /// counted as in flight (next_delayed_round, stall_report) until then.
-    std::map<std::uint64_t, DoneTally> done_tally;  // nclint:allow(ordered-map) cross-round tallies exist only under an active fault plan, a handful of due rounds at a time
+    /// Copies this shard sent that arrive in a later round (fault delay,
+    /// ARQ recovery, FEC release), by due round; only an active fault or
+    /// reliability plan fills it. Each bucket is appended to in stage
+    /// order, settled at the top of its due round's stage phase (settle_due)
+    /// and read in place by the destination shards' deliver phases, ahead
+    /// of this shard's lanes; the round's serial reduction drops it. Until
+    /// then its copies count as in flight (next_delayed_round,
+    /// stall_report). Heap-backed: buckets outlive the per-round arena.
+    std::map<std::uint64_t, InFlight> in_flight;  // nclint:allow(ordered-map) cross-round buckets exist only under an active fault or reliability plan, a handful of due rounds at a time
+
+    /// Copies this shard put into in_flight (cumulative; the stage phase's
+    /// observer counts take the round's share).
+    std::uint64_t held_copies = 0;
 
     /// Copies this shard charged or tallied at stage time because their
     /// destination was done (cumulative; NetProfile::done_copies).
     std::uint64_t done_copies = 0;
 
-    /// In-flight delayed messages addressed to this shard's nodes, bucketed
-    /// by delivery round (fault engine only). Filled by this shard's own
-    /// deliver phase — staged copies whose due round is in the future are
-    /// copied here in canonical merge order, so the bucket's insertion
-    /// order is thread-count-invariant — walked first by the deliver phase
-    /// of the due round and dropped at its end. Heap-backed MsgBlocks,
-    /// deliberately outside the arena: buckets outlive rounds, and a bump
-    /// arena cannot rewind storage that crosses its reset boundary.
-    std::map<std::uint64_t, MsgBlock> delayed;  // nclint:allow(ordered-map) cross-round delay buckets exist only under an active fault plan
-
     /// Profiling partials (NetConfig::profile only; zero cost otherwise):
-    /// peak messages staged by this shard in one round, and the current /
-    /// peak count of messages parked in `delayed`.
+    /// peak messages staged by this shard in one round, and peak copies
+    /// waiting in its in_flight buckets.
     std::uint64_t staged_peak = 0;
-    std::uint64_t delayed_msgs = 0;
     std::uint64_t delayed_peak = 0;
 
     /// Telemetry partials (NetConfig::telemetry only; zero cost otherwise):
@@ -469,7 +464,7 @@ class Network {
     /// Reliability service, FEC mode: messages of this shard's edges parked
     /// behind an in-window loss (head-of-line blocking preserves stream
     /// order while the window's recovery is undecided). Heap-backed like
-    /// the delayed buckets — parked copies cross rounds. The parallel
+    /// the in-flight buckets — parked copies cross rounds. The parallel
     /// vectors carry each copy's owning directed edge and its own loss
     /// verdict; rel_pending_edges lists the blocked edges awaiting
     /// resolution (appended on first park, drained by resolve_fec_windows).
@@ -482,32 +477,37 @@ class Network {
   /// Executes one round; returns false when execution must stop.
   bool step(bool allow_fast_forward);
 
-  /// Stage phase: schedules shard s's active links into its outgoing lanes
-  /// and compacts the active set. A copy whose destination is already done
-  /// goes through charge_done_copy instead of a lane. Writes only
-  /// shard-s-owned state; reads done_ of every node.
+  /// Stage phase: resolves shard s's due FEC windows, settles its in-flight
+  /// bucket due now, then schedules its active links, deciding each copy's
+  /// fate once (link_verdict, stage_copy), and compacts the active set.
+  /// Writes only shard-s-owned state; reads done_ of every node.
   void stage_shard(unsigned s);
 
   /// Sizes each of shard sh's lanes, once per round and before anything is
   /// staged, for at most the copies the round can put there: one per
   /// active link to a live node in CONGEST (one per pending stream in
-  /// LOCAL), plus every parked copy when an FEC window may release them.
-  /// Exact in a clean CONGEST round; a lost, parked or silenced copy leaves
-  /// its record unused.
+  /// LOCAL). Exact in a clean CONGEST round; a lost, parked, held or
+  /// silenced copy leaves its record unused.
   void size_lanes(Shard& sh);
 
+  /// Settles shard sh's in-flight bucket due this round, in place: a copy
+  /// whose destination is crashed now is silenced, one whose destination
+  /// finished while it rode is charged into `done_batch`, and the bucket's
+  /// done-node tallies are charged. What is left is read by the deliver
+  /// phase as it stands.
+  void settle_due(Shard& sh, TrafficBatch& done_batch);
+
   /// Deliver phase of destination shard d: walks the round's copies in
-  /// canonical order (for_each_due_copy), hands future ones to the delayed
-  /// buckets and applies the rest to d's nodes (inboxes, rx counters, wake
-  /// list, traffic partials). A round with at least span/8 copies (span =
-  /// d's node count) is counting-sorted by destination through a per-round
-  /// log in d's arena and applied node by node in ascending ID order; the
-  /// scatter into the log is stable, so each node's run keeps walk order.
-  /// A sparser round is applied in walk order, so its cost stays
-  /// O(copies), and so is a round whose walk already keeps each node's
-  /// copies together. Either way each node receives its copies in
-  /// canonical order, and nothing observable depends on which way was
-  /// taken.
+  /// canonical order (for_each_arrival) and applies them to d's nodes
+  /// (inboxes, rx counters, wake list, traffic partials). A round with at
+  /// least span/8 copies (span = d's node count) is counting-sorted by
+  /// destination through a per-round log in d's arena and applied node by
+  /// node in ascending ID order; the scatter into the log is stable, so
+  /// each node's run keeps walk order. A sparser round is applied in walk
+  /// order, so its cost stays O(copies), and so is a round whose walk
+  /// already keeps each node's copies together. Either way each node
+  /// receives its copies in canonical order, and nothing observable
+  /// depends on which way was taken.
   void deliver_shard(unsigned d);
 
   /// Wake phase: collects shard s's due alarms, then runs its woken nodes'
@@ -526,71 +526,67 @@ class Network {
     }
   }
 
-  /// Walks the copies addressed to shard d that fall due this round, in
-  /// canonical order: the due delayed buckets (by due round, then queue
-  /// order), then every source shard's lane d in ascending source-shard
-  /// order, each in staging order. Calls fn(copy) for each copy to apply
-  /// now. Unless kCount, a future copy goes to its delayed bucket and a due
-  /// bucket copy to a crashed destination is charged as silenced; kCount
-  /// skips both silently, so a counting pass has no side effects. An
-  /// on-time lane copy always addresses a live node (an nc_invariant): the
-  /// stage phase has already accounted for those to done or crashed ones.
-  template <bool kCount, typename Fn>
-  void for_each_due_copy(Shard& dst, unsigned d, Fn&& fn);
+  /// Walks the copies arriving at shard d this round, in canonical order:
+  /// for every source shard in ascending order, its in-flight copies due
+  /// now (held_due, in hold order), then its lane d (in staging order).
+  /// Calls fn(copy) for each and writes nothing, so a counting pass may
+  /// walk it too. Every copy is due now and addresses a live, uncrashed
+  /// node of d (an nc_invariant): the stage phase accounted for the rest.
+  template <typename Fn>
+  void for_each_arrival(unsigned d, Fn&& fn) const;
+  [[nodiscard]] const MsgBlock* held_due(const Shard& src, unsigned d) const;
 
-  /// Applies `count` copies to node `to` in the given order. Every copy is
+  /// Applies `count` copies to node `to` in the given order: each is
   /// charged to `batch` (flushed into the shard's traffic partial once per
-  /// phase). Unless `to` is done, the copies also count in rx_count, reach
-  /// the inbox and wake the node. Only a delayed copy can find its
-  /// destination done: it was staged before the node finished.
+  /// phase), counts in rx_count and reaches the inbox, and the node wakes.
   void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                     const MsgBlock::Copy* const* run, std::size_t count);
 
-  /// One copy, due at `due` (0 or the current round = on time), whose
+  /// One copy, due at `due` (at most the current round = on time), whose
   /// destination `to` is already done, accounted for at stage time by its
-  /// source shard instead of entering a lane: an on-time copy is charged to
-  /// `batch` now; a later one goes into the shard's done_tally under its
-  /// due round, as crash-silenced if `to` is crashed then. Done is monotone
-  /// and no callback runs between stage and deliver, so RunStats and every
-  /// per-round total come out as if the copy had been delivered.
+  /// source shard instead of being staged: an on-time copy is charged to
+  /// `batch` now; a later one is tallied in the shard's in-flight bucket of
+  /// its due round, as crash-silenced if `to` is crashed then. Done is
+  /// monotone and no callback runs between stage and deliver, so RunStats
+  /// and every per-round total come out as if the copy had been delivered.
   void charge_done_copy(Shard& sh, TrafficBatch& batch, NodeId to,
                         std::uint64_t due, std::uint16_t kind,
                         std::uint64_t wire_bits);
 
-  /// Outcome of the combined fault + reliability channel decision for one
-  /// scheduled message: deliver (possibly at a future round), drop
-  /// permanently, or park behind an unresolved FEC window.
-  struct LinkVerdict {
-    enum class Fate { kDeliver, kDrop, kPark };
-    Fate fate = Fate::kDeliver;
-    std::uint64_t deliver_round = 0;  ///< absolute round; 0 = on time
-    bool lost = false;        ///< kPark only: this copy's own loss verdict
-    bool first_park = false;  ///< kPark only: opened the edge's pending window
-  };
+  /// Where a copy that survived its channel goes: charged if `to` is done
+  /// (charge_done_copy), else into its lane when due now, else into the
+  /// in-flight bucket of its due round.
+  void stage_copy(Shard& sh, TrafficBatch& done_batch, const MsgView& v,
+                  NodeId to, std::uint32_t back_index, std::uint64_t due);
+
+  /// Shard sh's in-flight block for `to`'s shard due at `due` (this round
+  /// for an FEC release, else later), counting the copy about to join it.
+  MsgBlock& held_block(Shard& sh, std::uint64_t due, NodeId to);
+
+  /// link_verdict's answer for traffic that does not arrive: dropped, or
+  /// parked behind an unresolved FEC window.
+  static constexpr std::uint64_t kNoArrival = ~0ULL;
 
   /// Channel verdict for the traffic scheduled on edge e this round
   /// (`count` physical messages: 1 in CONGEST, the drained batch in LOCAL —
-  /// one channel decision covers the round). Runs crash silencing, loss,
-  /// delay and the reliability service in order, charging the source
-  /// shard's fault/reliability counters. `kind`/`wire_bits` feed the ARQ
-  /// duplicate accounting (pass 0s in LOCAL mode, where reliability cannot
-  /// be active). Only called when faults_ or rel_ is active.
-  LinkVerdict link_verdict(Shard& sh, std::size_t e, NodeId from, NodeId to,
-                           std::uint64_t count, std::uint16_t kind,
-                           std::uint64_t wire_bits);
-
-  /// Parks one scheduled view on its shard's FEC hold (LinkVerdict::kPark).
-  void park_copy(Shard& sh, std::size_t e, const MsgView& v, NodeId to,
-                 std::uint32_t back_index, const LinkVerdict& verdict);
+  /// one channel decision covers the round): the round it arrives in, or
+  /// kNoArrival. One path for every plan: crash silencing, loss, then FEC
+  /// parking (`view` joins the shard's hold), ARQ recovery or delay, and
+  /// the reliability release floor, charging the source shard's fault and
+  /// reliability counters. `view` is null in LOCAL mode, where reliability
+  /// cannot be active. Only called when faults_ or rel_ is active.
+  std::uint64_t link_verdict(Shard& sh, std::size_t e, NodeId from, NodeId to,
+                             std::uint64_t count, const MsgView* view,
+                             std::uint32_t back_index);
 
   /// Resolves every pending FEC window of shard `sh` whose close round has
   /// passed: draws the repair survivals, releases the parked copies (in
-  /// park = stream order) into the shard's lanes at the computed release
-  /// round, or drops the unrecovered losses. A copy released for this
-  /// round to a crashed destination is silenced, and one to a done
-  /// destination goes through charge_done_copy (on-time charges into
-  /// `done_batch`). Runs at the top of the stage phase, before any new
-  /// traffic of the round is staged.
+  /// park = stream order) into the shard's in-flight bucket of the computed
+  /// release round — this round's included — or drops the unrecovered
+  /// losses. A copy released for this round to a crashed destination is
+  /// silenced, and one to a done destination goes through charge_done_copy
+  /// (on-time charges into `done_batch`). Runs at the top of the stage
+  /// phase, before any new traffic of the round is staged.
   void resolve_fec_windows(Shard& sh, TrafficBatch& done_batch);
 
   /// Queues `v` on its owning shard's wake list (no-op if done or queued).
@@ -615,18 +611,14 @@ class Network {
     return false;
   }
 
-  /// Smallest future round holding an in-flight delayed message, or
-  /// kNoAlarm — a copy to a done node tallied for its due round counts.
-  /// Buckets and tallies at or before the current round are always drained
-  /// by the round itself, so every key is strictly future.
+  /// Smallest future round holding an in-flight bucket, or kNoAlarm — a
+  /// copy to a done node tallied for its due round counts. The bucket due
+  /// in a round is dropped by that round, so every key is strictly future.
   [[nodiscard]] std::uint64_t next_delayed_round() const noexcept {
     std::uint64_t best = kNoAlarm;
     for (const auto& sh : shards_) {
-      if (!sh.delayed.empty()) {
-        best = std::min(best, sh.delayed.begin()->first);
-      }
-      if (!sh.done_tally.empty()) {
-        best = std::min(best, sh.done_tally.begin()->first);
+      if (!sh.in_flight.empty()) {
+        best = std::min(best, sh.in_flight.begin()->first);
       }
     }
     return best;

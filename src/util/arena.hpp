@@ -104,13 +104,13 @@ class Arena {
 
 /// Growable array of a trivially copyable T, backed either by an Arena
 /// (per-round data: growth abandons the old span — the arena reclaims it at
-/// reset) or by the heap when no arena is bound (long-lived data, e.g. the
-/// fault engine's cross-round delayed buckets: growth frees the old span).
+/// reset) or by the heap when no arena is bound (long-lived data, e.g. a
+/// shard's cross-round in-flight buckets: growth frees the old span).
 ///
 /// Unlike std::vector the element type contract is explicit (memcpy moves,
-/// no destructors), `clear()` never touches memory, and the backing policy
-/// is a runtime property — the message block uses one type for both lane
-/// and bucket records (src/runtime/msgblock.hpp).
+/// no destructors), `truncate()` never touches memory, and the backing
+/// policy is a runtime property — the message block uses one type for both
+/// lane and bucket records (src/runtime/msgblock.hpp).
 template <typename T>
 class ArenaVec {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -156,7 +156,11 @@ class ArenaVec {
     capacity_ = 0;
   }
 
-  void clear() noexcept { size_ = 0; }
+  /// Drops every element from index `size` on; the span is kept.
+  void truncate(std::size_t size) noexcept {
+    nc_invariant(size <= size_, "ArenaVec::truncate cannot grow");
+    size_ = size;
+  }
 
   /// Makes room for exactly `want` elements (no doubling slack).
   void reserve(std::size_t want) {

@@ -51,7 +51,7 @@ double quantile(std::vector<double> xs, double q);
 /// Wilson score interval for a binomial proportion. Returns {lo, hi} for
 /// `successes` out of `trials` at ~95% confidence (z = 1.96). Trials == 0
 /// yields {0, 1}. Used to report success-probability estimates with error
-/// bars in EXPERIMENTS.md.
+/// bars in the experiment tables (`bench/run_benches.sh --experiments`).
 struct Interval {
   double lo;
   double hi;

@@ -9,8 +9,8 @@ namespace nc {
 /// Column-aligned ASCII table writer.
 ///
 /// Every bench binary prints the rows/series of the experiment it reproduces
-/// through this class so EXPERIMENTS.md entries and terminal output share a
-/// format. Cells are strings; numeric helpers format with fixed precision.
+/// through this class, so the experiment tables `bench/run_benches.sh
+/// --experiments` prints share one format. Cells are strings; numeric helpers format with fixed precision.
 class Table {
  public:
   /// Creates a table with the given column headers.

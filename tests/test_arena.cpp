@@ -105,9 +105,12 @@ TEST(ArenaVec, HeapModeGrowsAndPreserves) {
   for (std::uint32_t i = 0; i < 1000; ++i) v.push_back(i);
   ASSERT_EQ(v.size(), 1000u);
   for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[i], i);
-  v.clear();
+  v.truncate(400);
+  ASSERT_EQ(v.size(), 400u);
+  for (std::uint32_t i = 0; i < 400; ++i) EXPECT_EQ(v[i], i);
+  v.truncate(0);
   EXPECT_TRUE(v.empty());
-  EXPECT_GE(v.capacity_slots(), 1000u);  // clear keeps the span
+  EXPECT_GE(v.capacity_slots(), 1000u);  // truncate keeps the span
   v.release();
   EXPECT_EQ(v.capacity_slots(), 0u);
 }

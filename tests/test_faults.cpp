@@ -270,9 +270,16 @@ TEST(FaultRuntime, DelayPreservesFifoStreamContents) {
   // Two delay plans: [1, 5] floors most messages behind an earlier one's
   // arrival, and [0, 1] often lands a delayed message and the next,
   // on-time one of the same stream in one round, where the deliver phase
-  // must apply the delayed-due copy first. deliver_shard applies a round
-  // one of two ways (its span/8 rule), and each graph keeps every round on
-  // one side of that rule, at every thread count:
+  // must apply the held copy first. Two lossy plans protected by the
+  // reliability service add the copies that wait for a recovery: ARQ
+  // resends a lost message and FEC releases a blocked window, each into
+  // the sender's in-flight bucket of its due round, which the same
+  // stream's delayed and on-time copies often share. Their budgets are
+  // sized like ReliabilityProp's, so every symbol still arrives. A LOCAL
+  // run drains each whole stream as one message, delayed like any other.
+  // deliver_shard applies a round one of two ways (its span/8 rule), and
+  // each graph keeps every round on one side of that rule, at every thread
+  // count:
   //  - K8: every node broadcasts to all 7 neighbours and a shard spans at
   //    most 8 nodes, so any round that delivers anything has
   //    copies * 8 >= 8 >= span. Nearly every such round interleaves
@@ -281,37 +288,71 @@ TEST(FaultRuntime, DelayPreservesFifoStreamContents) {
   //    applied in walk order).
   //  - a 2-node path padded with 1022 isolated nodes: the partition weighs
   //    degree + 1, so both path nodes sit in shard 0, which spans at least
-  //    255 nodes at 4 threads. A message staged in round r arrives in
-  //    [r + delay_min, r + delay_max], so at most 5 of a direction's
-  //    messages fall due together and no round has more than 10 copies:
+  //    255 nodes at 4 threads. Each direction has one stream, and a round
+  //    delivers at most the few messages of it that fall due together
+  //    (a delay window, a resend schedule or a released FEC window), so
   //    copies * 8 < span, and every round is applied in walk order.
   const auto padded_path = [] {
     GraphBuilder b(1024);
     b.add_edge(0, 1);
     return b.build();
   };
+  struct Plan {
+    const char* name;
+    FaultPlan faults;
+    ReliabilityPlan rel;
+    NetConfig::Mode mode = NetConfig::Mode::kCongest;
+  };
+  std::vector<Plan> plans;
+  for (const auto& [delay_min, delay_max] :
+       {std::pair{1u, 5u}, std::pair{0u, 1u}}) {
+    Plan p{delay_min == 0 ? "delay [0, 1]" : "delay [1, 5]", {}, {}};
+    p.faults.delay_min = delay_min;
+    p.faults.delay_max = delay_max;
+    plans.push_back(p);
+  }
+  {
+    Plan arq{"loss 0.05 + delay [0, 1] + ARQ", {}, {}};
+    arq.faults = parse_fault_plan("loss=0.05,delay_max=1,fault_seed=17");
+    arq.rel =
+        parse_reliability_plan("rel_mode=1,rel_ack_timeout=1,rel_max_retx=12");
+    plans.push_back(arq);
+    Plan fec{"loss 0.05 + delay [0, 1] + FEC", {}, {}};
+    fec.faults = parse_fault_plan("loss=0.05,delay_max=1,fault_seed=18");
+    fec.rel =
+        parse_reliability_plan("rel_mode=2,rel_fec_window=3,rel_fec_repair=8");
+    plans.push_back(fec);
+    Plan local{"LOCAL, delay [1, 5]", plans[0].faults, {}};
+    local.mode = NetConfig::Mode::kLocal;
+    plans.push_back(local);
+  }
   constexpr std::size_t kSymbols = 600;
   for (const Graph& g : {testing::complete_graph(8), padded_path()}) {
-    for (const auto& [delay_min, delay_max] :
-         {std::pair{1u, 5u}, std::pair{0u, 1u}}) {
+    for (const Plan& plan : plans) {
       RunStats base;
       for (const unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "n=" << g.n() << " delay=[" << delay_min << ", "
-                     << delay_max << "] threads=" << threads);
+        SCOPED_TRACE(::testing::Message() << "n=" << g.n() << " " << plan.name
+                                          << " threads=" << threads);
         NetConfig cfg;
+        cfg.mode = plan.mode;
         cfg.bandwidth_factor = 16;
         cfg.threads = threads;
-        cfg.faults.delay_min = delay_min;
-        cfg.faults.delay_max = delay_max;
+        cfg.faults = plan.faults;
+        cfg.reliability = plan.rel;
         Network net(g, cfg, [&](NodeId) {
           return std::make_unique<AlarmedChatter>(kSymbols, 800);
         });
         const RunStats stats = net.run();
         EXPECT_GT(stats.messages_delayed, 0u);
         EXPECT_EQ(stats.messages_lost, 0u);
-        if (delay_min == 0) {
+        if (plan.faults.delay_min == 0) {
           EXPECT_LT(stats.messages_delayed, stats.messages);
+        }
+        if (plan.rel.mode == ReliabilityPlan::Mode::kAck) {
+          EXPECT_GT(stats.messages_retransmitted, 0u);
+        }
+        if (plan.rel.mode == ReliabilityPlan::Mode::kFec) {
+          EXPECT_GT(stats.fec_repairs, 0u);
         }
         for (NodeId v = 0; v < g.n(); ++v) {
           const auto& received =

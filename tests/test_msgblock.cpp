@@ -91,8 +91,7 @@ TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
     schedule(scheduled[i], keys[i], {{i * 7 + 1, 20}}, /*close=*/true,
              kHeader + 64);
     ASSERT_TRUE(scheduled[i].ok);
-    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i),
-               0);
+    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i));
   }
   ASSERT_EQ(block.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -120,7 +119,7 @@ TEST(MsgBlock, InlineTwoSymbolsIncludingMaxWidth) {
   schedule(s, StreamKey{3, 42, 1}, {{big, 64}, {0x1234, 16}}, /*close=*/false,
            kHeader + 64 + 16);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 9, 2, 0);
+  block.push(s.view, 9, 2);
   const MsgBlock::Copy& r = block[0];
   EXPECT_FALSE(r.spilled());
   EXPECT_FALSE(r.eos());  // stream not closed
@@ -145,7 +144,7 @@ TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
   schedule(s, StreamKey{7, 1000, 3}, symbols, /*close=*/true,
            kHeader + payload_bits);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 5, 0, 0);
+  block.push(s.view, 5, 0);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.spilled());
   EXPECT_TRUE(r.eos());
@@ -167,7 +166,7 @@ TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   }
   schedule(s, StreamKey{1, 2, 0}, symbols, /*close=*/true, kHeader + 8 * 64);
   ASSERT_TRUE(s.ok);
-  block.push(s.view, 1, 0, 0);
+  block.push(s.view, 1, 0);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.spilled());
   ASSERT_EQ(r.symbol_count, 8u);
@@ -180,7 +179,7 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
   Scheduled s;
   schedule(s, StreamKey{2, 8, 0}, {}, /*close=*/true, kHeader);
   ASSERT_TRUE(s.ok);  // empty-but-closed stream schedules a pure-EOS message
-  block.push(s.view, 3, 1, 0);
+  block.push(s.view, 3, 1);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.eos());
   EXPECT_FALSE(r.spilled());
@@ -207,7 +206,7 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   MsgBlock block;
   const std::size_t produced =
       link.drain_views(kHeader, [&](const MsgView& v) {
-        block.push(v, 0, 0, 0);
+        block.push(v, 0, 0);
       });
   ASSERT_EQ(produced, 1u);
   const MsgBlock::Copy& r = block[0];
@@ -221,18 +220,19 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
 }
 
 TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
-  // The delayed-bucket hand-off: copies staged in an arena-backed lane are
-  // copied into a heap-backed block that outlives the round.
+  // A copy appended to a heap-backed block (an FEC release into an
+  // in-flight bucket) owns its record and payload: it outlives the storage
+  // of the block it came from.
   Arena arena;
   MsgBlock lane;
-  lane.bind(&arena, /*timed=*/true);
+  lane.bind(&arena);
   lane.start_round(2);
 
   Scheduled small;
   schedule(small, StreamKey{6, 11, 2}, {{0xabcd, 16}}, /*close=*/false,
            kHeader + 16);
   ASSERT_TRUE(small.ok);
-  lane.push(small.view, 10, 4, 7);
+  lane.push(small.view, 10, 4);
 
   Scheduled big;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
@@ -240,12 +240,11 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   schedule(big, StreamKey{8, 12, 0}, symbols, /*close=*/true,
            kHeader + 20 * 17);
   ASSERT_TRUE(big.ok);
-  lane.push(big.view, 11, 5, 9);
+  lane.push(big.view, 11, 5);
 
-  MsgBlock bucket;
-  bucket.bind(nullptr, /*timed=*/true);  // heap mode
-  bucket.append(lane[0], kHeader, lane.due(0));
-  bucket.append(lane[1], kHeader, lane.due(1));
+  MsgBlock bucket;  // heap mode
+  bucket.append(lane[0], kHeader);
+  bucket.append(lane[1], kHeader);
 
   // Simulate the next round: the arena rewinds and the lane is sized
   // afresh. The bucket's copies must be unaffected.
@@ -255,7 +254,6 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   const MsgBlock::Copy& r0 = bucket[0];
   EXPECT_EQ(r0.to, 10u);
   EXPECT_EQ(r0.back_index, 4u);
-  EXPECT_EQ(bucket.due(0), 7u);
   EXPECT_FALSE(r0.spilled());
   const auto got0 = replay(r0);
   ASSERT_EQ(got0.size(), 1u);
@@ -263,7 +261,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
 
   const MsgBlock::Copy& r1 = bucket[1];
   EXPECT_EQ(r1.to, 11u);
-  EXPECT_EQ(bucket.due(1), 9u);
+  EXPECT_EQ(r1.back_index, 5u);
   EXPECT_TRUE(r1.spilled());
   EXPECT_TRUE(r1.eos());
   const auto got1 = replay(r1);
@@ -276,7 +274,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
 TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
   Arena arena;
   MsgBlock lane;
-  lane.bind(&arena, /*timed=*/false);
+  lane.bind(&arena);
   for (int round = 0; round < 8; ++round) {
     arena.reset();
     lane.start_round(32);
@@ -286,7 +284,7 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
                {{static_cast<std::uint64_t>(m * round), 24}}, true,
                kHeader + 24);
       ASSERT_TRUE(s.ok);
-      lane.push(s.view, NodeId(m), 0, 0);
+      lane.push(s.view, NodeId(m), 0);
     }
     ASSERT_EQ(lane.size(), 32u);
   }
@@ -299,7 +297,7 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
   for (int m = 0; m < 32; ++m) {
     Scheduled s;
     schedule(s, StreamKey{1, NodeId(m), 0}, {{7, 24}}, true, kHeader + 24);
-    lane.push(s.view, NodeId(m), 0, 0);
+    lane.push(s.view, NodeId(m), 0);
   }
   EXPECT_EQ(arena.high_water_bytes(), hw);
 }
@@ -319,8 +317,7 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
     schedule(scheduled[i], StreamKey{kinds[i], NodeId(40 + i), 2},
              {{big, 64}, {0x5a5au, 16}}, /*close=*/true, kHeader + 64 + 16);
     ASSERT_TRUE(scheduled[i].ok);
-    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i),
-               0);
+    block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i));
   }
   for (std::size_t i = 0; i < 2; ++i) {
     const MsgBlock::Copy& r = block[i];
@@ -339,8 +336,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
 
 TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
   // Same kinds through the spilled encoding (meta's kSpillBit set alongside
-  // the top kind bits), plus the FEC-release hand-off: append with an
-  // explicit due round must set the due column and copy the rest.
+  // the top kind bits), plus the FEC-release hand-off: append must copy the
+  // record and its payload whole.
   MsgBlock block;
   std::vector<std::pair<std::uint64_t, unsigned>> symbols;
   std::size_t payload_bits = 0;
@@ -355,18 +352,15 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     schedule(s, StreamKey{kind, 9000, 0}, symbols, /*close=*/true,
              kHeader + payload_bits);
     ASSERT_TRUE(s.ok);
-    block.push(s.view, 7, 3, 0);
+    block.push(s.view, 7, 3);
   }
-  MsgBlock released;  // the rel_parked -> lane release path
-  released.bind(nullptr, /*timed=*/true);
-  released.append(block[0], kHeader, /*due=*/123);
-  released.append(block[1], kHeader, /*due=*/456);
-  const std::uint64_t rounds[2] = {123, 456};
+  MsgBlock released;  // the rel_parked -> in-flight bucket release path
+  released.append(block[0], kHeader);
+  released.append(block[1], kHeader);
   const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
   for (std::size_t i = 0; i < 2; ++i) {
     const MsgBlock::Copy& r = released[i];
     EXPECT_EQ(r.key().kind, kinds[i]);
-    EXPECT_EQ(released.due(i), rounds[i]);
     EXPECT_EQ(r.to, 7u);
     EXPECT_EQ(r.back_index, 3u);
     EXPECT_TRUE(r.spilled());
@@ -382,11 +376,10 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
 TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
   // The deliver phase reads the records in staged order: every physical
   // copy — both copies of one scheduled view included — is a record of its
-  // own with its own destination, back index and due round, and decodes
-  // to the key, flags, wire bits and payload of the view it was staged
-  // from: inline rows carried whole, spilled rows through their payload.
+  // own with its own destination and back index, and decodes to the key,
+  // flags, wire bits and payload of the view it was staged from: inline
+  // rows carried whole, spilled rows through their payload.
   MsgBlock block;
-  block.bind(nullptr, /*timed=*/true);
   Scheduled inline_row, bcast_row, spilled_row;
   schedule(inline_row, StreamKey{31, 7, 15}, {{~std::uint64_t{0}, 64}, {5, 3}},
            /*close=*/true, kHeader + 67);
@@ -397,28 +390,26 @@ TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
   schedule(spilled_row, StreamKey{4, 900, 3}, spilled, /*close=*/true,
            kHeader + 100);
   ASSERT_TRUE(inline_row.ok && bcast_row.ok && spilled_row.ok);
-  block.push(inline_row.view, 10, 1, 0);
-  block.push(bcast_row.view, 11, 2, 0);
-  block.push(bcast_row.view, 12, 3, 9);
-  block.push(spilled_row.view, 13, 4, 0);
+  block.push(inline_row.view, 10, 1);
+  block.push(bcast_row.view, 11, 2);
+  block.push(bcast_row.view, 12, 3);
+  block.push(spilled_row.view, 13, 4);
 
   struct Want {
     const MsgView* view;
     NodeId to;
     std::uint32_t back_index;
-    std::uint64_t due;
   };
-  const Want want[] = {{&inline_row.view, 10, 1, 0},
-                       {&bcast_row.view, 11, 2, 0},
-                       {&bcast_row.view, 12, 3, 9},
-                       {&spilled_row.view, 13, 4, 0}};
+  const Want want[] = {{&inline_row.view, 10, 1},
+                       {&bcast_row.view, 11, 2},
+                       {&bcast_row.view, 12, 3},
+                       {&spilled_row.view, 13, 4}};
   ASSERT_EQ(block.size(), 4u);
   for (std::size_t j = 0; j < block.size(); ++j) {
     const MsgBlock::Copy& got = block[j];
     const MsgView& v = *want[j].view;
     EXPECT_EQ(got.to, want[j].to) << "copy " << j;
     EXPECT_EQ(got.back_index, want[j].back_index) << "copy " << j;
-    EXPECT_EQ(block.due(j), want[j].due) << "copy " << j;
     EXPECT_EQ(got.key(), v.key);
     EXPECT_EQ(got.eos(), v.eos);
     EXPECT_EQ(got.symbol_count, v.symbol_count);
@@ -427,6 +418,42 @@ TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
   EXPECT_EQ(replay(block[1]), replay(block[2]));
   EXPECT_EQ(replay(block[3]), spilled);
   EXPECT_TRUE(block[3].spilled());
+}
+
+TEST(MsgBlock, RetainKeepsTheRestInOrderWithTheirPayloads) {
+  // The settle of an in-flight bucket: copies dropped in place leave the
+  // others in their order, each still decoding to its own payload, and a
+  // block emptied this way stays usable.
+  MsgBlock block;
+  Scheduled inline_row, spilled_row;
+  schedule(inline_row, StreamKey{2, 11, 0}, {{0x2a, 7}}, /*close=*/false,
+           kHeader + 7);
+  std::vector<std::pair<std::uint64_t, unsigned>> spilled;
+  for (unsigned i = 0; i < 5; ++i) spilled.emplace_back(i * 9 + 1, 20);
+  schedule(spilled_row, StreamKey{4, 900, 3}, spilled, /*close=*/true,
+           kHeader + 100);
+  ASSERT_TRUE(inline_row.ok && spilled_row.ok);
+  for (NodeId to = 0; to < 6; ++to) {
+    block.push(to % 2 == 0 ? inline_row.view : spilled_row.view, to, to + 1);
+  }
+  block.retain([](const MsgBlock::Copy& c) { return c.to % 3 != 0; });
+  const NodeId kept[] = {1, 2, 4, 5};
+  ASSERT_EQ(block.size(), 4u);
+  for (std::size_t j = 0; j < block.size(); ++j) {
+    const MsgBlock::Copy& c = block[j];
+    EXPECT_EQ(c.to, kept[j]);
+    EXPECT_EQ(c.back_index, kept[j] + 1);
+    EXPECT_EQ(c.spilled(), kept[j] % 2 == 1);
+    EXPECT_EQ(replay(c), replay(block[kept[j] % 2 == 1 ? 0 : 1]));
+  }
+  EXPECT_EQ(replay(block[0]), spilled);
+  EXPECT_EQ(replay(block[1]),
+            (std::vector<std::pair<std::uint64_t, unsigned>>{{0x2a, 7}}));
+  block.retain([](const MsgBlock::Copy&) { return false; });
+  EXPECT_TRUE(block.empty());
+  block.push(inline_row.view, 9, 0);
+  ASSERT_EQ(block.size(), 1u);
+  EXPECT_EQ(block[0].to, 9u);
 }
 
 // Broadcasts kMessages spilled messages of kPerMessage 64-bit symbols (the

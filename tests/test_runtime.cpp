@@ -776,11 +776,11 @@ TEST(Runtime, DoneCopiesInFlightKeepTheirDueRoundAndCrashVerdict) {
   // copy to it is tallied by its sender's shard under its due round:
   // silenced if the centre is crashed then, charged otherwise. The counters
   // must advance in the same rounds, by the same amounts, as when each such
-  // copy rode a delayed bucket to its due round — the values below, which
-  // the engine produced that way — and the stall report must count the
-  // tallied copies as in flight. Copies staged in rounds 1 and 2 reach
-  // buckets and are due by round 5, so the copies in flight after rounds
-  // 7..9 are all tallies.
+  // copy travelled to its due round like any delayed copy — the values
+  // below, which the engine produced that way — and the stall report must
+  // count the tallied copies as in flight. Copies staged in rounds 1 and 2
+  // wait as copies and are due by round 5, so the copies in flight after
+  // rounds 7..9 are all tallies.
   constexpr NodeId kLeaves = 4;
   const Graph g = testing::star_graph(kLeaves);
   const FaultPlan plan = parse_fault_plan(
