@@ -226,11 +226,17 @@ int main(int argc, char** argv) {
   bool full = false;
   unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    const bool value_flag = std::strcmp(argv[i], "--json") == 0 ||
+                            std::strcmp(argv[i], "--threads") == 0;
+    if (value_flag && i + 1 == argc) {
+      std::cerr << "error: " << argv[i] << " needs a value\n";
+      return 2;
+    }
+    if (std::strcmp(argv[i], "--json") == 0) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
       // Checked whole, before any instance is built.
       const char* text = argv[++i];
       const char* end = text + std::strlen(text);

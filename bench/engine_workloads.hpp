@@ -317,10 +317,16 @@ struct BenchArgs {
   bool full = false;      ///< include the slow large-n configurations
 };
 
-/// Parses argv into `args`; prints usage and returns false on anything else.
+/// Parses argv into `args`; on a bad argument prints an error and returns
+/// false: `--json` without a value names the flag, anything unknown prints
+/// the usage.
 inline bool parse_bench_args(int argc, char** argv, BenchArgs& args) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      if (i + 1 == argc) {
+        std::cerr << "error: --json needs a value\n";
+        return false;
+      }
       args.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--full") == 0) {
       args.full = true;

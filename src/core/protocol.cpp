@@ -16,11 +16,10 @@ DistNearCliqueNode::DistNearCliqueNode(const ProtocolParams& params,
   }
 }
 
-bool DistNearCliqueNode::fresh(NodeApi& api, VersionState& vs,
-                               std::uint16_t kind) {
-  const std::uint64_t now = api.rx_count(kind);
-  if (now == vs.seen_rx[kind]) return false;
-  vs.seen_rx[kind] = now;
+bool DistNearCliqueNode::fresh(VersionState& vs, std::uint16_t kind) {
+  const std::uint32_t bit = std::uint32_t{1} << kind;
+  if ((vs.unseen & bit) == 0) return false;
+  vs.unseen &= ~bit;
   return true;
 }
 
@@ -43,6 +42,8 @@ void DistNearCliqueNode::on_start(NodeApi& api) {
 void DistNearCliqueNode::on_round(NodeApi& api) {
   if (finished_) return;
   const std::uint64_t r = api.round();
+  const std::uint32_t arrived = api.arrived_kinds();
+  for (auto& vs : versions_) vs.unseen |= arrived;
 
   for (auto& vs : versions_) {
     if (!vs.started && r >= schedule_.version_start(vs.w)) {
@@ -59,9 +60,11 @@ void DistNearCliqueNode::on_round(NodeApi& api) {
         run_fringe(api, vs);
       }
       run_participation(api, vs);
-      for (auto& [root, ps] : vs.pairs) {
-        (void)root;
-        if (!vs.frozen) run_explore(api, vs, ps);
+      if (vs.ex && !vs.frozen) {
+        for (auto& [root, ps] : vs.ex->pairs) {
+          (void)root;
+          run_explore(api, vs, ps);
+        }
       }
     }
     if (!vs.frozen && r >= schedule_.version_end(vs.w)) {
@@ -92,7 +95,6 @@ void DistNearCliqueNode::on_round(NodeApi& api) {
 void DistNearCliqueNode::start_version(NodeApi& api, VersionState& vs) {
   vs.started = true;
   vs.in_s = sampling_coin(api.rng(), vs.w, params_.p);
-  vs.nbr_participation.resize(api.degree());
   // Announce the sampling coin to every neighbour (1 bit).
   auto ch = open_counted_all(api, key(kSampled, 0, vs.w));
   ch.put_bit(vs.in_s);
@@ -102,13 +104,15 @@ void DistNearCliqueNode::start_version(NodeApi& api, VersionState& vs) {
     // way there is nothing to discover or relay.
     vs.s_known = true;
     if (vs.in_s) {
-      vs.best_root = api.id();
-      vs.i_am_root = true;
-      vs.election_done = true;
-      vs.tree_final_seen = true;
-      vs.children_known = true;
-      vs.comp = {api.id()};
-      vs.comp_known = true;
+      vs.ex = std::make_unique<Exploration>();
+      Exploration& ex = *vs.ex;
+      ex.best_root = api.id();
+      ex.i_am_root = true;
+      ex.election_done = true;
+      ex.tree_final_seen = true;
+      ex.children_known = true;
+      ex.comp = {api.id()};
+      ex.comp_known = true;
     }
   }
 }
@@ -129,10 +133,10 @@ void DistNearCliqueNode::read_sampled_bits(NodeApi& api, VersionState& vs) {
   // Every neighbour's one-message stream (bit + EOS) is read: drop them.
   api.retire_in(key(kSampled, 0, vs.w));
   vs.s_known = true;
-  if (vs.in_s) {
-    vs.best_root = api.id();
-    vs.best_dist = 0;
-  }
+  // Only S and its neighbours explore (Section 4); everyone else is done
+  // with the version once it has sent its (empty) participation list.
+  if (vs.in_s || !vs.s_nbr.empty()) vs.ex = std::make_unique<Exploration>();
+  if (vs.in_s) vs.ex->best_root = api.id();
 }
 
 void DistNearCliqueNode::freeze_version(NodeApi& api, VersionState& vs) {
@@ -149,10 +153,10 @@ bool DistNearCliqueNode::version_finalized_for_vote(
     const VersionState& vs) const {
   if (vs.frozen) return true;
   if (!vs.started || !vs.s_known) return false;
-  const bool set_final =
-      vs.in_s ? vs.comp_known : (vs.s_nbr.empty() || vs.registered);
+  if (!vs.ex) return true;  // no S-node in reach: nothing to wait for
+  const bool set_final = vs.in_s ? vs.ex->comp_known : vs.ex->registered;
   if (!set_final) return false;
-  for (const auto& [root, ps] : vs.pairs) {
+  for (const auto& [root, ps] : vs.ex->pairs) {
     (void)root;
     if (ps.live && !ps.report_done) return false;
   }
@@ -163,7 +167,8 @@ void DistNearCliqueNode::force_resolve(NodeApi& api) {
   (void)api;
   for (auto& vs : versions_) {
     vs.finalized = true;
-    for (auto& [root, ps] : vs.pairs) {
+    if (!vs.ex) continue;
+    for (auto& [root, ps] : vs.ex->pairs) {
       (void)root;
       if (!ps.resolved) {
         ps.resolved = true;
@@ -178,16 +183,19 @@ void DistNearCliqueNode::maybe_finish(NodeApi& api) {
   if (finished_) return;
   for (const auto& vs : versions_) {
     if (!vs.started || !vs.finalized) return;
-    for (const auto& [root, ps] : vs.pairs) {
+    if (vs.in_s && !vs.frozen && !vs.ex) return;  // coins not all read yet
+    if (!vs.ex) continue;
+    const Exploration& ex = *vs.ex;
+    for (const auto& [root, ps] : ex.pairs) {
       (void)root;
       if (!ps.resolved) return;
     }
     if (vs.in_s && !vs.frozen) {
       // Members must also finish their relay duties so children do not hang
       // waiting for component lists that would never arrive.
-      if (!vs.comp_known) return;
-      if (!vs.i_am_root && vs.gather_opened && !vs.gather_out.closed()) return;
-      if (vs.complist_opened && !vs.complist_out.closed()) return;
+      if (!ex.comp_known) return;
+      if (!ex.i_am_root && ex.gather_opened && !ex.gather_out.closed()) return;
+      if (ex.complist_opened && !ex.complist_out.closed()) return;
     }
   }
   if (!voted_global_) return;

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -38,7 +38,7 @@ enum MsgKind : std::uint16_t {
 };
 
 // Every kind must fit the wire format's 5-bit kind field; the runtime's
-// fixed-size per-kind tables (rx counters, bits_by_kind, inbox buckets) are
+// per-kind tables (the arrived-kinds mask, bits_by_kind, inbox buckets) are
 // sized by kMaxMsgKinds and open_stream rejects anything beyond it.
 static_assert(kVerdict < kMaxMsgKinds,
               "MsgKind range exceeds the runtime's per-kind tables");
@@ -136,21 +136,14 @@ struct PairState {
   bool survived = false;
 };
 
-/// Per-version protocol state (Section 4.1 runs `versions` of these in
-/// consecutive round windows).
-struct VersionState {
-  std::uint16_t w = 1;  ///< 1-based version index
-  bool started = false;
-  bool frozen = false;   ///< window expired; no new exploration progress
-  bool finalized = false;  ///< this node's candidate set for w is final
-
-  bool in_s = false;
-  std::vector<std::size_t> s_nbr;  ///< sampled neighbour indices
-  bool s_known = false;
-
+/// Per-version state of a node in S or adjacent to S: the election, tree,
+/// gather, fringe, participation and pair state of Section 4's exploration
+/// and decision stages. Any other node takes part in none of them — it
+/// outputs bottom for the version once it has read its neighbours'
+/// sampling bits — so it never allocates one (VersionState::ex).
+struct Exploration {
   // --- election (S-members only) ---
   NodeId best_root = kNoNode;
-  std::uint32_t best_dist = 0;
   std::size_t best_parent_ni = SIZE_MAX;
   std::map<NodeId, FloodState> floods;  // nclint:allow(ordered-map) per-node election state, keyed by the few candidate roots a node sees
   std::uint32_t own_deficit = 0;  ///< as flood source
@@ -161,7 +154,6 @@ struct VersionState {
 
   // --- tree finalization ---
   bool tree_final_seen = false;
-  bool tree_final_forwarded = false;
   bool parentof_sent_ = false;
   std::size_t parentof_in = 0;  ///< kParentOf bits received
   std::vector<std::size_t> tree_children;
@@ -174,12 +166,10 @@ struct VersionState {
   std::vector<NodeId> gathered;  ///< root: collected IDs
   bool complist_opened = false;
   OutChannel complist_out;
-  std::size_t complist_relay_next = 0;
   std::vector<NodeId> comp;
   bool comp_known = false;
 
   // --- fringe registration (non-members) ---
-  bool announces_done = false;
   bool registered = false;
 
   // --- fringe children collection (members) ---
@@ -187,22 +177,41 @@ struct VersionState {
   bool fringe_known = false;
 
   // --- participation exchange ---
-  bool participate_sent = false;
-  std::vector<std::vector<NodeId>> nbr_participation;  ///< by neighbour index
-  std::size_t participation_in = 0;  ///< closed kParticipate streams
+  /// Roots each neighbour participates in, by neighbour index; sized to the
+  /// degree when the first listed root arrives (most lists are empty).
+  std::vector<std::vector<NodeId>> nbr_participation;
   bool participation_known = false;
 
-  bool announce_opened = false;
-  OutChannel announce_out;  ///< shared kCompAnnounce buffer
-
-  /// Last-seen delivery counters per message kind: scan-heavy handlers skip
-  /// their inbox walk when nothing of the kind arrived since their last
-  /// *successful* scan (guard-blocked handlers leave the counter untouched
-  /// so the scan re-fires once unblocked).
-  std::array<std::uint64_t, kMaxMsgKinds> seen_rx{};
+  bool announce_opened = false;  ///< Step 3 announce sent, own pair made
 
   std::map<NodeId, PairState> pairs;  ///< by root  // nclint:allow(ordered-map) per-node pair state, bounded by participating roots
 };
+
+/// Per-version protocol state (Section 4.1 runs `versions` of these in
+/// consecutive round windows). Every node keeps this core; the exploration
+/// block is allocated only where Section 4 has work for it.
+struct VersionState {
+  std::uint16_t w = 1;  ///< 1-based version index
+  bool started = false;
+  bool frozen = false;   ///< window expired; no new exploration progress
+  bool finalized = false;  ///< this node's candidate set for w is final
+  bool in_s = false;     ///< this node's sampling coin
+  bool s_known = false;  ///< every neighbour's sampling bit is read
+  bool participate_sent = false;
+
+  /// Kinds delivered since this version's handlers last checked for them:
+  /// on_round ORs NodeApi::arrived_kinds() in before any handler runs, and
+  /// fresh() tests and clears one kind's bit.
+  std::uint32_t unseen = 0;
+
+  std::vector<std::size_t> s_nbr;  ///< sampled neighbour indices
+
+  /// Non-null iff s_known and the node is in S or has a sampled neighbour.
+  std::unique_ptr<Exploration> ex;
+};
+static_assert(sizeof(VersionState) <= 48,
+              "VersionState is the per-version core every node keeps; "
+              "exploration state belongs in Exploration");
 
 /// One processor running Algorithm DistNearClique (Section 4) under the
 /// Section 4.1 wrappers (arXiv:0905.4147). The stages follow the paper's
@@ -269,10 +278,12 @@ class DistNearCliqueNode : public INode {
   [[nodiscard]] unsigned idw() const noexcept { return idw_; }
   [[nodiscard]] bool version_finalized_for_vote(const VersionState& vs) const;
 
-  /// True iff messages of `kind` arrived since this version's handler last
-  /// scanned for them (used to skip inbox scans on quiet rounds; counters
-  /// are per version so one version's scan never starves another's).
-  static bool fresh(NodeApi& api, VersionState& vs, std::uint16_t kind);
+  /// True iff messages of `kind` arrived since this version last asked;
+  /// clears the kind's bit in vs.unseen. Handlers call it to skip inbox
+  /// scans on quiet rounds, and a handler whose guard blocks it does not
+  /// call it, so its scan re-fires once unblocked. The mask is per version
+  /// so one version's scan never starves another's.
+  static bool fresh(VersionState& vs, std::uint16_t kind);
 
   // telemetry probes (src/runtime/telemetry.hpp) ---------------------------
   // Every stream open goes through one of these wrappers, so the

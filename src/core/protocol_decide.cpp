@@ -36,7 +36,8 @@ void DistNearCliqueNode::maybe_vote(NodeApi& api) {
   bool have_winner = false;
   std::tuple<std::uint32_t, NodeId, std::uint16_t> best{0, 0, 0};
   for (const auto& vs : versions_) {
-    for (const auto& [root, ps] : vs.pairs) {
+    if (!vs.ex) continue;
+    for (const auto& [root, ps] : vs.ex->pairs) {
       if (!ps.live || !ps.report_done) continue;
       if (ps.t_size < params_.min_report_size) continue;
       const std::tuple<std::uint32_t, NodeId, std::uint16_t> cand{
@@ -48,7 +49,8 @@ void DistNearCliqueNode::maybe_vote(NodeApi& api) {
     }
   }
   for (auto& vs : versions_) {
-    for (auto& [root, ps] : vs.pairs) {
+    if (!vs.ex) continue;
+    for (auto& [root, ps] : vs.ex->pairs) {
       ps.my_ack = have_winner && ps.live && ps.report_done &&
                   root == std::get<1>(best) && vs.w == std::get<2>(best);
     }
@@ -58,7 +60,9 @@ void DistNearCliqueNode::maybe_vote(NodeApi& api) {
 
 void DistNearCliqueNode::run_votes_and_verdicts(NodeApi& api) {
   for (auto& vs : versions_) {
-    for (auto& [root, ps] : vs.pairs) {
+    if (!vs.ex) continue;
+    Exploration& ex = *vs.ex;
+    for (auto& [root, ps] : ex.pairs) {
       (void)root;
       if (ps.resolved) continue;
       const bool is_root = ps.is_member && ps.parent_ni == SIZE_MAX;
@@ -83,7 +87,7 @@ void DistNearCliqueNode::run_votes_and_verdicts(NodeApi& api) {
                                         ps.parent_ni);
           ch.put_bit(ps.my_ack);
           ch.close();
-        } else if (vs.children_known && vs.fringe_known &&
+        } else if (ex.children_known && ex.fringe_known &&
                    ps.votes_in == ps.child_nis.size()) {
           ps.vote_sent = true;
           const bool agg = ps.my_ack && ps.all_children_ack;

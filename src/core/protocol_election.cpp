@@ -23,24 +23,25 @@ namespace nc {
 
 void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
   if (!vs.in_s) return;
+  Exploration& ex = *vs.ex;
 
   // Kick off our own candidacy.
-  if (!vs.flood_sent) {
-    vs.flood_sent = true;
+  if (!ex.flood_sent) {
+    ex.flood_sent = true;
     for (const std::size_t ni : vs.s_nbr) {
       auto ch = open_counted_one(api, key(kFlood, api.id(), vs.w), ni);
       ch.put(0, idw());  // our distance from ourselves
       ch.close();
     }
-    vs.own_deficit = static_cast<std::uint32_t>(vs.s_nbr.size());
-    if (vs.own_deficit == 0 && !vs.election_done) {
-      vs.election_done = true;
+    ex.own_deficit = static_cast<std::uint32_t>(vs.s_nbr.size());
+    if (ex.own_deficit == 0 && !ex.election_done) {
+      ex.election_done = true;
       become_root(api, vs);  // singleton component
     }
   }
 
   // Incoming floods.
-  if (fresh(api, vs, kFlood))
+  if (fresh(vs, kFlood))
   api.for_each_in(kFlood, [&](std::size_t ni, const StreamKey& k,
                               InStream& in) {
     if (k.version != vs.w) return;
@@ -51,7 +52,7 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
   });
 
   // Incoming acks.
-  if (fresh(api, vs, kFloodAck))
+  if (fresh(vs, kFloodAck))
   api.for_each_in(kFloodAck, [&](std::size_t ni, const StreamKey& k,
                                  InStream& in) {
     (void)ni;
@@ -60,17 +61,17 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
       const bool flag = in.pop() != 0;
       const NodeId cand = k.tag;
       if (cand == api.id()) {
-        assert(vs.own_deficit > 0);
-        --vs.own_deficit;
-        vs.own_flag = vs.own_flag || flag;
-        if (vs.own_deficit == 0 && !vs.election_done) {
-          vs.election_done = true;
-          if (!vs.own_flag) become_root(api, vs);
+        assert(ex.own_deficit > 0);
+        --ex.own_deficit;
+        ex.own_flag = ex.own_flag || flag;
+        if (ex.own_deficit == 0 && !ex.election_done) {
+          ex.election_done = true;
+          if (!ex.own_flag) become_root(api, vs);
           // Otherwise we lost; we continue as an ordinary member.
         }
       } else {
-        auto it = vs.floods.find(cand);
-        assert(it != vs.floods.end());
+        auto it = ex.floods.find(cand);
+        assert(it != ex.floods.end());
         FloodState& fs = it->second;
         assert(fs.deficit > 0);
         --fs.deficit;
@@ -78,7 +79,7 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
         if (fs.deficit == 0 && !fs.acked) {
           fs.acked = true;
           send_ack(api, vs, fs.ds_parent_ni, cand,
-                   fs.flag || vs.best_root < cand);
+                   fs.flag || ex.best_root < cand);
         }
       }
     }
@@ -88,16 +89,16 @@ void DistNearCliqueNode::run_election(NodeApi& api, VersionState& vs) {
 void DistNearCliqueNode::handle_flood(NodeApi& api, VersionState& vs,
                                       std::size_t ni, NodeId cand,
                                       std::uint32_t dist) {
+  Exploration& ex = *vs.ex;
   if (cand == api.id()) {
     // Our own flood looped back through a cycle.
-    send_ack(api, vs, ni, cand, vs.best_root < cand);
+    send_ack(api, vs, ni, cand, ex.best_root < cand);
     return;
   }
-  if (cand < vs.best_root) {
+  if (cand < ex.best_root) {
     // Adopt and forward: this engages us in cand's diffusing computation.
-    vs.best_root = cand;
-    vs.best_dist = dist + 1;
-    vs.best_parent_ni = ni;
+    ex.best_root = cand;
+    ex.best_parent_ni = ni;
     FloodState fs;
     fs.ds_parent_ni = ni;
     fs.deficit = 0;
@@ -110,15 +111,15 @@ void DistNearCliqueNode::handle_flood(NodeApi& api, VersionState& vs,
     }
     if (fs.deficit == 0) {
       fs.acked = true;
-      vs.floods.emplace(cand, fs);
-      send_ack(api, vs, ni, cand, vs.best_root < cand);
+      ex.floods.emplace(cand, fs);
+      send_ack(api, vs, ni, cand, ex.best_root < cand);
     } else {
-      vs.floods.emplace(cand, fs);
+      ex.floods.emplace(cand, fs);
     }
   } else {
     // Not adopted (or a duplicate of an already-adopted flood): acknowledge
     // immediately, reporting whether we know a smaller root.
-    send_ack(api, vs, ni, cand, vs.best_root < cand);
+    send_ack(api, vs, ni, cand, ex.best_root < cand);
   }
 }
 
@@ -130,11 +131,11 @@ void DistNearCliqueNode::send_ack(NodeApi& api, VersionState& vs,
 }
 
 void DistNearCliqueNode::become_root(NodeApi& api, VersionState& vs) {
-  vs.i_am_root = true;
-  vs.best_root = api.id();
-  vs.best_dist = 0;
-  vs.best_parent_ni = SIZE_MAX;
-  vs.tree_final_seen = true;
+  Exploration& ex = *vs.ex;
+  ex.i_am_root = true;
+  ex.best_root = api.id();
+  ex.best_parent_ni = SIZE_MAX;
+  ex.tree_final_seen = true;
   // Announce tree completion over the S-edges; members forward the wave.
   for (const std::size_t ni : vs.s_nbr) {
     auto ch = open_counted_one(api, key(kTreeFinal, api.id(), vs.w), ni);
@@ -147,11 +148,11 @@ void DistNearCliqueNode::become_root(NodeApi& api, VersionState& vs) {
     ch.put_bit(false);
     ch.close();
   }
-  vs.parentof_sent_ = true;
+  ex.parentof_sent_ = true;
   if (vs.s_nbr.empty()) {
-    vs.children_known = true;
-    vs.comp = {api.id()};
-    vs.comp_known = true;
+    ex.children_known = true;
+    ex.comp = {api.id()};
+    ex.comp_known = true;
   }
 }
 

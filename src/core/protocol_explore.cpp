@@ -20,7 +20,8 @@ namespace nc {
 void DistNearCliqueNode::maybe_init_pair(NodeApi& api, VersionState& vs,
                                          PairState& ps) {
   if (ps.explore_started || !ps.live) return;
-  if (ps.is_member && !(vs.comp_known && vs.children_known && vs.fringe_known))
+  const Exploration& ex = *vs.ex;
+  if (ps.is_member && !(ex.comp_known && ex.children_known && ex.fringe_known))
     return;
   ps.explore_started = true;
   api.probe_add(probe_pairs_, 1);
@@ -141,10 +142,12 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
   }
 
   // --- 4e/4f: accumulate neighbours' K bit-vectors. ---
-  if (!ps.participant_nbrs_known && vs.participation_known) {
+  if (!ps.participant_nbrs_known && vs.ex->participation_known) {
     ps.participant_nbrs_known = true;
-    for (std::size_t ni = 0; ni < api.degree(); ++ni) {
-      const auto& roots = vs.nbr_participation[ni];
+    // Empty when every neighbour's list was empty.
+    const auto& lists = vs.ex->nbr_participation;
+    for (std::size_t ni = 0; ni < lists.size(); ++ni) {
+      const auto& roots = lists[ni];
       if (std::find(roots.begin(), roots.end(), ps.root) != roots.end()) {
         ps.participant_nbrs.push_back(ni);
       }

@@ -84,8 +84,9 @@ struct InboxPool {
 /// around a third of the kind space, and the simulator's dominant cost is
 /// cold misses on randomly-addressed per-node state (every delivery lands
 /// on a different node). The slot map keeps sizeof(Inbox) at 64 bytes, so
-/// a node's whole hot state — counters, inbox header — packs into a few
-/// cache lines instead of striding a ~2 KB struct. Slot order is
+/// a node's whole runtime state — RNG, inbox header, alarm and
+/// arrived-kinds mask, 112 bytes — spans two cache lines instead of
+/// striding a ~2 KB struct. Slot order is
 /// first-delivery order, which is internal layout only: every lookup goes
 /// through the map, so nothing observable depends on it.
 ///

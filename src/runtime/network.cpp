@@ -88,11 +88,8 @@ void NodeApi::retire_in(const StreamKey& key) {
   net_->states_[id_].inbox.retire(key);
 }
 
-std::uint64_t NodeApi::rx_count(std::uint16_t kind) const {
-  if (kind >= kMaxMsgKinds) {
-    throw std::out_of_range("rx_count: message kind out of range");
-  }
-  return net_->states_[id_].rx_by_kind[kind];
+std::uint32_t NodeApi::arrived_kinds() const noexcept {
+  return net_->states_[id_].arrived_kinds;
 }
 
 void NodeApi::set_alarm(std::uint64_t round) {
@@ -424,7 +421,7 @@ void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
   for (std::size_t i = 0; i < count; ++i) {
     const MsgBlock::Copy& c = *run[i];
     batch.charge(c.kind(), c.wire_bits);
-    st.rx_by_kind[c.kind()] += 1;
+    st.arrived_kinds |= std::uint32_t{1} << c.kind();
     InStream& stream = st.inbox.open(c.back_index, c.key());
     if (c.spilled()) {
       stream.deliver_packed(c.words, c.pay_word_count(header_bits_), 0,
@@ -936,6 +933,7 @@ void Network::wake_shard(unsigned s) {
     if (done_[v] != 0) continue;
     NodeApi api(*this, v);
     nodes_[v]->on_round(api);
+    states_[v].arrived_kinds = 0;
     refresh_outgoing(v);
     drop_inbox_if_done(v);
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -116,8 +115,8 @@ struct NetConfig {
 /// The per-node view of the runtime: identity, topology (restricted to the
 /// node's own neighbourhood, as the model requires), randomness, stream I/O
 /// and the done flag. Handed to INode callbacks; never retained. Only the
-/// Network constructs one, so everything it reads (find_in, rx_count) is
-/// read from inside a callback of its own node.
+/// Network constructs one, so everything it reads (find_in,
+/// arrived_kinds) is read from inside a callback of its own node.
 class NodeApi {
  public:
   /// This node's ID (unique, O(log n) bits).
@@ -187,12 +186,13 @@ class NodeApi {
   /// be called from inside a for_each_in visitor of that kind.
   void retire_in(const StreamKey& key);
 
-  /// Number of deliveries (messages) received so far whose kind is `kind`.
-  /// Protocol code uses this to skip inbox scans on rounds where nothing of
-  /// that kind arrived. Throws std::out_of_range for kind >= kMaxMsgKinds.
-  /// The count stops at set_done: deliveries to a done node are charged to
-  /// RunStats only, and no callback of a done node runs to read it.
-  [[nodiscard]] std::uint64_t rx_count(std::uint16_t kind) const;
+  /// The kinds delivered to this node since its previous callback: bit k
+  /// is set iff a message of kind k arrived (the deliver phase sets it),
+  /// and the mask is cleared once on_round returns. Protocol code uses it
+  /// to skip inbox scans on rounds where nothing of a kind arrived. It is
+  /// 0 in on_start, the churn hooks and an alarm-only wake; a done or
+  /// crashed node receives nothing, so no copy to one sets a bit.
+  [[nodiscard]] std::uint32_t arrived_kinds() const noexcept;
 
   /// Registers (or looks up) a named telemetry probe of counter kind
   /// (sampled as its cumulative total). Returns kNoProbe — and probe_add
@@ -226,7 +226,7 @@ class NodeApi {
   /// the current callback returns the runtime drops its whole inbox (every
   /// find_in pointer and for_each_in reference dies with it). Later
   /// deliveries to it are charged to RunStats, but neither stored nor
-  /// counted in rx_count; a copy staged for it from the next round on never
+  /// marked in arrived_kinds; a copy staged for it from the next round on never
   /// leaves its sender's shard (Network::charge_done_copy). Within the
   /// callback the inbox stays readable.
   void set_done();
@@ -339,6 +339,7 @@ class Network {
 
  private:
   friend class NodeApi;
+  friend struct NetworkTestPeek;  ///< tests read NodeState between rounds
 
   // A node's outgoing links are not here: they sit in links_, indexed by
   // directed edge, so a NodeState holds no heap block of its own beyond
@@ -346,13 +347,17 @@ class Network {
   struct NodeState {
     Rng rng;
     Inbox inbox;
-    std::array<std::uint64_t, kMaxMsgKinds> rx_by_kind{};
     std::uint64_t alarm = kNoAlarm;
+    std::uint32_t arrived_kinds = 0;  ///< NodeApi::arrived_kinds
     // The done flag lives in the dense done_ array and the "queued in this
     // round's wake list" flag in the owning shard's `woken` bitmap, not
     // here: the stage and wake phases read them for many nodes, and
     // NodeState is far too big to stride for one byte.
   };
+  static_assert(kMaxMsgKinds <= 32, "arrived_kinds holds one bit per kind");
+  static_assert(sizeof(NodeState) <= 112,
+                "NodeState is built for every node; per-kind state belongs "
+                "in the arrived_kinds mask");
   static constexpr std::uint64_t kNoAlarm = ~0ULL;
 
   /// What one shard holds for one due round (Shard::in_flight): the copies,
@@ -538,7 +543,8 @@ class Network {
 
   /// Applies `count` copies to node `to` in the given order: each is
   /// charged to `batch` (flushed into the shard's traffic partial once per
-  /// phase), counts in rx_count and reaches the inbox, and the node wakes.
+  /// phase), sets its kind's bit in arrived_kinds and reaches the inbox,
+  /// and the node wakes.
   void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                     const MsgBlock::Copy* const* run, std::size_t count);
 

@@ -167,12 +167,6 @@ class ArenaVec {
     if (want > capacity_) reallocate(want);
   }
 
-  T& push_back(const T& value) {
-    if (size_ == capacity_) grow(size_ + 1);
-    data_[size_] = value;
-    return data_[size_++];
-  }
-
   /// Appends `count` uninitialized slots and returns the first.
   T* append(std::size_t count) {
     if (size_ + count > capacity_) grow(size_ + count);

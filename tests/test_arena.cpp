@@ -102,7 +102,7 @@ TEST(Arena, AllocateArrayIsTyped) {
 
 TEST(ArenaVec, HeapModeGrowsAndPreserves) {
   ArenaVec<std::uint32_t> v;  // unbound: heap mode
-  for (std::uint32_t i = 0; i < 1000; ++i) v.push_back(i);
+  for (std::uint32_t i = 0; i < 1000; ++i) *v.append(1) = i;
   ASSERT_EQ(v.size(), 1000u);
   for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[i], i);
   v.truncate(400);
@@ -119,7 +119,7 @@ TEST(ArenaVec, ArenaModeGrowsAndPreserves) {
   Arena arena;
   ArenaVec<std::uint64_t> v;
   v.bind(&arena);
-  for (std::uint64_t i = 0; i < 500; ++i) v.push_back(i * 3);
+  for (std::uint64_t i = 0; i < 500; ++i) *v.append(1) = i * 3;
   ASSERT_EQ(v.size(), 500u);
   for (std::uint64_t i = 0; i < 500; ++i) EXPECT_EQ(v[i], i * 3);
   // Growth abandoned spans inside the arena; used bytes must cover at least
@@ -131,7 +131,7 @@ TEST(ArenaVec, AppendReturnsWritableSlots) {
   Arena arena;
   ArenaVec<std::uint16_t> v;
   v.bind(&arena);
-  v.push_back(1);
+  *v.append(1) = 1;
   std::uint16_t* slots = v.append(3);
   slots[0] = 10;
   slots[1] = 20;
@@ -152,7 +152,7 @@ TEST(ArenaVec, RoundLifecycleMatchesLaneUsage) {
     arena.reset();
     v.release();
     v.reserve(64);
-    for (std::uint32_t i = 0; i < 64; ++i) v.push_back(i + round);
+    for (std::uint32_t i = 0; i < 64; ++i) *v.append(1) = i + round;
     ASSERT_EQ(v.size(), 64u);
     EXPECT_EQ(v[63], 63u + static_cast<std::uint32_t>(round));
   }
@@ -161,7 +161,7 @@ TEST(ArenaVec, RoundLifecycleMatchesLaneUsage) {
   arena.reset();
   v.release();
   v.reserve(64);
-  for (std::uint32_t i = 0; i < 64; ++i) v.push_back(i);
+  for (std::uint32_t i = 0; i < 64; ++i) *v.append(1) = i;
   EXPECT_EQ(arena.high_water_bytes(), hw);
 }
 

@@ -8,6 +8,7 @@
 #include "core/oracle.hpp"
 #include "core/protocol.hpp"
 #include "core/subsets.hpp"
+#include "expt/scenario.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/metrics.hpp"
@@ -20,6 +21,15 @@
 // against first principles (not just against the oracle).
 
 namespace nc {
+
+/// Read access to a node's per-version state.
+struct ProtocolTestPeek {
+  static bool holds_exploration(const DistNearCliqueNode& node,
+                                std::uint16_t w) {
+    return node.versions_.at(w - 1).ex != nullptr;
+  }
+};
+
 namespace {
 
 struct RunHandle {
@@ -228,6 +238,60 @@ TEST(ProtocolStages, LocalOpsAccountedForExploration) {
   std::uint64_t total_ops = 0;
   for (const auto* node : h.nodes) total_ops += node->local_ops();
   EXPECT_GT(total_ops, 0u);
+}
+
+TEST(Protocol, OnlySampledNodesAndTheirNeighboursHoldExplorationState) {
+  // Section 4: only a node in S or adjacent to it can join a component
+  // S_i, its fringe or a T_eps(X) with X in S_i; every other node outputs
+  // bottom for the version once it has read its neighbours' sampling bits.
+  // So in each version exactly S and its neighbours allocate the
+  // exploration block, and they are a small minority here.
+  const Instance inst = ScenarioRegistry::global().make(ScenarioSpec{
+      "planted_near_clique",
+      ScenarioParams()
+          .with("n", 3000)
+          .with("clique_size", 100)
+          .with("background_p", 2e-3)
+          .with("halo_p", 1e-3)
+          .with("permute_ids", 0),
+      3});
+  const Graph& g = inst.graph;
+  for (const std::uint16_t versions : {1, 2}) {
+    SCOPED_TRACE("versions=" + std::to_string(versions));
+    DriverConfig cfg;
+    cfg.proto.eps = 0.2;
+    cfg.proto.p = 60.0 / static_cast<double>(g.n());
+    cfg.proto.versions = versions;
+    cfg.net.seed = 3;
+    cfg.net.max_rounds = 32'000'000;
+    const Schedule schedule =
+        make_schedule(cfg.proto, g.n(), cfg.net.max_rounds);
+    Network net(g, cfg.net, [&](NodeId) {
+      return std::make_unique<DistNearCliqueNode>(cfg.proto, schedule);
+    });
+    const RunStats stats = net.run();
+    ASSERT_TRUE(net.all_done());
+    EXPECT_FALSE(stats.stalled);
+    for (std::uint16_t w = 1; w <= versions; ++w) {
+      std::vector<bool> in_reach(g.n(), false);
+      for (const NodeId s : oracle_sample(g, cfg.proto.p, cfg.net.seed, w)) {
+        in_reach[s] = true;
+        for (const NodeId u : g.neighbors(s)) in_reach[u] = true;
+      }
+      std::size_t holders = 0;
+      std::size_t mismatches = 0;
+      for (NodeId v = 0; v < g.n(); ++v) {
+        const bool holds = ProtocolTestPeek::holds_exploration(
+            static_cast<DistNearCliqueNode&>(net.node(v)), w);
+        holders += holds ? 1 : 0;
+        mismatches += holds != in_reach[v] ? 1 : 0;
+      }
+      SCOPED_TRACE("version " + std::to_string(w));
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_GT(holders, 60u);
+      EXPECT_LT(holders, g.n() / 4);
+    }
+  }
 }
 
 }  // namespace

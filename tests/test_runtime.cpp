@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -17,6 +19,14 @@
 #include "util/rng.hpp"
 
 namespace nc {
+
+/// Read access to the engine's per-node state between rounds.
+struct NetworkTestPeek {
+  static std::uint32_t arrived_kinds(const Network& net, NodeId v) {
+    return net.states_[v].arrived_kinds;
+  }
+};
+
 namespace {
 
 constexpr std::uint16_t kData = 1;
@@ -424,7 +434,6 @@ TEST(Runtime, OutOfRangeKindIsRejected) {
                    std::invalid_argument);
       EXPECT_THROW((void)api.open_stream_all(StreamKey{1, 0, 16}),
                    std::invalid_argument);  // version beyond the 4-bit field
-      EXPECT_THROW((void)api.rx_count(32), std::out_of_range);
       // Neighbour indices are checked too, all of them before any link is
       // touched: index `degree()` would otherwise land on the next node's
       // first link of the flat per-edge table.
@@ -434,19 +443,170 @@ TEST(Runtime, OutOfRangeKindIsRejected) {
       EXPECT_THROW((void)api.open_stream_one(StreamKey{1, 0, 0}, 7),
                    std::out_of_range);
       // In-range kinds are unaffected.
-      EXPECT_EQ(api.rx_count(31), 0u);
+      EXPECT_EQ(api.arrived_kinds(), 0u);
       auto ch = api.open_stream_all(StreamKey{31, 0, 0});
       ch.put_bit(true);
       ch.close();
     }
     void on_round(NodeApi& api) override {
-      if (api.rx_count(31) > 0) api.set_done();
+      if ((api.arrived_kinds() >> 31) != 0) api.set_done();
     }
   };
   NetConfig cfg;
   Network net(g, cfg, [](NodeId) { return std::make_unique<BadKind>(); });
   const auto stats = net.run();
   EXPECT_FALSE(stats.stalled);
+}
+
+/// Leaf of ArrivedKindsAreTheKindsDeliveredSinceTheLastCallback: in each
+/// scheduled round (0 = on_start) it opens a one-message stream of the
+/// scheduled kind to the centre, delivered one round later. It wakes by
+/// alarm for each send and at kLast, when it finishes, and records the
+/// mask of every wake-up.
+class KindSender : public INode {
+ public:
+  struct Send {
+    std::uint64_t round;
+    std::uint16_t kind;
+  };
+  static constexpr std::uint64_t kLast = 12;
+
+  explicit KindSender(std::vector<Send> sends) : sends_(std::move(sends)) {}
+  void on_start(NodeApi& api) override { send_due(api); }
+  void on_round(NodeApi& api) override {
+    seen.emplace_back(api.round(), api.arrived_kinds());
+    if (api.round() >= kLast) {
+      api.set_done();
+      return;
+    }
+    send_due(api);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> seen;
+
+ private:
+  void send_due(NodeApi& api) {
+    std::uint64_t next = kLast;
+    for (const Send& s : sends_) {
+      if (s.round == api.round()) {
+        auto ch = api.open_stream_one(StreamKey{s.kind, 0, 0}, 0);
+        ch.put_bit(true);
+        ch.close();
+      } else if (s.round > api.round()) {
+        next = std::min(next, s.round);
+      }
+    }
+    api.set_alarm(next);
+  }
+  std::vector<Send> sends_;
+};
+
+/// Centre of that star: broadcasts kind 3 from on_start, wakes by alarm in
+/// round 3, finishes in round 8, and records the mask in every callback.
+class KindRecorder : public INode {
+ public:
+  static constexpr std::uint16_t kBroadcast = 3;
+  void on_start(NodeApi& api) override {
+    hook_masks |= api.arrived_kinds();
+    auto ch = api.open_stream_all(StreamKey{kBroadcast, 0, 0});
+    ch.put_bit(true);
+    ch.close();
+    api.set_alarm(3);
+  }
+  void on_round(NodeApi& api) override {
+    seen.emplace_back(api.round(), api.arrived_kinds());
+    if (api.round() == 8) api.set_done();
+  }
+  void on_crash(NodeApi& api) override {
+    crashed_at = api.round();
+    hook_masks |= api.arrived_kinds();
+  }
+  void on_recover(NodeApi& api) override {
+    recovered_at = api.round();
+    hook_masks |= api.arrived_kinds();
+  }
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> seen;
+  std::uint32_t hook_masks = 0;  ///< on_start, on_crash and on_recover
+  std::uint64_t crashed_at = 0;
+  std::uint64_t recovered_at = 0;
+};
+
+TEST(Runtime, ArrivedKindsAreTheKindsDeliveredSinceTheLastCallback) {
+  // A 4-leaf star whose centre is crashed in rounds [4, 7) and done from
+  // round 8. Deliveries to the centre: kinds 2 and 9 in round 1, 31 in
+  // round 2, nothing in round 3 (an alarm-only wake), kind 7 in rounds
+  // 4-6 (silenced by the crash), nothing in round 7 (the recovery wake),
+  // kinds 0 and 5 in round 8, and kind 12 in rounds 9 and 10, charged to
+  // the done centre. Each wake must see exactly its round's kinds, and
+  // after every round no node may hold a bit: a woken node's mask is
+  // cleared once its callback returns, and a crashed or done node gets
+  // none.
+  const Graph g = testing::star_graph(4);
+  const FaultPlan plan = parse_fault_plan(
+      "crash_frac=0.5,crash_round=4,recover_after=3,fault_seed=96");
+  {
+    const FaultEngine schedule(plan, g.n(), 8, 5);
+    ASSERT_EQ(schedule.crash_round(0), 4u);
+    ASSERT_EQ(schedule.recover_round(0), 7u);
+    for (NodeId v = 1; v <= 4; ++v) {
+      ASSERT_EQ(schedule.crash_round(v), FaultEngine::kNever);
+    }
+  }
+  const std::vector<std::vector<KindSender::Send>> sends = {
+      {{0, 2}, {3, 7}, {4, 7}, {5, 7}, {8, 12}},
+      {{0, 9}, {7, 5}},
+      {{1, 31}, {9, 12}},
+      {{7, 0}},
+  };
+  const auto bits = [](std::initializer_list<unsigned> kinds) {
+    std::uint32_t m = 0;
+    for (const unsigned k : kinds) m |= std::uint32_t{1} << k;
+    return m;
+  };
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> centre_wants = {
+      {1, bits({2, 9})}, {2, bits({31})}, {3, 0}, {7, 0}, {8, bits({0, 5})}};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetConfig cfg;
+    cfg.seed = 5;
+    cfg.threads = threads;
+    cfg.faults = plan;
+    Network net(g, cfg, [&](NodeId v) -> std::unique_ptr<INode> {
+      if (v == 0) return std::make_unique<KindRecorder>();
+      return std::make_unique<KindSender>(sends[v - 1]);
+    });
+    std::uint64_t rounds = 0;
+    bool finished = false;
+    while (!finished && rounds < 2 * KindSender::kLast) {
+      finished = net.run_rounds(1);
+      ++rounds;
+      for (NodeId v = 0; v < g.n(); ++v) {
+        EXPECT_EQ(NetworkTestPeek::arrived_kinds(net, v), 0u)
+            << "node " << v << " after round " << rounds;
+      }
+    }
+    EXPECT_TRUE(finished);
+    EXPECT_EQ(net.stats().rounds, KindSender::kLast);
+    EXPECT_EQ(net.stats().messages_dropped_crash, 3u);  // the kind-7 copies
+    const auto& centre = static_cast<KindRecorder&>(net.node(0));
+    EXPECT_EQ(centre.crashed_at, 4u);
+    EXPECT_EQ(centre.recovered_at, 7u);
+    EXPECT_EQ(centre.hook_masks, 0u);
+    EXPECT_EQ(centre.seen, centre_wants);
+    for (NodeId v = 1; v <= 4; ++v) {
+      // Each leaf hears only the centre's round-1 broadcast; its other
+      // wakes are alarm-only.
+      const auto& leaf = static_cast<KindSender&>(net.node(v));
+      ASSERT_FALSE(leaf.seen.empty());
+      EXPECT_EQ(leaf.seen.front(),
+                std::make_pair(std::uint64_t{1},
+                               bits({KindRecorder::kBroadcast})));
+      for (std::size_t i = 1; i < leaf.seen.size(); ++i) {
+        EXPECT_EQ(leaf.seen[i].second, 0u)
+            << "leaf " << v << " round " << leaf.seen[i].first;
+      }
+      EXPECT_EQ(leaf.seen.back().first, KindSender::kLast);
+    }
+  }
 }
 
 TEST(Runtime, TagWiderThanTheIdFieldIsRejected) {
