@@ -5,8 +5,9 @@
 # Usage: bench/run_benches.sh [--full] [--force] [--experiments]
 #   --full         run bench_runtime_scale with the 500k-node configuration,
 #                  bench_generator_scale with the 4M-node configuration,
-#                  bench_parallel_scale with the 1M-node configurations, and
-#                  the 1M-node end-to-end protocol sweep (slow)
+#                  bench_parallel_scale with the 1M-node configurations, the
+#                  1M-node fault curves and the 1M-node end-to-end protocol
+#                  sweep (slow)
 #   --force        allow overwriting the committed BENCH_*.json artifacts
 #                  with a quick (non --full) run
 #   --experiments  also run the (slow) E1..E12 google-benchmark experiments
@@ -57,15 +58,19 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 "$BUILD_DIR/bench_parallel_scale" $FULL_FLAG --json "$REPO_ROOT/BENCH_parallel.json"
 
 # Fault-sweep curves: protocol quality + rounds-to-completion under
-# message loss, link delay and node churn on 100k (and, with --full, 1M)
-# planted instances. The loss curve runs three ways — bare (rel_mode=0),
-# ARQ-protected (rel_mode=1) and FEC-protected (rel_mode=2, subset) —
-# and each JSON row records its rel_mode plus the retransmission / ACK /
-# repair-chunk counters, so the artifact carries the reliability
-# provenance of every number. Fault and reliability decisions are keyed
-# hashes, so the curves are bit-identical at any thread count
-# (docs/benchmarks.md).
-"$BUILD_DIR/bench_fault_sweep" $FULL_FLAG --json "$REPO_ROOT/BENCH_faults.json"
+# message loss, link delay and node churn, one bracketed dist_near_clique
+# entry per configuration in bench/specs/faults.json (100k) and, with
+# --full, faults_1m.json (1M). Each JSON line carries the row's merged
+# params (loss, delay_*, crash_*, rel_mode) and its summed RunStats
+# (stats_total: lost, delayed, retransmitted, ACK and repair counters).
+# Fault and reliability decisions are keyed hashes, so the rows are
+# bit-identical at any thread count (docs/benchmarks.md).
+"$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/faults.json" \
+    --json="$REPO_ROOT/BENCH_faults.json"
+if [[ -n "$FULL_FLAG" ]]; then
+  "$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/faults_1m.json" \
+      --json=- >> "$REPO_ROOT/BENCH_faults.json"
+fi
 
 # Small fixed-seed comparative sweep through the registry pair (scenario x
 # algorithm, see src/expt/README.md) so future PRs can track the

@@ -8,10 +8,10 @@
 namespace nc {
 
 DistNearCliqueNode::DistNearCliqueNode(const ProtocolParams& params,
-                                       Schedule schedule)
-    : params_(params), schedule_(schedule) {
-  versions_.resize(schedule_.versions);
-  for (std::uint16_t i = 0; i < schedule_.versions; ++i) {
+                                       const Schedule& schedule)
+    : params_(&params), schedule_(&schedule) {
+  versions_.resize(schedule_->versions);
+  for (std::uint16_t i = 0; i < schedule_->versions; ++i) {
     versions_[i].w = static_cast<std::uint16_t>(i + 1);
   }
 }
@@ -36,7 +36,7 @@ void DistNearCliqueNode::on_start(NodeApi& api) {
   probe_opens_ = api.probe_counter("dnc.stream_opens");
   probe_candidates_ = api.probe_gauge("dnc.candidate_nodes");
   probe_pairs_ = api.probe_counter("dnc.pairs_initialized");
-  api.set_alarm(schedule_.version_start(1));
+  api.set_alarm(schedule_->version_start(1));
 }
 
 void DistNearCliqueNode::on_round(NodeApi& api) {
@@ -46,7 +46,7 @@ void DistNearCliqueNode::on_round(NodeApi& api) {
   for (auto& vs : versions_) vs.unseen |= arrived;
 
   for (auto& vs : versions_) {
-    if (!vs.started && r >= schedule_.version_start(vs.w)) {
+    if (!vs.started && r >= schedule_->version_start(vs.w)) {
       start_version(api, vs);
     }
     if (!vs.started) continue;
@@ -67,24 +67,24 @@ void DistNearCliqueNode::on_round(NodeApi& api) {
         }
       }
     }
-    if (!vs.frozen && r >= schedule_.version_end(vs.w)) {
+    if (!vs.frozen && r >= schedule_->version_end(vs.w)) {
       freeze_version(api, vs);
     }
   }
 
   run_decision(api);
-  if (r >= schedule_.decision_deadline()) force_resolve(api);
+  if (r >= schedule_->decision_deadline()) force_resolve(api);
   maybe_finish(api);
 
   if (!finished_) {
     // Re-arm the next deadline so the simulator can fast-forward idle waits
     // and the liveness guard never fires spuriously.
-    std::uint64_t next = schedule_.decision_deadline();
+    std::uint64_t next = schedule_->decision_deadline();
     for (const auto& vs : versions_) {
       if (!vs.started) {
-        next = std::min(next, schedule_.version_start(vs.w));
+        next = std::min(next, schedule_->version_start(vs.w));
       } else if (!vs.frozen) {
-        next = std::min(next, schedule_.version_end(vs.w));
+        next = std::min(next, schedule_->version_end(vs.w));
       }
     }
     if (next <= r) next = r + 1;  // deadline round itself: resolve next round
@@ -94,7 +94,7 @@ void DistNearCliqueNode::on_round(NodeApi& api) {
 
 void DistNearCliqueNode::start_version(NodeApi& api, VersionState& vs) {
   vs.started = true;
-  vs.in_s = sampling_coin(api.rng(), vs.w, params_.p);
+  vs.in_s = sampling_coin(api.rng(), vs.w, params_->p);
   // Announce the sampling coin to every neighbour (1 bit).
   auto ch = open_counted_all(api, key(kSampled, 0, vs.w));
   ch.put_bit(vs.in_s);

@@ -101,15 +101,12 @@ struct PairState {
   bool explore_started = false;
   std::uint64_t a_mask = 0;  ///< adjacency over members
   BitVec k_bits;             ///< own K_{2eps^2} membership per subset
-  OutChannel kbitvec_out, ksum_out, kcount_out, tsum_out, report_out,
-      vote_out, verdict_out;
-  bool kbitvec_opened = false, ksum_opened = false, kcount_opened = false,
-       tsum_opened = false;
+  OutChannel ksum_out, kcount_out, tsum_out, report_out, verdict_out;
+  bool ksum_opened = false, kcount_opened = false, tsum_opened = false;
   std::size_t ksum_next = 0;    ///< next coordinate to emit upward
   std::size_t tsum_next = 0;
   std::vector<std::uint32_t> counts;  ///< |K(X)| from the root (4d)
   std::size_t counts_filled = 0;
-  std::size_t kcount_relay_next = 0;  ///< members: relay cursor for 4d
   std::vector<std::uint32_t> nbr_k_accum;  ///< 4f: sum of neighbour K bits
   std::vector<std::size_t> pn_consumed;    ///< per participant-neighbour
   std::vector<std::size_t> participant_nbrs;  ///< neighbour indices
@@ -120,7 +117,6 @@ struct PairState {
 
   // --- root-side decision ---
   std::vector<std::uint32_t> tcounts;  ///< root: |T(X)| per subset
-  std::size_t tcount_filled = 0;
 
   // --- decision ---
   bool report_done = false;
@@ -131,7 +127,6 @@ struct PairState {
   bool my_ack = false;
   std::size_t votes_in = 0;   ///< children votes received (members)
   bool all_children_ack = true;
-  bool verdict_forwarded = false;
   bool resolved = false;
   bool survived = false;
 };
@@ -220,7 +215,11 @@ static_assert(sizeof(VersionState) <= 48,
 /// protocol_decide.cpp.
 class DistNearCliqueNode : public INode {
  public:
-  explicit DistNearCliqueNode(const ProtocolParams& params, Schedule schedule);
+  /// Keeps pointers to `params` and `schedule`: they are one per run, not
+  /// one per node. Both are owned by the caller and, like
+  /// TelemetryPlan::sink, must outlive the Network that owns the node.
+  explicit DistNearCliqueNode(const ProtocolParams& params,
+                              const Schedule& schedule);
 
   void on_start(NodeApi& api) override;
   void on_round(NodeApi& api) override;
@@ -304,20 +303,24 @@ class DistNearCliqueNode : public INode {
     return api.open_stream_one(k, ni);
   }
 
-  ProtocolParams params_;
-  Schedule schedule_;
-  unsigned idw_ = 0;
+  const ProtocolParams* params_;
+  const Schedule* schedule_;
   std::vector<VersionState> versions_;
-  Label label_ = kBottom;
-  bool finished_ = false;
-  bool voted_global_ = false;
-  std::uint64_t local_ops_ = 0;
   std::vector<RootCandidate> root_candidates_;
+  std::uint64_t local_ops_ = 0;
+  Label label_ = kBottom;
+  unsigned idw_ = 0;
 
   // Probe handles, registered in on_start (kNoProbe when telemetry is off).
   std::uint32_t probe_opens_ = NodeApi::kNoProbe;      ///< streams opened
   std::uint32_t probe_candidates_ = NodeApi::kNoProbe; ///< |S_i| per candidate
   std::uint32_t probe_pairs_ = NodeApi::kNoProbe;      ///< pairs initialized
+
+  bool finished_ = false;
+  bool voted_global_ = false;
 };
+static_assert(sizeof(DistNearCliqueNode) <= 112,
+              "every node keeps one DistNearCliqueNode; per-run parameters "
+              "belong to the caller, per-version state in VersionState");
 
 }  // namespace nc

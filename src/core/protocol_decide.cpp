@@ -39,7 +39,7 @@ void DistNearCliqueNode::maybe_vote(NodeApi& api) {
     if (!vs.ex) continue;
     for (const auto& [root, ps] : vs.ex->pairs) {
       if (!ps.live || !ps.report_done) continue;
-      if (ps.t_size < params_.min_report_size) continue;
+      if (ps.t_size < params_->min_report_size) continue;
       const std::tuple<std::uint32_t, NodeId, std::uint16_t> cand{
           ps.t_size, root, vs.w};
       if (!have_winner || cand > best) {

@@ -5,19 +5,28 @@
 // Exploration stage, Step 1: build a rooted spanning tree for each connected
 // component of G[S], rooted at the minimum-ID member.
 //
-// Implementation: every S-member starts a BFS flood carrying (candidate
-// root, distance); nodes adopt the lexicographically best (smallest root,
-// then smallest distance) offer, so the minimum-ID root's flood — which
-// propagates unimpeded at one hop per round — induces exact BFS distances
-// and parents. Termination is detected per candidate with Dijkstra-Scholten
-// deficit counting: every flood message is acknowledged, acks carry a flag
-// "somewhere in your flood's range a smaller root is known", and deferred
-// acks release only when a node's own forwards are all acknowledged. A
-// candidate whose deficit reaches zero with no flag raised is the unique
-// minimum-ID root of its component and locally knows its BFS tree is
-// complete: any other candidate's flood stays inside its component, so it
-// reaches the minimum-ID member or a node that adopted a smaller root, and
-// that node's ack raises the flag; no ack to the minimum-ID root ever does.
+// Implementation: every S-member starts a flood carrying (candidate root,
+// distance). A node adopts a flood only if its root is strictly smaller
+// than every root the node already holds (its own ID included), forwards
+// it, and takes the neighbour of the first such offer it processes as its
+// tree parent; a later offer of the same root is acknowledged and dropped,
+// even at a smaller distance. A node's final parent therefore adopted the
+// minimum-ID root before the node did, so the parent pointers form a
+// spanning tree of each G[S_i] rooted at its minimum-ID member — the
+// rooted tree the gather, K-sum, T-sum and vote convergecasts rely on.
+// It is a BFS tree only when every link delivers in one round: then the
+// minimum-ID root's flood advances one hop per round and first reaches
+// each node along a shortest path; under link delay a longer path may
+// arrive first. Termination is detected per candidate with
+// Dijkstra-Scholten deficit counting: every flood message is acknowledged,
+// acks carry a flag "somewhere in your flood's range a smaller root is
+// known", and deferred acks release only when a node's own forwards are
+// all acknowledged. A candidate whose deficit reaches zero with no flag
+// raised is the unique minimum-ID root of its component and locally knows
+// its tree is complete: any other candidate's flood stays inside its
+// component, so it reaches the minimum-ID member or a node that adopted a
+// smaller root, and that node's ack raises the flag; no ack to the
+// minimum-ID root ever does.
 
 namespace nc {
 

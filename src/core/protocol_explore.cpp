@@ -31,7 +31,7 @@ void DistNearCliqueNode::maybe_init_pair(NodeApi& api, VersionState& vs,
   std::vector<NodeId> my_nbrs(api.neighbors().begin(), api.neighbors().end());
   ps.a_mask = adjacency_mask(ps.members, my_nbrs);
   ps.k_bits.assign_zero(total);
-  const double inner = params_.inner_eps();
+  const double inner = params_->inner_eps();
   // Cache thresholds by |X| (s+1 values) to keep 4a at one popcount + one
   // compare per subset.
   std::vector<std::size_t> need(ps.s + 1);
@@ -45,12 +45,12 @@ void DistNearCliqueNode::maybe_init_pair(NodeApi& api, VersionState& vs,
   }
 
   // 4b: membership bit-vector to every neighbour (shared payload).
-  ps.kbitvec_opened = true;
-  ps.kbitvec_out = open_counted_all(api, key(kKBitvec, ps.root, ps.version));
+  OutChannel kbitvec_out =
+      open_counted_all(api, key(kKBitvec, ps.root, ps.version));
   for (std::uint64_t x = 1; x <= total; ++x) {
-    ps.kbitvec_out.put_bit(ps.k_bits.test(x - 1));
+    kbitvec_out.put_bit(ps.k_bits.test(x - 1));
   }
-  ps.kbitvec_out.close();
+  kbitvec_out.close();
 
   ps.counts.assign(total, 0);
   ps.nbr_k_accum.assign(total, 0);
@@ -153,14 +153,14 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
       }
     }
     ps.pn_consumed.assign(ps.participant_nbrs.size(), 0);
-    if (params_.sample_4f > 0 &&
-        ps.participant_nbrs.size() > params_.sample_4f) {
+    if (params_->sample_4f > 0 &&
+        ps.participant_nbrs.size() > params_->sample_4f) {
       // Section 5.3 estimate mode: inspect only a random sample of the
       // participating neighbours and scale the counts.
       Rng pick = api.rng().derive(0x4f00u + ps.version).derive(ps.root);
       auto idx = pick.sample_without_replacement(
           static_cast<std::uint32_t>(ps.participant_nbrs.size()),
-          params_.sample_4f);
+          params_->sample_4f);
       std::vector<std::size_t> chosen;
       chosen.reserve(idx.size());
       for (const auto i : idx) chosen.push_back(ps.participant_nbrs[i]);
@@ -205,7 +205,7 @@ void DistNearCliqueNode::run_explore(NodeApi& api, VersionState& vs,
         if (!ps.k_bits.test(x - 1)) continue;
         const auto have = static_cast<std::size_t>(
             static_cast<double>(ps.nbr_k_accum[x - 1]) * scale + 0.5);
-        if (have >= k_threshold(ps.counts[x - 1], params_.eps)) {
+        if (have >= k_threshold(ps.counts[x - 1], params_->eps)) {
           ps.t_bits.set(x - 1);
         }
         ++local_ops_;

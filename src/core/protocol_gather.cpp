@@ -179,7 +179,7 @@ void DistNearCliqueNode::run_gather(NodeApi& api, VersionState& vs) {
     ex.pairs.emplace(root,
                      make_pair(root, vs.w, /*is_member=*/true, ex.comp,
                                ex.i_am_root ? SIZE_MAX : ex.best_parent_ni,
-                               params_.max_subsets));
+                               params_->max_subsets));
     if (ex.i_am_root) {
       RootCandidate rc;
       rc.root = root;
@@ -263,7 +263,7 @@ void DistNearCliqueNode::run_fringe(NodeApi& api, VersionState& vs) {
     }
     ex.pairs.emplace(root, make_pair(root, vs.w, /*is_member=*/false,
                                      std::move(adj.members), parent_ni,
-                                     params_.max_subsets));
+                                     params_->max_subsets));
   }
   ex.registered = true;
 }

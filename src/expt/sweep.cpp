@@ -387,6 +387,8 @@ std::string sweep_row_json(const SweepRow& row) {
   write_running_stat(w, "recall", row.stats.recall);
   write_running_stat(w, "local_ops", row.stats.local_ops);
   w.key("cost").value(row.headline_cost_mean());
+  w.key("stats_total");
+  row.stats.stats_total.to_json(w);
   w.end_object();
   return w.str();
 }

@@ -152,8 +152,9 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
                                 TelemetryCapture* capture = nullptr);
 
 /// One machine-readable JSON object (single line, no trailing newline) per
-/// row: scenario, algorithm, seed schedule, trial counts and the full
-/// measurement distribution summaries.
+/// row: scenario, algorithm, seed schedule, trial counts, the full
+/// measurement distribution summaries and the summed RunStats
+/// (`stats_total`, in RunStats::to_json's schema).
 std::string sweep_row_json(const SweepRow& row);
 
 /// All rows as JSON lines (one object per line, trailing newline).

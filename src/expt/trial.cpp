@@ -32,6 +32,13 @@ void accumulate_trial(TrialStats& stats, const Instance& inst,
   stats.bits.add(static_cast<double>(result.stats.bits));
   stats.max_msg_bits.add(static_cast<double>(result.stats.max_message_bits));
   stats.local_ops.add(static_cast<double>(result.local_ops));
+  RunStats& total = stats.stats_total;
+  total.merge_traffic(result.stats);
+  total.rounds += result.stats.rounds;
+  total.crash_events += result.stats.crash_events;
+  total.recover_events += result.stats.recover_events;
+  total.hit_round_limit = total.hit_round_limit || result.stats.hit_round_limit;
+  total.stalled = total.stalled || result.stats.stalled;
   const auto best = result.largest_cluster();
   stats.out_size.add(static_cast<double>(best.size()));
   stats.out_density.add(best.empty() ? 0.0 : set_density(inst.graph, best));

@@ -34,6 +34,10 @@ struct TrialStats {
   RunningStat size_ratio;      ///< |output| / |planted|
   RunningStat recall;          ///< |output ∩ planted| / |planted|
   RunningStat local_ops;
+  /// Every trial's RunStats folded into one: rounds and counters summed,
+  /// the largest message kept, the two abort flags OR-ed. Carries the
+  /// fault and reliability counters (lost, delayed, retransmitted, ...).
+  RunStats stats_total;
 
   [[nodiscard]] double success_rate() const {
     return trials == 0 ? 0.0

@@ -71,8 +71,7 @@ std::uint32_t Link::pick_pending() {
   return count_;
 }
 
-bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
-                            const MsgView& prev) {
+bool Link::schedule_matches(const MsgView& prev) {
   const std::uint32_t chosen = pick_pending();
   if (chosen == count_) return false;
   LinkStream& s = data()[chosen];
@@ -85,11 +84,6 @@ bool Link::schedule_matches(std::size_t budget_bits, unsigned header_bits,
       s.bit_off != prev.bit_off || !(s.key() == prev.key) || s.eos_done) {
     return false;
   }
-  // prev was produced under the same (budget_bits, header_bits) by contract;
-  // the parameters exist so a future non-uniform-budget engine cannot
-  // silently misuse the fast path.
-  (void)budget_bits;
-  (void)header_bits;
   rr_pos_ = (chosen + 1) % count_;
   s.next_symbol += static_cast<std::uint32_t>(prev.symbol_count);
   s.bit_off += prev.bit_len;

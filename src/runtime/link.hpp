@@ -105,19 +105,19 @@ class Link {
   bool schedule_view(std::size_t budget_bits, unsigned header_bits,
                      MsgView& out);
 
-  /// Broadcast classification: true iff this link's next scheduled message
-  /// would be byte-identical to `prev` (same shared payload buffer, same
-  /// key, same symbol cursor, same EOS), in which case the stream is
-  /// advanced exactly as schedule_view would have — without re-running the
-  /// per-symbol packing loop, because identical (buffer, cursor, budget)
-  /// inputs make packing deterministic. On false nothing advances and the
-  /// caller falls back to schedule_view. This is how the stage phase
-  /// detects that sibling links of one open_stream_all share the identical
-  /// remaining view: the links share one OutStreamState, and their cursors
-  /// coincide exactly when they have drained in lockstep — the invariant
-  /// every (budget-uniform) CONGEST round preserves.
-  bool schedule_matches(std::size_t budget_bits, unsigned header_bits,
-                        const MsgView& prev);
+  /// View reuse: true iff this link's next scheduled message would be
+  /// byte-identical to `prev` (same shared payload buffer, same key, same
+  /// symbol cursor, same EOS), in which case the stream is advanced exactly
+  /// as schedule_view would have — without re-running the per-symbol
+  /// packing loop, because identical (buffer, cursor, budget) inputs make
+  /// packing deterministic. `prev` must come from schedule_view under this
+  /// link's budget and header width; every CONGEST link shares both. On
+  /// false nothing advances and the caller falls back to schedule_view.
+  /// This is how the stage phase detects that sibling links of one
+  /// open_stream_all share the identical remaining view: the links share
+  /// one OutStreamState, and their cursors coincide exactly when they have
+  /// drained in lockstep. Each copy still gets its own record.
+  bool schedule_matches(const MsgView& prev);
 
   /// Removes streams whose EOS has been delivered (internal housekeeping;
   /// called by the schedulers). Frees the pool slot when none remain.

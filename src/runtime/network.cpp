@@ -741,8 +741,7 @@ void Network::stage_shard(unsigned s) {
           });
       if (produced > 0) link.release_idle();
     } else {
-      if (!(view_live && from == view_from &&
-            link.schedule_matches(bandwidth_bits_, header_bits_, view))) {
+      if (!(view_live && from == view_from && link.schedule_matches(view))) {
         view_live = link.schedule_view(bandwidth_bits_, header_bits_, view);
         view_from = from;
       }

@@ -33,6 +33,10 @@ struct ProtocolTestPeek {
 namespace {
 
 struct RunHandle {
+  // The nodes point at the run's params and schedule, so both live on the
+  // heap and are declared before the network, which is destroyed first.
+  std::unique_ptr<DriverConfig> cfg;
+  std::unique_ptr<Schedule> schedule;
   std::unique_ptr<Network> net;
   std::vector<DistNearCliqueNode*> nodes;
   RunStats stats;
@@ -40,17 +44,21 @@ struct RunHandle {
 
 RunHandle run_protocol(const Graph& g, double p, double eps,
                        std::uint64_t seed,
-                       std::uint32_t max_subsets = 1u << 18) {
-  DriverConfig cfg;
+                       std::uint32_t max_subsets = 1u << 18,
+                       const FaultPlan& faults = {}) {
+  RunHandle h;
+  h.cfg = std::make_unique<DriverConfig>();
+  DriverConfig& cfg = *h.cfg;
   cfg.proto.eps = eps;
   cfg.proto.p = p;
   cfg.proto.max_subsets = max_subsets;
   cfg.net.seed = seed;
   cfg.net.max_rounds = 32'000'000;
-  const Schedule schedule = make_schedule(cfg.proto, g.n(), cfg.net.max_rounds);
-  RunHandle h;
+  cfg.net.faults = faults;
+  h.schedule = std::make_unique<Schedule>(
+      make_schedule(cfg.proto, g.n(), cfg.net.max_rounds));
   h.net = std::make_unique<Network>(g, cfg.net, [&](NodeId) {
-    return std::make_unique<DistNearCliqueNode>(cfg.proto, schedule);
+    return std::make_unique<DistNearCliqueNode>(cfg.proto, *h.schedule);
   });
   h.stats = h.net->run();
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -91,6 +99,9 @@ TEST(ProtocolStages, RootIsMinimumIdPerComponent) {
 TEST(ProtocolStages, ComponentSizesMatchInducedComponents) {
   // Random graph, fractional p: the roots' component_size diagnostics must
   // match the centralized induced-components computation on the same coins.
+  // Under link delay the election tree need not be a BFS tree, but it must
+  // still span each component from its minimum-ID member, or the gather
+  // convergecast would name another root or miscount.
   Rng rng(8);
   GraphBuilder b(60);
   for (NodeId u = 0; u < 60; ++u) {
@@ -99,20 +110,24 @@ TEST(ProtocolStages, ComponentSizesMatchInducedComponents) {
     }
   }
   const Graph g = b.build();
-  const auto h = run_protocol(g, 0.3, 0.2, 17, /*max_subsets=*/255);
   const auto sample = oracle_sample(g, 0.3, 17, 1);
   const auto comps = induced_components(g, sample);
   std::map<NodeId, std::uint32_t> expected;  // root -> size
   for (const auto& comp : comps) {
     expected[comp.front()] = static_cast<std::uint32_t>(comp.size());
   }
-  std::map<NodeId, std::uint32_t> measured;
-  for (const auto* node : h.nodes) {
-    for (const auto& rc : node->root_candidates()) {
-      measured[rc.root] = rc.component_size;
+  for (const char* faults : {"", "delay_max=3"}) {
+    SCOPED_TRACE(faults);
+    const auto h = run_protocol(g, 0.3, 0.2, 17, /*max_subsets=*/255,
+                                parse_fault_plan(faults));
+    std::map<NodeId, std::uint32_t> measured;
+    for (const auto* node : h.nodes) {
+      for (const auto& rc : node->root_candidates()) {
+        measured[rc.root] = rc.component_size;
+      }
     }
+    EXPECT_EQ(measured, expected);
   }
-  EXPECT_EQ(measured, expected);
 }
 
 TEST(ProtocolStages, WinningCandidateIsGlobalMaximumT) {

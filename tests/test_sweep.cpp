@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -249,6 +251,105 @@ TEST(Sweep, FaultKeysWorkAsGridAxes) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0].algo_merged.get_double("loss"), 0.0);
   EXPECT_DOUBLE_EQ(rows[1].algo_merged.get_double("loss"), 0.05);
+}
+
+/// Field-by-field fold of per-run RunStats, written out here instead of
+/// reusing accumulate_trial's: counters and rounds add, the largest
+/// message is a maximum, the abort flags OR.
+RunStats sum_field_by_field(const std::vector<RunStats>& runs) {
+  RunStats sum;
+  for (const RunStats& r : runs) {
+    sum.rounds += r.rounds;
+    sum.messages += r.messages;
+    sum.bits += r.bits;
+    sum.max_message_bits = std::max(sum.max_message_bits, r.max_message_bits);
+    sum.hit_round_limit = sum.hit_round_limit || r.hit_round_limit;
+    sum.stalled = sum.stalled || r.stalled;
+    sum.messages_lost += r.messages_lost;
+    sum.messages_delayed += r.messages_delayed;
+    sum.messages_dropped_crash += r.messages_dropped_crash;
+    sum.crash_events += r.crash_events;
+    sum.recover_events += r.recover_events;
+    sum.messages_retransmitted += r.messages_retransmitted;
+    sum.acks_sent += r.acks_sent;
+    sum.fec_repairs += r.fec_repairs;
+    for (std::size_t k = 0; k < sum.bits_by_kind.size(); ++k) {
+      sum.bits_by_kind[k] += r.bits_by_kind[k];
+    }
+  }
+  return sum;
+}
+
+TEST(Sweep, RowSumsItsTrialsRunStats) {
+  // A row's stats_total is the sum of its trials' RunStats, so a fault
+  // sweep row carries the loss, delay, churn and reliability counters.
+  const ScenarioParams scenario =
+      ScenarioParams().with("n", 200).with("clique_size", 40);
+  const AlgoParams lossy = AlgoParams()
+                               .with("loss", 0.02)
+                               .with("delay_max", 2)
+                               .with("rel_mode", 1);
+  const AlgoParams churn = AlgoParams()
+                               .with("crash_frac", 0.05)
+                               .with("crash_round", 4)
+                               .with("recover_after", 20);
+  SweepSpec spec;
+  spec.scenario_family = "planted_near_clique";
+  spec.scenario_params = scenario;
+  spec.algorithms = {{"dist_near_clique", lossy},
+                     {"dist_near_clique", churn}};
+  spec.trials = 2;
+  spec.seed_base = 11;
+  const auto rows = run_sweep(spec);
+  ASSERT_EQ(rows.size(), 2u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    std::vector<RunStats> runs;
+    for (std::uint64_t t = 0; t < spec.trials; ++t) {
+      const std::uint64_t seed = spec.seed_base + 7919 * (t + 1);
+      const Instance inst =
+          make_scenario(spec.scenario_family, scenario, seed);
+      runs.push_back(run_algorithm(inst.graph, "dist_near_clique",
+                                   spec.algorithms[i].params, seed)
+                         .stats);
+    }
+    EXPECT_EQ(rows[i].stats.stats_total, sum_field_by_field(runs));
+  }
+  const RunStats& arq = rows[0].stats.stats_total;
+  EXPECT_GT(arq.messages_delayed, 0u);
+  EXPECT_GT(arq.messages_retransmitted, 0u);
+  EXPECT_GT(arq.acks_sent, 0u);
+  const RunStats& crashed = rows[1].stats.stats_total;
+  EXPECT_GT(crashed.crash_events, 0u);
+  EXPECT_EQ(crashed.recover_events, crashed.crash_events);
+}
+
+TEST(SweepSpecJson, BenchSpecsParseAndMerge) {
+  // Every spec under bench/specs parses and every entry merges against its
+  // family's and algorithm's defaults with in-range plan values, so a typo
+  // fails here instead of minutes into a bench run.
+  std::size_t files = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(NC_BENCH_SPECS_DIR)) {
+    if (file.path().extension() != ".json") continue;
+    ++files;
+    SCOPED_TRACE(file.path().string());
+    std::ifstream in(file.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const SweepSpec spec = sweep_spec_from_json(text.str());
+    const auto& family =
+        ScenarioRegistry::global().family(spec.scenario_family);
+    (void)merge_params(family.defaults, spec.scenario_params,
+                       spec.scenario_family);
+    for (const auto& algo : spec.algorithms) {
+      const auto& entry = AlgorithmRegistry::global().algorithm(algo.name);
+      const AlgoParams merged =
+          merge_params(entry.defaults, algo.params, algo.name);
+      for (const auto& plan : runtime_plans()) plan.validate(merged);
+    }
+  }
+  EXPECT_GE(files, 2u);
 }
 
 SweepSpec full_spec() {
