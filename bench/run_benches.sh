@@ -5,12 +5,13 @@
 # Usage: bench/run_benches.sh [--full] [--force] [--experiments]
 #   --full         run bench_runtime_scale with the 500k-node configuration,
 #                  bench_generator_scale with the 4M-node configuration,
-#                  bench_parallel_scale with the 1M-node configurations, the
-#                  1M-node fault curves and the 1M-node end-to-end protocol
-#                  sweep (slow)
+#                  bench_parallel_scale with the 1M-node configurations, and
+#                  print the 1M-node fault curves and the 1M-node end-to-end
+#                  protocol sweep (slow)
 #   --force        allow overwriting the committed BENCH_*.json artifacts
 #                  with a quick (non --full) run
-#   --experiments  also run the (slow) E1..E12 google-benchmark experiments
+#   --experiments  also run the paper's experiments, bench/specs/e*.json
+#                  (7–9 min in Release on 4 cores) and print their tables
 #
 # The committed BENCH_*.json artifacts are full-configuration runs; a quick
 # run writes rows for fewer configurations and would silently shrink the
@@ -59,30 +60,29 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Fault-sweep curves: protocol quality + rounds-to-completion under
 # message loss, link delay and node churn, one bracketed dist_near_clique
-# entry per configuration in bench/specs/faults.json (100k) and, with
-# --full, faults_1m.json (1M). Each JSON line carries the row's merged
-# params (loss, delay_*, crash_*, rel_mode) and its summed RunStats
-# (stats_total: lost, delayed, retransmitted, ACK and repair counters).
-# Fault and reliability decisions are keyed hashes, so the rows are
-# bit-identical at any thread count (docs/benchmarks.md).
+# entry per configuration in bench/specs/faults.json (100k). Each JSON line
+# carries the row's merged params (loss, delay_*, crash_*, rel_mode) and
+# its summed RunStats (stats_total: lost, delayed, retransmitted, ACK and
+# repair counters). Fault and reliability decisions are keyed hashes, so
+# the rows are bit-identical at any thread count (docs/benchmarks.md).
+# BENCH_faults.json holds these rows in every mode; with --full the 1M
+# curves of faults_1m.json only print their table, like the closing 1M
+# sweep below.
 "$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/faults.json" \
     --json="$REPO_ROOT/BENCH_faults.json"
 if [[ -n "$FULL_FLAG" ]]; then
-  "$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/faults_1m.json" \
-      --json=- >> "$REPO_ROOT/BENCH_faults.json"
+  "$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/faults_1m.json"
 fi
 
 # Small fixed-seed comparative sweep through the registry pair (scenario x
 # algorithm, see src/expt/README.md) so future PRs can track the
-# DistNearClique-vs-baselines trajectory. Per-algorithm brackets hold
+# DistNearClique-vs-baselines trajectory: bench/specs/sweep.json holds
 # eps = 0.2 fixed for every algorithm that declares it (neighbors2 and
 # grasp parameterize differently; theorem57 falls back to its own
 # eps = 0.2 for them), so the rows are comparable; the JSON records each
 # row's fully merged parameters. JSON lines in BENCH_sweep.json.
-"$BUILD_DIR/nearclique" sweep --scenario=theorem --params=n=150 \
-    --algos='dist_near_clique[eps=0.2,pn=9,max_rounds=16000000],shingles[eps=0.2,min_size=4],neighbors2,peeling[eps=0.2],grasp[gamma=0.8,iterations=24],ggr_find[eps=0.2]' \
-    --trials=8 --seed=1 --seq-seeds \
-    --success=theorem57 --json="$REPO_ROOT/BENCH_sweep.json"
+"$BUILD_DIR/nearclique" sweep --spec="$REPO_ROOT/bench/specs/sweep.json" \
+    --json="$REPO_ROOT/BENCH_sweep.json"
 
 if [[ -n "$FULL_FLAG" ]]; then
   # The 1M-node end-to-end story (see README.md): a streaming-family
@@ -101,12 +101,10 @@ if [[ -n "$FULL_FLAG" ]]; then
 fi
 
 if [[ "$RUN_EXPERIMENTS" -eq 1 ]]; then
-  for bin in "$BUILD_DIR"/bench_e*; do
-    [[ -x "$bin" ]] || continue
-    name=$(basename "$bin")
-    echo "=== $name ==="
-    "$bin" "--benchmark_out=$REPO_ROOT/BENCH_${name#bench_}.json" \
-           --benchmark_out_format=json
+  # The paper's experiments (docs/benchmarks.md maps E1..E12 to these specs
+  # and to the tier-1 tests): tables only, no artifact.
+  for spec in "$REPO_ROOT"/bench/specs/e*.json; do
+    "$BUILD_DIR/nearclique" sweep --spec="$spec"
   done
 fi
 

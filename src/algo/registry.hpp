@@ -80,8 +80,8 @@ AlgoResult run_algorithm(const Graph& g, const std::string& name,
                          const AlgoParams& params, std::uint64_t seed);
 
 /// The forward rule behind every run-wide knob (`--threads`, `--profile`
-/// and the plan flags below), shared by `nearclique run`, run_sweep and
-/// algorithm_runner: copies each numeric key of `bag` that the globally
+/// and the plan flags below), shared by `nearclique run` and run_sweep:
+/// copies each numeric key of `bag` that the globally
 /// registered algorithm `name` declares into `params`, unless `params`
 /// already sets it (explicit per-algorithm values win). Returns whether the
 /// algorithm declares any key of `bag`; false (also for an unknown

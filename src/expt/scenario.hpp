@@ -26,7 +26,7 @@ struct ScenarioSpec {
 };
 
 /// Registry mapping family names to instance makers. Every experiment entry
-/// point (examples, E1..E12 benches, trial runner) resolves instances
+/// point (examples, the sweep runner, the CLI, tests) resolves instances
 /// through this table, so adding a workload is one registration instead of
 /// one more copy of generator plumbing.
 ///

@@ -323,8 +323,7 @@ std::vector<SweepRow> run_sweep(const SweepSpec& spec,
 
   // Phase 3 — execute grid-point-major: each instance is generated once
   // per (grid point, seed) and shared by every algorithm. Per row the
-  // trials still arrive in seed order, so aggregation is identical to a
-  // hand-wired run_trials batch.
+  // trials arrive in seed order.
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t t = 0; t < spec.trials; ++t) {
       const std::uint64_t seed = spec.seeds == SeedSchedule::kSalted

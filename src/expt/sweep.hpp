@@ -28,10 +28,11 @@ struct SweepAxis {
 /// sweep spec fully describes an experiment without callback plumbing.
 struct SuccessSpec {
   enum class Kind {
-    kNone,         ///< no success column (comparison sweeps like E10)
+    kNone,         ///< no success column (comparison sweeps)
     kTheorem57,    ///< the paper's Theorem 5.7 predicate at (eps, delta)
     kEffective,    ///< >= 2/3 of the planted set at density >= 1 - 2 eps
-                   ///< (the finite-n companion predicate of bench E1)
+                   ///< (a finite-n predicate: at small n Theorem 5.7's
+                   ///< -eps^{-2} term swallows its size bound)
     kSizeDensity,  ///< literal bound: size >= min_size, max_eps-near clique
   };
   Kind kind = Kind::kNone;
@@ -61,8 +62,9 @@ SuccessSpec parse_success_spec(const std::string& text);
 /// A declarative experiment: scenario family x algorithms x parameter grid
 /// x trials x seeds -> one TrialStats row per (algorithm, grid point).
 /// Everything resolves through the two global registries, so a spec is a
-/// complete, replayable description of a comparison (the E-bench tables,
-/// `nearclique sweep`, BENCH_sweep.json are all this struct).
+/// complete, replayable description of a comparison (`nearclique sweep`,
+/// the paper's experiments and the BENCH_sweep/faults artifacts in
+/// bench/specs/ are all this struct).
 struct SweepSpec {
   std::string title;
 
@@ -119,7 +121,7 @@ struct SweepRow {
   TrialStats stats;
 
   /// Mean model-appropriate cost: rounds under CONGEST, local_ops under
-  /// LOCAL/central (the E10 comparison convention).
+  /// LOCAL/central (the baseline-comparison convention).
   [[nodiscard]] double headline_cost_mean() const;
 };
 
@@ -138,12 +140,12 @@ struct TelemetryCapture {
 };
 
 /// Runs the sweep: for every algorithm and every grid point, `trials` seeded
-/// executions resolved through the Scenario- and AlgorithmRegistry,
-/// aggregated exactly like run_trials (so sweep rows are bit-identical to
-/// the historical hand-wired TrialSpec batches). Each grid point's instance
-/// is generated once per trial seed and shared by every algorithm (the E10
-/// comparison shape pays one generation, not one per algorithm). Rows are
-/// ordered algorithm-major, then grid points with the first axis outermost.
+/// executions resolved through the Scenario- and AlgorithmRegistry and
+/// folded by accumulate_trial in seed order. Each grid point's instance is
+/// generated once per trial seed and shared by every algorithm (a
+/// baseline comparison pays one generation, not one per algorithm). Rows
+/// are ordered algorithm-major, then grid points with the first axis
+/// outermost.
 /// Every (algorithm, grid point) configuration is validated up front, so
 /// unknown families, algorithms or parameters throw std::invalid_argument
 /// before any trial runs. When `capture` is non-null, every trial that ran

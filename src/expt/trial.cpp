@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
-#include "algo/registry.hpp"
+#include "core/driver.hpp"
 #include "graph/metrics.hpp"
 
 namespace nc {
-
-TrialStats run_trials(const TrialSpec& spec, std::size_t trials,
-                      std::uint64_t seed_base, SeedSchedule schedule) {
-  TrialStats stats;
-  for (std::size_t t = 0; t < trials; ++t) {
-    const std::uint64_t seed = schedule == SeedSchedule::kSalted
-                                   ? seed_base + 7919 * (t + 1)
-                                   : seed_base + t;
-    const Instance inst = spec.make_instance(seed);
-    const AlgoResult result = spec.run(inst.graph, seed);
-    accumulate_trial(stats, inst, result,
-                     spec.success && spec.success(inst, result),
-                     spec.success2 && spec.success2(inst, result));
-  }
-  return stats;
-}
 
 void accumulate_trial(TrialStats& stats, const Instance& inst,
                       const AlgoResult& result, bool success, bool success2) {
@@ -54,25 +38,6 @@ void accumulate_trial(TrialStats& stats, const Instance& inst,
     stats.recall.add(static_cast<double>(overlap) /
                      static_cast<double>(inst.planted.size()));
   }
-}
-
-std::function<Instance(std::uint64_t)> scenario_maker(std::string family,
-                                                      ScenarioParams params) {
-  return [family = std::move(family),
-          params = std::move(params)](std::uint64_t seed) {
-    return make_scenario(family, params, seed);
-  };
-}
-
-std::function<AlgoResult(const Graph&, std::uint64_t)> algorithm_runner(
-    std::string algorithm, ParamSet params, unsigned threads) {
-  if (threads > 1) {
-    forward_params(algorithm, ParamSet().with("threads", threads), params);
-  }
-  return [algorithm = std::move(algorithm),
-          params = std::move(params)](const Graph& g, std::uint64_t seed) {
-    return run_algorithm(g, algorithm, params, seed);
-  };
 }
 
 Theorem57Bounds theorem57_bounds(double eps, double delta,

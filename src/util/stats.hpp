@@ -8,8 +8,8 @@ namespace nc {
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
-/// Used by the benchmark harness to aggregate per-trial measurements
-/// (success indicators, output densities, round counts) without storing
+/// Used by the sweep runner (TrialStats) to aggregate per-trial
+/// measurements (output sizes, densities, round counts) without storing
 /// every sample.
 class RunningStat {
  public:
@@ -51,16 +51,16 @@ double quantile(std::vector<double> xs, double q);
 /// Wilson score interval for a binomial proportion. Returns {lo, hi} for
 /// `successes` out of `trials` at ~95% confidence (z = 1.96). Trials == 0
 /// yields {0, 1}. Used to report success-probability estimates with error
-/// bars in the experiment tables (`bench/run_benches.sh --experiments`).
+/// bars in the sweep JSON rows (`success_ci`).
 struct Interval {
   double lo;
   double hi;
 };
 Interval wilson_interval(std::size_t successes, std::size_t trials);
 
-/// Least-squares slope of y against x. Used by scaling experiments (E5, E9)
-/// to estimate growth exponents: fitting log(rounds) vs |S| should give a
-/// slope near log 2 for Lemma 5.1. Returns 0 for fewer than two points.
+/// Least-squares slope of y against x, for estimating a growth exponent
+/// from (x, log y) pairs. Returns 0 for fewer than two points or when every
+/// x is equal.
 double least_squares_slope(const std::vector<double>& x,
                            const std::vector<double>& y);
 

@@ -8,9 +8,10 @@ namespace nc {
 
 /// Column-aligned ASCII table writer.
 ///
-/// Every bench binary prints the rows/series of the experiment it reproduces
-/// through this class, so the experiment tables `bench/run_benches.sh
-/// --experiments` prints share one format. Cells are strings; numeric helpers format with fixed precision.
+/// `nearclique sweep` prints its rows through this class (sweep_table), so
+/// every experiment table `bench/run_benches.sh --experiments` prints has
+/// one format. Cells are strings; numeric helpers format with fixed
+/// precision.
 class Table {
  public:
   /// Creates a table with the given column headers.

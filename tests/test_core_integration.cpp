@@ -241,11 +241,15 @@ TEST(Integration, CongestMessageSizeIsLogarithmic) {
   // and must be *independent of eps and p* (Theorem 2.1's remark).
   for (const NodeId n : {50u, 100u, 200u}) {
     const auto inst = planted(n, n / 2, 0.0, n);
-    const auto cfg = base_config(0.25, 6.0 / n, n);
-    const auto res = run_dist_near_clique(inst.graph, cfg);
-    ASSERT_FALSE(res.aborted());
-    EXPECT_LE(res.stats.max_message_bits,
-              8u * id_width(n));
+    for (const double eps : {0.1, 0.25, 0.3}) {
+      for (const double pn : {3.0, 6.0}) {
+        const auto cfg = base_config(eps, pn / n, n);
+        const auto res = run_dist_near_clique(inst.graph, cfg);
+        ASSERT_FALSE(res.aborted());
+        EXPECT_LE(res.stats.max_message_bits, 8u * id_width(n))
+            << "n=" << n << " eps=" << eps << " pn=" << pn;
+      }
+    }
   }
 }
 

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "algo/registry.hpp"
-#include "expt/report.hpp"
 #include "expt/scenario.hpp"
 #include "expt/trial.hpp"
 #include "graph/metrics.hpp"
@@ -71,49 +69,6 @@ TEST(Theorem57, BoundsFormula) {
   // Small planted sets: the -eps^{-2} term dominates and the floor applies.
   EXPECT_DOUBLE_EQ(theorem57_bounds(0.1, 0.5, 10).min_size, 2.0);
   EXPECT_DOUBLE_EQ(theorem57_bounds(0.1, 0.5, 100).min_size, 2.0);
-}
-
-TEST(TrialRunner, AggregatesDeterministically) {
-  TrialSpec spec;
-  spec.make_instance = [](std::uint64_t seed) {
-    return theorem_instance(60, 0.5, 0.2, 0.08, 0.2, seed);
-  };
-  spec.run = [](const Graph& g, std::uint64_t seed) {
-    DriverConfig cfg;
-    cfg.proto.eps = 0.2;
-    cfg.proto.p = 0.08;
-    cfg.net.seed = seed;
-    cfg.net.max_rounds = 2'000'000;
-    return to_algo_result(run_dist_near_clique(g, cfg));
-  };
-  spec.success = [](const Instance& inst, const AlgoResult& res) {
-    return theorem57_success(inst, res, 0.2, 0.5);
-  };
-  const auto a = run_trials(spec, 5, 1000);
-  const auto b = run_trials(spec, 5, 1000);
-  EXPECT_EQ(a.trials, 5u);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_DOUBLE_EQ(a.rounds.mean(), b.rounds.mean());
-  EXPECT_GE(a.success_rate(), 0.0);
-  EXPECT_LE(a.success_rate(), 1.0);
-  const auto iv = a.success_interval();
-  EXPECT_LE(iv.lo, a.success_rate());
-  EXPECT_GE(iv.hi, a.success_rate());
-}
-
-TEST(Report, HeaderAndCellsAlign) {
-  const auto headers = stats_headers();
-  TrialStats stats;
-  stats.trials = 4;
-  stats.successes = 2;
-  stats.rounds.add(10);
-  stats.out_size.add(5);
-  stats.out_density.add(0.9);
-  stats.recall.add(0.8);
-  stats.max_msg_bits.add(40);
-  std::vector<std::string> row;
-  append_stats_cells(row, stats);
-  EXPECT_EQ(row.size(), headers.size());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Coverage for the runtime-plan surface: the plan table, the forward rule
-// that `nearclique run`, run_sweep and algorithm_runner share, and the
+// that `nearclique run` and run_sweep share, and the
 // count reader that rejects out-of-range integer parameters instead of
 // casting them.
 

@@ -1,7 +1,6 @@
 // Coverage for the declarative sweep runner: grid expansion and ordering,
-// seed schedules, equivalence with hand-wired trial batches (the guarantee
-// the ported E-benches rely on), validation errors, and a golden-file test
-// for the JSON-lines schema.
+// seed schedules, the threads knob, validation errors, every spec under
+// bench/specs, and a golden-file test for the JSON-lines schema.
 
 #include <gtest/gtest.h>
 
@@ -67,78 +66,62 @@ TEST(Sweep, BothAxisFeedsScenarioAndAlgorithm) {
   EXPECT_DOUBLE_EQ(rows[1].algo_params.get_double("eps"), 0.3);
 }
 
-TEST(Sweep, MatchesHandWiredTrialBatch) {
-  // The guarantee the ported E-benches rely on: a one-point sweep aggregates
-  // exactly like the historical TrialSpec plumbing with the same seeds.
-  const AlgoParams algo_params = AlgoParams()
-                                     .with("eps", 0.2)
-                                     .with("pn", 5.0)
-                                     .with("max_rounds", 2'000'000);
-  TrialSpec hand;
-  hand.make_instance = scenario_maker(
-      "theorem", ScenarioParams().with("n", 60).with("delta", 0.5));
-  hand.run = algorithm_runner("dist_near_clique", algo_params);
-  hand.success = [](const Instance& inst, const AlgoResult& res) {
-    return theorem57_success(inst, res, 0.2, 0.5);
-  };
-  const TrialStats direct = run_trials(hand, 3, 0x5eed);
-
-  SweepSpec spec;
-  spec.scenario_family = "theorem";
-  spec.scenario_params = ScenarioParams().with("n", 60).with("delta", 0.5);
-  spec.algorithms = {{"dist_near_clique", algo_params}};
-  spec.trials = 3;
-  spec.seed_base = 0x5eed;
-  spec.success.kind = SuccessSpec::Kind::kTheorem57;
-  const auto rows = run_sweep(spec);
-  ASSERT_EQ(rows.size(), 1u);
-  const TrialStats& via_sweep = rows[0].stats;
-
-  EXPECT_EQ(direct.trials, via_sweep.trials);
-  EXPECT_EQ(direct.successes, via_sweep.successes);
-  EXPECT_DOUBLE_EQ(direct.rounds.mean(), via_sweep.rounds.mean());
-  EXPECT_DOUBLE_EQ(direct.bits.mean(), via_sweep.bits.mean());
-  EXPECT_DOUBLE_EQ(direct.out_size.mean(), via_sweep.out_size.mean());
-  EXPECT_DOUBLE_EQ(direct.out_density.mean(), via_sweep.out_density.mean());
-  EXPECT_DOUBLE_EQ(direct.recall.mean(), via_sweep.recall.mean());
-  EXPECT_DOUBLE_EQ(direct.local_ops.mean(), via_sweep.local_ops.mean());
-}
-
 TEST(TrialRunner, SeedSchedules) {
-  std::vector<std::uint64_t> seeds;
-  TrialSpec t;
-  t.make_instance = [&seeds](std::uint64_t seed) {
-    seeds.push_back(seed);
-    return make_scenario("barbell", ScenarioParams().with("n", 16), seed);
+  // Trial t runs on seed seed_base + t under the sequential schedule and
+  // on seed_base + 7919 * (t + 1) under the salted default; a telemetry
+  // capture records the seed each trial ran on.
+  SweepSpec spec;
+  spec.scenario_family = "barbell";
+  spec.scenario_params = ScenarioParams().with("n", 16);
+  spec.algorithms = {{"dist_near_clique", AlgoParams().with("tel_metrics", 1)}};
+  spec.trials = 3;
+  spec.seed_base = 100;
+  spec.seeds = SeedSchedule::kSequential;
+  const auto seeds_of = [&spec] {
+    TelemetryCapture capture;
+    (void)run_sweep(spec, &capture);
+    std::vector<std::uint64_t> seeds;
+    for (const auto& entry : capture.entries) seeds.push_back(entry.seed);
+    return seeds;
   };
-  t.run = algorithm_runner("peeling", {});
-  (void)run_trials(t, 3, 100, SeedSchedule::kSequential);
-  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{100, 101, 102}));
-  seeds.clear();
-  (void)run_trials(t, 2, 100);  // default: the historical salted schedule
-  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{100 + 7919, 100 + 15838}));
+  EXPECT_EQ(seeds_of(), (std::vector<std::uint64_t>{100, 101, 102}));
+  spec.trials = 2;
+  spec.seeds = SeedSchedule::kSalted;
+  EXPECT_EQ(seeds_of(), (std::vector<std::uint64_t>{100 + 7919, 100 + 15838}));
 }
 
 TEST(TrialRunner, ThreadsKnobForwardsOnlyToDeclaringAlgorithms) {
-  // algorithm_runner's threads argument shards delivery for algorithms
-  // that declare the knob — bit-identical results, so the two runners
-  // must agree exactly — and is silently ignored for centralized
-  // baselines (so one batch can mix both kinds).
-  Rng rng(19);
-  const auto inst = planted_partition(48, 3, 0.85, 0.05, rng);
-  const AlgoParams params =
-      AlgoParams().with("eps", 0.2).with("max_rounds", 2'000'000);
-  const auto serial = algorithm_runner("dist_near_clique", params);
-  const auto sharded = algorithm_runner("dist_near_clique", params, 4);
-  const AlgoResult a = serial(inst.graph, 23);
-  const AlgoResult b = sharded(inst.graph, 23);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.bits, b.stats.bits);
-  EXPECT_EQ(a.local_ops, b.local_ops);
-
-  const auto central = algorithm_runner("peeling", {}, 4);  // no knob: ok
-  EXPECT_FALSE(central(inst.graph, 23).labels.empty());
+  // The sweep's threads knob shards delivery for algorithms that declare
+  // it — bit-identical, so the serial and sharded rows must agree exactly
+  // — and is skipped, not an error, for centralized baselines (so one
+  // sweep can mix both kinds).
+  SweepSpec spec;
+  spec.scenario_family = "planted_partition";
+  spec.scenario_params =
+      ScenarioParams().with("n", 48).with("k", 3).with("p_in", 0.85);
+  spec.algorithms = {
+      {"dist_near_clique",
+       AlgoParams().with("eps", 0.2).with("max_rounds", 2'000'000)},
+      {"peeling", {}}};
+  spec.trials = 3;
+  spec.seed_base = 23;
+  spec.seeds = SeedSchedule::kSequential;
+  const auto serial = run_sweep(spec);
+  spec.threads = 4;
+  const auto sharded = run_sweep(spec);
+  ASSERT_EQ(sharded.size(), 2u);
+  EXPECT_EQ(serial[0].algo_merged.get_int("threads"), 1);
+  EXPECT_EQ(sharded[0].algo_merged.get_int("threads"), 4);
+  EXPECT_FALSE(sharded[1].algo_merged.has("threads"));
+  EXPECT_GT(sharded[1].stats.out_size.mean(), 0.0);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(serial[i].algorithm);
+    EXPECT_EQ(serial[i].stats.stats_total, sharded[i].stats.stats_total);
+    EXPECT_EQ(serial[i].stats.out_size.sum(), sharded[i].stats.out_size.sum());
+    EXPECT_EQ(serial[i].stats.recall.sum(), sharded[i].stats.recall.sum());
+    EXPECT_EQ(serial[i].stats.local_ops.sum(),
+              sharded[i].stats.local_ops.sum());
+  }
 }
 
 TEST(Sweep, ValidatesBeforeRunning) {
@@ -325,9 +308,10 @@ TEST(Sweep, RowSumsItsTrialsRunStats) {
 }
 
 TEST(SweepSpecJson, BenchSpecsParseAndMerge) {
-  // Every spec under bench/specs parses and every entry merges against its
-  // family's and algorithm's defaults with in-range plan values, so a typo
-  // fails here instead of minutes into a bench run.
+  // Every spec under bench/specs parses, and every entry and every axis
+  // value merges against its target's defaults (the family's, each
+  // algorithm's, or both) with in-range plan values, so a typo fails here
+  // instead of minutes into a bench run.
   std::size_t files = 0;
   for (const auto& file :
        std::filesystem::directory_iterator(NC_BENCH_SPECS_DIR)) {
@@ -340,16 +324,38 @@ TEST(SweepSpecJson, BenchSpecsParseAndMerge) {
     const SweepSpec spec = sweep_spec_from_json(text.str());
     const auto& family =
         ScenarioRegistry::global().family(spec.scenario_family);
-    (void)merge_params(family.defaults, spec.scenario_params,
-                       spec.scenario_family);
-    for (const auto& algo : spec.algorithms) {
-      const auto& entry = AlgorithmRegistry::global().algorithm(algo.name);
-      const AlgoParams merged =
-          merge_params(entry.defaults, algo.params, algo.name);
-      for (const auto& plan : runtime_plans()) plan.validate(merged);
+    const auto merge_scenario = [&](const ScenarioParams& params) {
+      (void)merge_params(family.defaults, params, spec.scenario_family);
+    };
+    const auto merge_algorithms = [&](const AlgoParams& axis_overrides) {
+      for (const auto& algo : spec.algorithms) {
+        const auto& entry = AlgorithmRegistry::global().algorithm(algo.name);
+        AlgoParams params = algo.params;
+        for (const auto& [key, value] : axis_overrides.values()) {
+          params.with(key, value);
+        }
+        const AlgoParams merged =
+            merge_params(entry.defaults, params, algo.name);
+        for (const auto& plan : runtime_plans()) plan.validate(merged);
+      }
+    };
+    merge_scenario(spec.scenario_params);
+    merge_algorithms({});
+    for (const auto& axis : spec.axes) {
+      for (const double value : axis.values) {
+        SCOPED_TRACE(axis.key);
+        if (axis.target != SweepAxis::Target::kAlgorithm) {
+          merge_scenario(ScenarioParams(spec.scenario_params)
+                             .with(axis.key, value));
+        }
+        if (axis.target != SweepAxis::Target::kScenario) {
+          merge_algorithms(AlgoParams().with(axis.key, value));
+        }
+      }
     }
   }
-  EXPECT_GE(files, 2u);
+  // faults, faults_1m, sweep and the experiments e1, e2, e3, e5, e8, e9.
+  EXPECT_GE(files, 9u);
 }
 
 SweepSpec full_spec() {
