@@ -16,7 +16,7 @@
 //  - planted_protocol / broadcast_fanout: the full DistNearClique protocol
 //    on a planted-clique graph. 2 chords per node (avg degree ~6) is the
 //    mixed protocol load; 24 chords (avg degree ~50) makes every
-//    open_stream_all fan wide: each copy is a 40-byte record of its own, so
+//    open_stream_all fan wide: each copy is a 24-byte record of its own, so
 //    staged bytes grow with degree, and the stage phase reuses one
 //    scheduled view across the sibling links. The rows' profile columns
 //    keep broadcast_payload_bytes_saved, which now reads 0.

@@ -763,7 +763,8 @@ int cmd_sweep(const Args& args) {
   if (json_to_stdout) {
     std::cout << sweep_json_lines(rows) << std::flush;
     std::cerr << "\n=== " << spec.title << " ===\n"
-              << sweep_table(rows).str() << std::flush;
+              << sweep_table(rows, spec.success, spec.success2).str()
+              << std::flush;
     return 0;
   }
   if (!json_target.empty()) {
@@ -777,7 +778,8 @@ int cmd_sweep(const Args& args) {
                 json_target.c_str());
   }
   std::cout << "\n=== " << spec.title << " ===\n"
-            << sweep_table(rows).str() << std::flush;
+            << sweep_table(rows, spec.success, spec.success2).str()
+            << std::flush;
   return 0;
 }
 

@@ -40,6 +40,7 @@ ScenarioRegistry build_global_registry() {
   // historical seed salts for the same reason.)
   r.add({"erdos_renyi", "G(n, p): every pair independently an edge",
          ScenarioParams().with("n", 200).with("p", 0.1),
+         {"p"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return Instance{
@@ -55,6 +56,7 @@ ScenarioRegistry build_global_registry() {
              .with("background_p", 0.08)
              .with("halo_p", 0.25)
              .with("permute_ids", 1),
+         {"eps_missing", "background_p", "halo_p"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            PlantedNearCliqueParams pp;
            pp.n = node_count(p);
@@ -75,6 +77,7 @@ ScenarioRegistry build_global_registry() {
              .with("k", 4)
              .with("p_in", 0.9)
              .with("p_out", 0.05),
+         {"p_in", "p_out"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            const auto k = p.get_int("k");
@@ -96,6 +99,7 @@ ScenarioRegistry build_global_registry() {
              .with("avg_deg", 8.0)
              .with("community", 50)
              .with("eps_missing", 0.008),
+         {"eps_missing"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "community", n);
@@ -109,6 +113,7 @@ ScenarioRegistry build_global_registry() {
   r.add({"random_geometric",
          "points in the unit square, edges within `radius` (ad-hoc radio)",
          ScenarioParams().with("n", 300).with("radius", 0.12),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return Instance{
@@ -119,6 +124,7 @@ ScenarioRegistry build_global_registry() {
   r.add({"shingles_counterexample",
          "Claim 1 family: cliques C1, C2 + independent sets I1, I2",
          ScenarioParams().with("n", 120).with("delta", 0.5).with("permute", 1),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const double delta = p.get_double("delta");
            if (delta < 0.0 || delta > 1.0) {
@@ -133,6 +139,7 @@ ScenarioRegistry build_global_registry() {
   r.add({"barbell",
          "Section 6 impossibility gadget: clique A - path P - clique B",
          ScenarioParams().with("n", 64).with("delete_a_edges", 0),
+         {},
          [](const ScenarioParams& p, std::uint64_t /*seed*/) {
            return barbell_gadget(node_count(p), p.get_bool("delete_a_edges"));
          }});
@@ -143,6 +150,7 @@ ScenarioRegistry build_global_registry() {
              .with("n", 1000)
              .with("alpha", 0.5)
              .with("background_p", 0.05),
+         {"background_p"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return sublinear_clique(node_count(p), p.get_double("alpha"),
@@ -154,6 +162,7 @@ ScenarioRegistry build_global_registry() {
          "unit-disk radio network with one congested hot-spot clique",
          ScenarioParams().with("n", 300).with("radius", 0.12).with("hotspot",
                                                                    40),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "hotspot", n);
@@ -181,6 +190,7 @@ ScenarioRegistry build_global_registry() {
              .with("step", 6)
              .with("steps", 6)
              .with("background_p", 0.04),
+         {"background_p"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "event", n);
@@ -213,6 +223,7 @@ ScenarioRegistry build_global_registry() {
          "real graph from a whitespace/CSV edge-list file (params "
          "path=<file>); built through the streaming CSR builder",
          ScenarioParams().with("path", "").with("one_indexed", 0),
+         {},
          [](const ScenarioParams& p, std::uint64_t /*seed*/) {
            const std::string& path = p.get_string("path");
            if (path.empty()) {
@@ -235,6 +246,7 @@ ScenarioRegistry build_global_registry() {
              .with("eps", 0.2)
              .with("background_p", 0.08)
              .with("halo_p", 0.25),
+         {"background_p", "halo_p"},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            const double eps = p.get_double("eps");
@@ -256,6 +268,7 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"linear", "Corollary 2.2: linear-size near-clique (delta = 1/2)",
          ScenarioParams().with("n", 200).with("eps", 0.2),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            // Lazily resolved at call time, when global() is fully built.
            return ScenarioRegistry::global().make(
@@ -271,6 +284,7 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"sublinear", "Corollary 2.3 workload (background_p = 0.05)",
          ScenarioParams().with("n", 500).with("alpha", 0.5),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed ^ 0x7e0003ULL);
            return sublinear_clique(node_count(p), p.get_double("alpha"), 0.05,
@@ -279,6 +293,7 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"counterexample", "Claim 1 / Figure 1 counterexample G_n",
          ScenarioParams().with("n", 120).with("delta", 0.5),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const double delta = p.get_double("delta");
            if (delta < 0.0 || delta > 1.0) {
@@ -293,6 +308,7 @@ ScenarioRegistry build_global_registry() {
          "power-law web background with a hidden near-clique community",
          ScenarioParams().with("n", 250).with("community", 35).with("eps",
                                                                     0.2),
+         {},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "community", n);
@@ -310,6 +326,13 @@ ScenarioRegistry build_global_registry() {
 
 void ScenarioRegistry::add(Family family) {
   const auto name = family.name;
+  for (const auto& key : family.probabilities) {
+    if (!family.defaults.has(key)) {
+      throw std::invalid_argument("scenario family '" + name +
+                                  "' declares probability '" + key +
+                                  "' without a default");
+    }
+  }
   if (!families_.emplace(name, std::move(family)).second) {
     throw std::invalid_argument("scenario family '" + name +
                                 "' registered twice");
@@ -330,6 +353,15 @@ Instance ScenarioRegistry::make(const ScenarioSpec& spec) const {
   const Family& fam = family(spec.family);
   const ScenarioParams merged = merge_params(
       fam.defaults, spec.params, "scenario family '" + spec.family + "'");
+  for (const auto& key : fam.probabilities) {
+    const double v = merged.get_double(key);
+    if (!(v >= 0.0 && v <= 1.0)) {  // NaN fails both
+      std::ostringstream msg;
+      msg << "scenario family '" << spec.family << "': parameter '" << key
+          << "' is a probability and must be in [0, 1], got " << v;
+      throw std::invalid_argument(msg.str());
+    }
+  }
   return fam.make(merged, spec.seed);
 }
 

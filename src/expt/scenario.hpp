@@ -43,10 +43,15 @@ class ScenarioRegistry {
     /// Declares the complete legal parameter set with its default values;
     /// a spec referencing any other key is rejected.
     ScenarioParams defaults;
+    /// The keys of `defaults` that are probabilities (every edge
+    /// probability and the missing-edge fraction): make() rejects a merged
+    /// value outside [0, 1], NaN included.
+    std::vector<std::string> probabilities;
     Maker make;
   };
 
-  /// Registers a family. Throws std::invalid_argument on duplicate names.
+  /// Registers a family. Throws std::invalid_argument on duplicate names
+  /// and on a probability key that `defaults` does not declare.
   void add(Family family);
 
   /// Looks up a family. Throws std::invalid_argument (listing the known
@@ -56,7 +61,8 @@ class ScenarioRegistry {
   /// Builds the instance for a spec: validates the family and every
   /// override key, merges overrides onto the defaults, and invokes the
   /// maker. Throws std::invalid_argument with a self-explaining message on
-  /// unknown family or parameter names.
+  /// unknown family or parameter names, and on a probability outside
+  /// [0, 1] (naming the family and the key).
   [[nodiscard]] Instance make(const ScenarioSpec& spec) const;
 
   /// Registered family names, sorted.

@@ -581,22 +581,42 @@ SweepSpec sweep_spec_from_json(const std::string& text) {
   return spec;
 }
 
-Table sweep_table(const std::vector<SweepRow>& rows) {
-  Table t({"scenario", "algorithm", "model", "overrides", "success", "size",
-           "density", "recall", "max_msg_bits", "cost"});
+Table sweep_table(const std::vector<SweepRow>& rows, const SuccessSpec& success,
+                  const SuccessSpec& success2) {
+  const bool second = success2.kind != SuccessSpec::Kind::kNone;
+  std::vector<std::string> headers{"scenario", "algorithm", "model",
+                                   "overrides", "success"};
+  if (second) headers.emplace_back("success2");
+  headers.insert(headers.end(),
+                 {"size", "density", "recall", "max_msg_bits", "cost"});
+  // A rate column reads "-" when its predicate is none: nothing was judged.
+  const auto rate = [](const SuccessSpec& spec, std::size_t hits,
+                       std::size_t trials) -> std::string {
+    if (spec.kind == SuccessSpec::Kind::kNone) return "-";
+    return Table::num(trials == 0 ? 0.0
+                                  : static_cast<double>(hits) /
+                                        static_cast<double>(trials),
+                      2);
+  };
+  Table t(std::move(headers));
   for (const auto& row : rows) {
     std::string overrides = describe_params(row.scenario_params);
     const std::string algo_overrides = describe_params(row.algo_params);
     if (!algo_overrides.empty()) overrides += " |" + algo_overrides;
     if (overrides.empty()) overrides = " (defaults)";
-    t.add_row({row.scenario_family, row.algorithm,
-               cost_model_name(row.model), overrides.substr(1),
-               Table::num(row.stats.success_rate(), 2),
-               Table::num(row.stats.out_size.mean(), 1),
-               Table::num(row.stats.out_density.mean(), 3),
-               Table::num(row.stats.recall.mean(), 2),
-               Table::num(row.stats.max_msg_bits.max(), 0),
-               Table::num(row.headline_cost_mean(), 0)});
+    std::vector<std::string> cells{
+        row.scenario_family, row.algorithm, cost_model_name(row.model),
+        overrides.substr(1),
+        rate(success, row.stats.successes, row.stats.trials)};
+    if (second) {
+      cells.push_back(rate(success2, row.stats.successes2, row.stats.trials));
+    }
+    cells.insert(cells.end(), {Table::num(row.stats.out_size.mean(), 1),
+                               Table::num(row.stats.out_density.mean(), 3),
+                               Table::num(row.stats.recall.mean(), 2),
+                               Table::num(row.stats.max_msg_bits.max(), 0),
+                               Table::num(row.headline_cost_mean(), 0)});
+    t.add_row(std::move(cells));
   }
   return t;
 }

@@ -162,8 +162,12 @@ std::string sweep_row_json(const SweepRow& row);
 /// All rows as JSON lines (one object per line, trailing newline).
 std::string sweep_json_lines(const std::vector<SweepRow>& rows);
 
-/// Human-readable comparison table of the rows.
-Table sweep_table(const std::vector<SweepRow>& rows);
+/// Human-readable comparison table of the rows of a sweep judged by
+/// `success` and `success2` (the spec's predicates): the success column
+/// reads "-" when `success` is none, and a success2 column appears only
+/// when `success2` is not none.
+Table sweep_table(const std::vector<SweepRow>& rows, const SuccessSpec& success,
+                  const SuccessSpec& success2);
 
 /// Serializes a SweepSpec as a pretty-printed JSON document (every field,
 /// including one object per runtime plan), the inverse of

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,10 +31,11 @@ bool is_comment(const std::string& line) {
   return line.compare(i, 2, "//") == 0;
 }
 
-/// Parses the leading unsigned integer of `text` starting at `pos` (after
-/// skipping separators). Returns false when the line is exhausted.
+/// Parses the next node id of `text` from `pos` on (after skipping
+/// separators) into `out`. Returns false when the line is exhausted, or
+/// with `error` set when the id is not a number or exceeds kMaxEdgeListId.
 bool next_id(const std::string& text, std::size_t& pos, std::uint64_t& out,
-             bool& malformed) {
+             std::string& error) {
   while (pos < text.size() &&
          (std::isspace(static_cast<unsigned char>(text[pos])) ||
           text[pos] == ',' || text[pos] == ';')) {
@@ -42,23 +44,30 @@ bool next_id(const std::string& text, std::size_t& pos, std::uint64_t& out,
   if (pos >= text.size()) return false;
   const std::size_t start = pos;
   std::uint64_t value = 0;
+  bool too_big = false;
   while (pos < text.size() &&
          std::isdigit(static_cast<unsigned char>(text[pos]))) {
-    value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-    if (value > kMaxEdgeListId) {
-      malformed = true;
-      return false;
+    // Past the cap the digits are only skipped, so value cannot overflow.
+    if (!too_big) {
+      value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
+      too_big = value > kMaxEdgeListId;
     }
     ++pos;
   }
-  if (pos == start) {  // no digits where an id was expected
-    malformed = true;
+  // The id must be digits ending at a separator (so "12x" is rejected,
+  // "12,34" is fine).
+  const bool at_separator =
+      pos == text.size() ||
+      std::isspace(static_cast<unsigned char>(text[pos])) ||
+      text[pos] == ',' || text[pos] == ';';
+  if (pos == start || !at_separator) {
+    error = "expected a numeric node id in '" + text + "'";
     return false;
   }
-  // The id must end at a separator (so "12x" is rejected, "12,34" is fine).
-  if (pos < text.size() && !std::isspace(static_cast<unsigned char>(text[pos])) &&
-      text[pos] != ',' && text[pos] != ';') {
-    malformed = true;
+  if (too_big) {
+    error = "node id " + text.substr(start, pos - start) +
+            " exceeds the largest supported id " +
+            std::to_string(kMaxEdgeListId);
     return false;
   }
   out = value;
@@ -81,14 +90,13 @@ Graph load_edge_list(const std::string& path, bool one_indexed) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (is_comment(line)) continue;
     std::size_t pos = 0;
-    bool malformed = false;
+    std::string error;
     std::uint64_t u = 0;
     std::uint64_t v = 0;
-    if (!next_id(line, pos, u, malformed) ||
-        !next_id(line, pos, v, malformed)) {
+    if (!next_id(line, pos, u, error) || !next_id(line, pos, v, error)) {
       fail_at(path, lineno,
-              malformed ? "expected a numeric node id in '" + line + "'"
-                        : "expected two node ids, got '" + line + "'");
+              !error.empty() ? error
+                             : "expected two node ids, got '" + line + "'");
     }
     if (one_indexed) {
       if (u == 0 || v == 0) {

@@ -19,7 +19,8 @@ namespace nc {
 /// are deduplicated by the counting-sort CSR build (GraphBuilder), so real
 /// exports can be fed in unsanitized. Throws std::invalid_argument with the
 /// offending "<path>:<line>" on malformed input, unreadable files, empty
-/// files and ids above kMaxEdgeListId.
+/// files and ids above kMaxEdgeListId (an error of its own, naming the id
+/// and the limit).
 Graph load_edge_list(const std::string& path, bool one_indexed = false);
 
 /// Guard against typos producing multi-gigabyte allocations: the largest

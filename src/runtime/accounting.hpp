@@ -124,7 +124,7 @@ struct NetProfile {
 
   /// Arena accounting: sum and per-shard max of the shard arenas'
   /// high-water marks (bytes of per-round transient storage: the lanes'
-  /// 40-byte copy records and spilled payloads, and the deliver phase's
+  /// 24-byte copy records and spilled payloads, and the deliver phase's
   /// per-node counts and 8-byte sort references). A copy due in a later
   /// round is not in it: it waits in a heap-backed in-flight bucket, and
   /// no copy carries a due round.

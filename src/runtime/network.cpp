@@ -59,10 +59,12 @@ OutChannel NodeApi::open_stream(const StreamKey& key,
   }
   OutChannel ch;
   if (neighbor_indices.empty()) return ch;
-  const std::shared_ptr<const OutStreamState> state = ch.state();
+  // The owner's links draw their stream lists from its shard's pool.
+  LinkPool& pool = net_->shards_[net_->plan_.node_shard[id_]].link_pool;
+  const StreamRef state = ch.share(key);
   Link* links = net_->links_.data() + base;
   for (const std::size_t ni : neighbor_indices) {
-    links[ni].add_stream(key, state);
+    links[ni].add_stream(pool, state);
   }
   return ch;
 }
@@ -192,7 +194,8 @@ Network::Network(const Graph& g, const NetConfig& config,
   edge_owner_.resize(directed_edges);
   reverse_index_.resize(directed_edges);
   {
-    std::vector<std::size_t> cursor(n_, 0);
+    // Degrees are below 2^28 (checked above), so every index fits 32 bits.
+    std::vector<std::uint32_t> cursor(n_, 0);
     for (NodeId v = 0; v < n_; ++v) {
       const auto nb = g.neighbors(v);
       for (std::size_t i = 0; i < nb.size(); ++i) {
@@ -276,13 +279,8 @@ Network::Network(const Graph& g, const NetConfig& config,
   }
 
   // The flat link table: shards are contiguous ID ranges, so each shard's
-  // links are one contiguous run of it, all bound to that shard's pool.
-  links_.reserve(directed_edges);
-  for (auto& sh : shards_) {
-    for (std::size_t e = edge_base_[sh.begin]; e < edge_base_[sh.end]; ++e) {
-      links_.emplace_back(sh.link_pool);
-    }
-  }
+  // links are one contiguous run of it, all drawing on that shard's pool.
+  links_.resize(directed_edges);
 
   const Rng master(config.seed);
   nodes_.reserve(n_);
@@ -323,11 +321,11 @@ void Network::drop_inbox_if_done(NodeId v) {
 }
 
 void Network::refresh_outgoing(NodeId v) {
-  auto& active = shards_[plan_.node_shard[v]].active_links;
+  Shard& sh = shards_[plan_.node_shard[v]];
   for (std::size_t e = edge_base_[v]; e < edge_base_[v + 1]; ++e) {
-    if (!link_active_[e] && links_[e].has_pending()) {
+    if (!link_active_[e] && links_[e].has_pending(sh.link_pool)) {
       link_active_[e] = 1;
-      active.push_back(e);
+      sh.active_links.push_back(e);
     }
   }
 }
@@ -420,19 +418,9 @@ void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
   auto& st = states_[to];
   for (std::size_t i = 0; i < count; ++i) {
     const MsgBlock::Copy& c = *run[i];
-    batch.charge(c.kind(), c.wire_bits);
+    batch.charge(c.kind(), c.wire_bits(header_bits_));
     st.arrived_kinds |= std::uint32_t{1} << c.kind();
-    InStream& stream = st.inbox.open(c.back_index, c.key());
-    if (c.spilled()) {
-      stream.deliver_packed(c.words, c.pay_word_count(header_bits_), 0,
-                            c.pay_bits(header_bits_),
-                            c.pay_widths(header_bits_), c.symbol_count);
-    } else {
-      // Inline fast path: the dominant CONGEST kinds carry 1–2 words.
-      if (c.symbol_count >= 1) stream.deliver(c.v[0], c.w0());
-      if (c.symbol_count == 2) stream.deliver(c.v[1], c.w1());
-    }
-    if (c.eos()) stream.deliver_eos();
+    c.deliver_to(st.inbox.open(c.back_index, c.key()));
   }
   wake(dst, to);
 }
@@ -605,7 +593,7 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     const std::size_t e = sh.rel_parked_edge[i];
     const std::size_t j = due_index(e);
     if (j == std::numeric_limits<std::size_t>::max()) {
-      keep.append(c, header_bits_);
+      keep.append(c);
       keep_edge.push_back(e);
       keep_lost.push_back(sh.rel_parked_lost[i]);
       continue;
@@ -620,10 +608,10 @@ void Network::resolve_fec_windows(Shard& sh, TrafficBatch& done_batch) {
     }
     if (done_[c.to] != 0) {
       charge_done_copy(sh, done_batch, c.to, release[j], c.kind(),
-                       c.wire_bits);
+                       c.wire_bits(header_bits_));
       continue;
     }
-    held_block(sh, release[j], c.to).append(c, header_bits_);
+    held_block(sh, release[j], c.to).append(c);
   }
   sh.rel_parked = std::move(keep);
   sh.rel_parked_edge = std::move(keep_edge);
@@ -640,7 +628,7 @@ void Network::size_lanes(Shard& sh) {
     const NodeId to = graph_->neighbors(from)[e - edge_base_[from]];
     if (done_[to] != 0) continue;
     want[plan_.node_shard[to]] +=
-        local ? links_[e].pending_stream_count() : 1;
+        local ? links_[e].pending_stream_count(sh.link_pool) : 1;
   }
   for (unsigned d = 0; d < k; ++d) sh.lanes[d].start_round(want[d]);
 }
@@ -663,7 +651,7 @@ void Network::settle_due(Shard& sh, TrafficBatch& done_batch) {
         return false;
       }
       if (done_[c.to] != 0) {
-        done_batch.charge(c.kind(), c.wire_bits);
+        done_batch.charge(c.kind(), c.wire_bits(header_bits_));
         return false;
       }
       return true;
@@ -723,36 +711,38 @@ void Network::stage_shard(unsigned s) {
     const std::size_t ni = e - edge_base_[from];
     Link& link = links_[e];
     const NodeId to = graph_->neighbors(from)[ni];
-    const auto back = static_cast<std::uint32_t>(reverse_index_[e]);
+    const std::uint32_t back = reverse_index_[e];
     if (config_.mode == NetConfig::Mode::kLocal) {
       // One channel decision covers the whole drained batch; the count is
       // known up front (one message per pending stream). A dropped batch
       // still advances the streams — the traffic was sent, then lost.
       // Reliability is CONGEST-only (rel_ is null here by construction),
       // so the verdict is the fault decision.
-      const std::size_t count = link.pending_stream_count();
+      const std::size_t count = link.pending_stream_count(sh.link_pool);
       const std::uint64_t due =
           faults_ && count > 0
               ? link_verdict(sh, e, from, to, count, nullptr, back)
               : round_;
       const std::size_t produced =
-          link.drain_views(header_bits_, [&](const MsgView& v) {
+          link.drain_views(sh.link_pool, header_bits_, [&](const MsgView& v) {
             if (due != kNoArrival) stage_copy(sh, done_batch, v, to, back, due);
           });
-      if (produced > 0) link.release_idle();
+      if (produced > 0) link.release_idle(sh.link_pool);
     } else {
-      if (!(view_live && from == view_from && link.schedule_matches(view))) {
-        view_live = link.schedule_view(bandwidth_bits_, header_bits_, view);
+      if (!(view_live && from == view_from &&
+            link.schedule_matches(sh.link_pool, view))) {
+        view_live = link.schedule_view(sh.link_pool, bandwidth_bits_,
+                                       header_bits_, view);
         view_from = from;
       }
       if (view_live) {
         const std::uint64_t due =
             adversity ? link_verdict(sh, e, from, to, 1, &view, back) : round_;
         if (due != kNoArrival) stage_copy(sh, done_batch, view, to, back, due);
-        link.release_idle();
+        link.release_idle(sh.link_pool);
       }
     }
-    if (link.has_pending()) {
+    if (link.has_pending(sh.link_pool)) {
       sh.active_links[kept++] = e;
     } else {
       link_active_[e] = 0;

@@ -407,9 +407,9 @@ class Network {
     /// Cross-round storage of this shard's nodes: the stream lists of their
     /// outgoing links (written by their callbacks, read by this shard's
     /// stage phase) and the bucket columns of their inboxes (written by
-    /// this shard's deliver phase, read by their callbacks). The links_
-    /// table and the inboxes point into these, so shards_ is sized once,
-    /// at construction, and never moves.
+    /// this shard's deliver phase, read by their callbacks). The inboxes
+    /// point into these and the links_ table holds slot handles of the link
+    /// pool, so shards_ is sized once, at construction, and never moves.
     LinkPool link_pool;
     InboxPool inbox_pool;
 
@@ -419,7 +419,7 @@ class Network {
     /// rewinds in O(1) at the top of each round (src/util/arena.hpp).
     Arena arena;
 
-    /// This round's on-time copies, by destination shard: one 40-byte
+    /// This round's on-time copies, by destination shard: one 24-byte
     /// record per copy (src/runtime/msgblock.hpp), arena-backed and sized
     /// once per round by size_lanes.
     std::vector<MsgBlock> lanes;
@@ -694,7 +694,7 @@ class Network {
 
   // One Link per directed edge, indexed like the CSR mirror below (e =
   // edge_base_[v] + ni): v's links are contiguous and each draws its stream
-  // lists from the pool of v's shard.
+  // lists from the pool of v's shard, which every caller passes in.
   std::vector<Link> links_;
 
   // CSR mirror of the communication graph's directed edges. Edge
@@ -703,7 +703,7 @@ class Network {
   // delivery does no binary search; edge_owner_[e] recovers v from e.
   std::vector<std::size_t> edge_base_;     // n+1 offsets
   std::vector<NodeId> edge_owner_;         // 2m
-  std::vector<std::size_t> reverse_index_; // 2m
+  std::vector<std::uint32_t> reverse_index_;  // 2m; degree < 2^28
 
   // Shared iota [0, max_degree) so open_stream_all needs no allocation.
   std::vector<std::size_t> iota_;

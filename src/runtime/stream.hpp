@@ -1,19 +1,75 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "runtime/message.hpp"
 
 namespace nc {
 
-/// Shared state of one outgoing logical stream: the packed symbol payload
-/// plus the closed flag. One heap allocation per opened stream, shared
-/// between the producer's OutChannel and every Link the stream was opened
-/// on (a broadcast to many neighbours stores its payload once).
+/// Shared state of one outgoing logical stream: the packed symbol payload,
+/// the stream's key and the closed flag. One heap allocation per opened
+/// stream, owned jointly by the producer's OutChannel and every Link the
+/// stream was opened on (a broadcast to many neighbours stores its payload
+/// and its key once). 40 bytes: the key is unpacked, as StreamKey's
+/// padding would round the object up to 48.
 struct OutStreamState {
   SymbolBuffer buf;
+  NodeId tag = 0;
+  std::uint16_t kind = 0;
+  std::uint16_t version = 0;
+  /// Owners: the OutChannel and each link's StreamRef. Not atomic — see
+  /// StreamRef.
+  std::uint32_t refs = 0;
   bool closed = false;
+
+  [[nodiscard]] StreamKey key() const noexcept {
+    return StreamKey{kind, tag, version};
+  }
+};
+
+static_assert(sizeof(OutStreamState) == 40, "OutStreamState is 40 bytes");
+
+/// Owner handle of an OutStreamState: one pointer, with the count held in
+/// the state itself. The last handle to let go deletes the state.
+///
+/// The count is a plain integer. That is correct because every owner of one
+/// state sits on its producer's shard: the producer's OutChannel lives in
+/// its node, and the links it opens the stream on belong to that node's
+/// shard (network.hpp). So handles are copied and dropped only by that
+/// shard's thread — in the node's callbacks and the shard's stage phase —
+/// or serially, in the churn hooks and at teardown. A protocol must not
+/// hand an OutChannel to another node.
+class StreamRef {
+ public:
+  StreamRef() noexcept = default;
+  explicit StreamRef(OutStreamState* state) noexcept : p_(state) {
+    if (p_ != nullptr) ++p_->refs;
+  }
+  StreamRef(const StreamRef& other) noexcept : StreamRef(other.p_) {}
+  StreamRef(StreamRef&& other) noexcept
+      : p_(std::exchange(other.p_, nullptr)) {}
+  StreamRef& operator=(StreamRef other) noexcept {
+    std::swap(p_, other.p_);
+    return *this;
+  }
+  ~StreamRef() { reset(); }
+
+  /// Lets go of the state, deleting it if this was its last owner.
+  void reset() noexcept {
+    if (p_ != nullptr && --p_->refs == 0) delete p_;
+    p_ = nullptr;
+  }
+
+  [[nodiscard]] OutStreamState* get() const noexcept { return p_; }
+  OutStreamState* operator->() const noexcept { return p_; }
+  [[nodiscard]] bool operator==(std::nullptr_t) const noexcept {
+    return p_ == nullptr;
+  }
+
+ private:
+  OutStreamState* p_ = nullptr;
 };
 
 /// Producer handle for an outgoing logical stream.
@@ -23,7 +79,7 @@ struct OutStreamState {
 /// possible — and `close()` marks the logical end of stream, which links
 /// deliver to receivers as an EOS flag.
 ///
-/// The shared state is allocated on first use — state(), put() or close()
+/// The shared state is allocated on first use — share(), put() or close()
 /// — so a default-constructed channel that open_stream later replaces, or
 /// that is never opened, costs no heap block. An unallocated channel reads
 /// as empty and open.
@@ -56,19 +112,24 @@ class OutChannel {
     return state_ != nullptr ? state_->buf.size() : 0;
   }
 
-  /// Shared state, used by links (allocated here if still absent).
-  [[nodiscard]] std::shared_ptr<const OutStreamState> state() {
-    own();
+  /// A new owner handle of the shared state, for a link to hold, with the
+  /// state stamped with `key` (and allocated here if still absent). The
+  /// network opens a stream on all of its links with one key.
+  [[nodiscard]] StreamRef share(const StreamKey& key) {
+    OutStreamState& s = own();
+    s.tag = key.tag;
+    s.kind = key.kind;
+    s.version = key.version;
     return state_;
   }
 
  private:
   OutStreamState& own() {
-    if (state_ == nullptr) state_ = std::make_shared<OutStreamState>();
-    return *state_;
+    if (state_ == nullptr) state_ = StreamRef(new OutStreamState);
+    return *state_.get();
   }
 
-  std::shared_ptr<OutStreamState> state_;
+  StreamRef state_;
 };
 
 /// Receiver side of a logical stream: a growing buffer of delivered symbols

@@ -111,6 +111,49 @@ TEST(EdgeList, HugeIdsAreRejected) {
   std::remove(path.c_str());
 }
 
+TEST(EdgeList, OutOfRangeIdsNameTheIdAndTheLimit) {
+  // A well-formed id above kMaxEdgeListId is not "malformed": the error
+  // names it, the limit and the line. Digits past the limit are skipped,
+  // so an id of any length reads back whole.
+  const std::string huge = "18446744073709551616000";  // > 2^64
+  const auto path =
+      write_temp("el_range.txt", "0 1\n0 4000000000\n" + huge + " 2\n");
+  try {
+    (void)load_edge_list(path);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(":2: node id 4000000000 exceeds the largest "
+                       "supported id " +
+                       std::to_string(kMaxEdgeListId)),
+              std::string::npos)
+        << msg;
+  }
+  const auto later = write_temp("el_range2.txt", "0 1\n" + huge + " 2\n");
+  try {
+    (void)load_edge_list(later);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(":2: node id " + huge + " exceeds"), std::string::npos)
+        << msg;
+  }
+  // An id with a junk suffix is malformed, whatever its value.
+  const auto edge = write_temp(
+      "el_range3.txt", "0 " + std::to_string(kMaxEdgeListId) + "x\n");
+  try {
+    (void)load_edge_list(edge);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("expected a numeric node id"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+  std::remove(later.c_str());
+  std::remove(edge.c_str());
+}
+
 TEST(EdgeListScenario, ResolvesThroughTheRegistry) {
   const auto path = write_temp("el_scenario.txt", "0 1\n1 2\n2 0\n3 4\n");
   const Instance inst = make_scenario(

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -19,9 +18,9 @@ namespace {
 
 constexpr unsigned kHeader = 16;
 
-OutChannel attach(Link& link, const StreamKey& key) {
+OutChannel attach(LinkPool& pool, Link& link, const StreamKey& key) {
   OutChannel ch;
-  link.add_stream(key, ch.state());
+  link.add_stream(pool, ch.share(key));
   return ch;
 }
 
@@ -45,16 +44,16 @@ TEST(SymbolBuffer, CursorSeesAppendsAfterConstruction) {
   // A link attached to a still-empty stream sees symbols the producer
   // appends later: Lemma 5.1's pipelined convergecasts depend on it.
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   MsgView v;
-  EXPECT_FALSE(link.schedule_view(kHeader + 64, kHeader, v));
+  EXPECT_FALSE(link.schedule_view(pool, kHeader + 64, kHeader, v));
   ch.put(7, 8);
-  ASSERT_TRUE(link.schedule_view(kHeader + 64, kHeader, v));
+  ASSERT_TRUE(link.schedule_view(pool, kHeader + 64, kHeader, v));
   ASSERT_EQ(v.symbol_count, 1u);
   EXPECT_EQ(v.buf->value_at(v.bit_off, v.buf->width_at(v.first_symbol)), 7u);
   ch.put(9, 8);  // grows the buffer the view's successor reads
-  ASSERT_TRUE(link.schedule_view(kHeader + 64, kHeader, v));
+  ASSERT_TRUE(link.schedule_view(pool, kHeader + 64, kHeader, v));
   EXPECT_EQ(v.first_symbol, 1u);
   EXPECT_EQ(v.bit_off, 8u);
   EXPECT_EQ(v.buf->value_at(v.bit_off, 8), 9u);
@@ -211,31 +210,32 @@ struct Sent {
 
 /// Schedules the link's next message the way the stage phase does: a
 /// zero-copy view, consumed before release_idle() prunes finished streams.
-std::optional<Sent> next(Link& link, std::size_t budget_bits) {
+std::optional<Sent> next(LinkPool& pool, Link& link,
+                         std::size_t budget_bits) {
   MsgView v;
-  if (!link.schedule_view(budget_bits, kHeader, v)) return std::nullopt;
+  if (!link.schedule_view(pool, budget_bits, kHeader, v)) return std::nullopt;
   Sent sent{v, decode(v)};
-  link.release_idle();
+  link.release_idle(pool);
   return sent;
 }
 
 TEST(Link, NothingPendingWhenEmpty) {
   LinkPool pool;
-  Link link(pool);
-  EXPECT_FALSE(link.has_pending());
-  EXPECT_FALSE(next(link, 100).has_value());
+  Link link;
+  EXPECT_FALSE(link.has_pending(pool));
+  EXPECT_FALSE(next(pool, link, 100).has_value());
 }
 
 TEST(Link, SchedulesWithinBudgetAndChunks) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   for (int i = 0; i < 10; ++i) ch.put(static_cast<std::uint64_t>(i), 8);
   ch.close();
   // Budget: header + 2 symbols and a bit of slack.
   std::vector<std::uint64_t> got;
   bool eos = false;
-  while (auto d = next(link, kHeader + 20)) {
+  while (auto d = next(pool, link, kHeader + 20)) {
     EXPECT_LE(d->view.wire_bits, kHeader + 20u);
     EXPECT_LE(d->symbols.size(), 2u);
     for (const auto& [v, w] : d->symbols) {
@@ -247,28 +247,28 @@ TEST(Link, SchedulesWithinBudgetAndChunks) {
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i], static_cast<std::uint64_t>(i));
   EXPECT_TRUE(eos);
-  EXPECT_FALSE(link.has_pending());
+  EXPECT_FALSE(link.has_pending(pool));
 }
 
 TEST(Link, EosPiggybacksOnLastChunk) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   ch.put(1, 4);
   ch.close();
-  const auto d = next(link, kHeader + 64);
+  const auto d = next(pool, link, kHeader + 64);
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->view.eos);
   EXPECT_EQ(d->symbols.size(), 1u);
-  EXPECT_FALSE(next(link, kHeader + 64).has_value());
+  EXPECT_FALSE(next(pool, link, kHeader + 64).has_value());
 }
 
 TEST(Link, EosOnlyMessageForEmptyClosedStream) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{2, 7, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{2, 7, 0});
   ch.close();  // header-only stream (e.g. kTreeFinal)
-  const auto d = next(link, kHeader + 8);
+  const auto d = next(pool, link, kHeader + 8);
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->view.eos);
   EXPECT_TRUE(d->symbols.empty());
@@ -277,9 +277,9 @@ TEST(Link, EosOnlyMessageForEmptyClosedStream) {
 
 TEST(Link, RoundRobinAlternatesStreams) {
   LinkPool pool;
-  Link link(pool);
-  auto a = attach(link, StreamKey{1, 0, 0});
-  auto b = attach(link, StreamKey{2, 0, 0});
+  Link link;
+  auto a = attach(pool, link, StreamKey{1, 0, 0});
+  auto b = attach(pool, link, StreamKey{2, 0, 0});
   for (int i = 0; i < 4; ++i) {
     a.put(1, 8);
     b.put(2, 8);
@@ -288,45 +288,48 @@ TEST(Link, RoundRobinAlternatesStreams) {
   b.close();
   // One symbol fits per message: kinds must alternate.
   std::vector<std::uint16_t> kinds;
-  while (auto d = next(link, kHeader + 8)) kinds.push_back(d->view.key.kind);
+  while (auto d = next(pool, link, kHeader + 8)) {
+    kinds.push_back(d->view.key.kind);
+  }
   ASSERT_GE(kinds.size(), 8u);
   for (std::size_t i = 1; i < 8; ++i) EXPECT_NE(kinds[i], kinds[i - 1]);
 }
 
 TEST(Link, ThrowsWhenSymbolCannotFit) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   ch.put(0xffffffff, 32);
   ch.close();
-  EXPECT_THROW((void)next(link, kHeader + 8), std::runtime_error);
+  EXPECT_THROW((void)next(pool, link, kHeader + 8), std::runtime_error);
 }
 
 TEST(Link, ThrowsWhenBudgetBelowHeader) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   ch.put_bit(true);
   ch.close();
-  EXPECT_THROW((void)next(link, kHeader - 1), std::runtime_error);
+  EXPECT_THROW((void)next(pool, link, kHeader - 1), std::runtime_error);
 }
 
 TEST(Link, DrainAllDeliversEverythingAtOnce) {
   // LOCAL mode: one unbounded message per pending stream.
   LinkPool pool;
-  Link link(pool);
-  auto a = attach(link, StreamKey{1, 0, 0});
-  auto b = attach(link, StreamKey{2, 0, 0});
+  Link link;
+  auto a = attach(pool, link, StreamKey{1, 0, 0});
+  auto b = attach(pool, link, StreamKey{2, 0, 0});
   for (int i = 0; i < 100; ++i) a.put(i % 256, 8);
   a.close();
   b.put(5, 3);
   b.close();
   std::vector<std::pair<MsgView, std::size_t>> ds;  // view, decoded symbols
   const auto drain = [&] {
-    const std::size_t n = link.drain_views(kHeader, [&](const MsgView& v) {
-      ds.emplace_back(v, decode(v).size());
-    });
-    link.release_idle();
+    const std::size_t n =
+        link.drain_views(pool, kHeader, [&](const MsgView& v) {
+          ds.emplace_back(v, decode(v).size());
+        });
+    link.release_idle(pool);
     return n;
   };
   ASSERT_EQ(drain(), 2u);
@@ -341,15 +344,15 @@ TEST(Link, DrainAllDeliversEverythingAtOnce) {
 
 TEST(Link, AppendAfterPartialDrainContinues) {
   LinkPool pool;
-  Link link(pool);
-  auto ch = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto ch = attach(pool, link, StreamKey{1, 0, 0});
   ch.put(1, 8);
-  auto d1 = next(link, kHeader + 8);
+  auto d1 = next(pool, link, kHeader + 8);
   ASSERT_TRUE(d1.has_value());
   EXPECT_FALSE(d1->view.eos);  // stream not closed yet
   ch.put(2, 8);
   ch.close();
-  auto d2 = next(link, kHeader + 8);
+  auto d2 = next(pool, link, kHeader + 8);
   ASSERT_TRUE(d2.has_value());
   ASSERT_EQ(d2->symbols.size(), 1u);
   EXPECT_EQ(d2->symbols[0].first, 2u);
@@ -358,30 +361,31 @@ TEST(Link, AppendAfterPartialDrainContinues) {
 
 TEST(Link, PruneKeepsActiveStreams) {
   LinkPool pool;
-  Link link(pool);
-  auto done = attach(link, StreamKey{1, 0, 0});
+  Link link;
+  auto done = attach(pool, link, StreamKey{1, 0, 0});
   done.put(1, 4);
   done.close();
-  auto live = attach(link, StreamKey{2, 0, 0});
+  auto live = attach(pool, link, StreamKey{2, 0, 0});
   live.put(2, 4);
   EXPECT_EQ(link.stream_count(), 2u);
-  (void)next(link, kHeader + 64);  // drains `done` + its EOS
-  (void)next(link, kHeader + 64);  // drains `live`'s symbol
-  link.prune_done();
+  (void)next(pool, link, kHeader + 64);  // drains `done` + its EOS
+  (void)next(pool, link, kHeader + 64);  // drains `live`'s symbol
+  link.prune_done(pool);
   EXPECT_EQ(link.stream_count(), 1u);  // `done` pruned, `live` kept
-  EXPECT_FALSE(link.has_pending());  // live has no pending symbols...
+  EXPECT_FALSE(link.has_pending(pool));  // live has no pending symbols...
   live.put(3, 4);
-  EXPECT_TRUE(link.has_pending());  // ...but is still attached after prune
-  const auto d = next(link, kHeader + 64);
+  EXPECT_TRUE(link.has_pending(pool));  // ...but is still attached after prune
+  const auto d = next(pool, link, kHeader + 64);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->view.key.kind, 2u);
 }
 
 /// Kinds of every message the link schedules until it goes idle, one
 /// 8-bit symbol per message, paired with the stream count after each.
-std::vector<std::pair<std::uint16_t, std::size_t>> rotation(Link& link) {
+std::vector<std::pair<std::uint16_t, std::size_t>> rotation(LinkPool& pool,
+                                                            Link& link) {
   std::vector<std::pair<std::uint16_t, std::size_t>> out;
-  while (auto m = next(link, kHeader + 8)) {
+  while (auto m = next(pool, link, kHeader + 8)) {
     out.emplace_back(m->view.key.kind, link.stream_count());
   }
   return out;
@@ -394,12 +398,12 @@ TEST(Link, PruneFromTheMiddleKeepsOrderAndRoundRobinCursor) {
   // names d — so c waits a turn. That is the vector behaviour the pool
   // slots must reproduce exactly: fixed-seed runs depend on it.
   LinkPool pool;
-  Link link(pool);
-  auto a = attach(link, StreamKey{1, 0, 0});
-  auto b = attach(link, StreamKey{2, 0, 0});
-  auto c = attach(link, StreamKey{3, 0, 0});
-  auto d = attach(link, StreamKey{4, 0, 0});
-  auto e = attach(link, StreamKey{5, 0, 0});
+  Link link;
+  auto a = attach(pool, link, StreamKey{1, 0, 0});
+  auto b = attach(pool, link, StreamKey{2, 0, 0});
+  auto c = attach(pool, link, StreamKey{3, 0, 0});
+  auto d = attach(pool, link, StreamKey{4, 0, 0});
+  auto e = attach(pool, link, StreamKey{5, 0, 0});
   for (int i = 0; i < 2; ++i) {
     a.put(1, 8);
     c.put(3, 8);
@@ -412,28 +416,28 @@ TEST(Link, PruneFromTheMiddleKeepsOrderAndRoundRobinCursor) {
   const std::vector<std::pair<std::uint16_t, std::size_t>> want{
       {1, 5}, {2, 5}, {4, 4}, {5, 4}, {1, 4},
       {3, 4}, {4, 4}, {5, 4}, {3, 3}};
-  EXPECT_EQ(rotation(link), want);
+  EXPECT_EQ(rotation(pool, link), want);
   EXPECT_EQ(link.stream_count(), 3u);  // a, c, d: drained but still open
   // A stream opened after the prunes joins behind the survivors, and the
   // rotation resumes where it stopped: after c, at slot 2 (d).
-  auto f = attach(link, StreamKey{6, 0, 0});
+  auto f = attach(pool, link, StreamKey{6, 0, 0});
   a.put(1, 8);
   d.put(4, 8);
   f.put(6, 8);
   const std::vector<std::pair<std::uint16_t, std::size_t>> after{
       {4, 4}, {6, 4}, {1, 4}};
-  EXPECT_EQ(rotation(link), after);
+  EXPECT_EQ(rotation(pool, link), after);
 }
 
 TEST(Link, PruneWrapsTheCursorPastTheCompactedEnd) {
   // c (kind 3) finishes with the cursor on slot 3 (d); pruning c leaves
   // three streams, so the cursor wraps to slot 0 and a goes before d.
   LinkPool pool;
-  Link link(pool);
-  auto a = attach(link, StreamKey{1, 0, 0});
-  auto b = attach(link, StreamKey{2, 0, 0});
-  auto c = attach(link, StreamKey{3, 0, 0});
-  auto d = attach(link, StreamKey{4, 0, 0});
+  Link link;
+  auto a = attach(pool, link, StreamKey{1, 0, 0});
+  auto b = attach(pool, link, StreamKey{2, 0, 0});
+  auto c = attach(pool, link, StreamKey{3, 0, 0});
+  auto d = attach(pool, link, StreamKey{4, 0, 0});
   for (int i = 0; i < 2; ++i) {
     a.put(1, 8);
     b.put(2, 8);
@@ -443,7 +447,7 @@ TEST(Link, PruneWrapsTheCursorPastTheCompactedEnd) {
   c.close();
   const std::vector<std::pair<std::uint16_t, std::size_t>> want{
       {1, 4}, {2, 4}, {3, 4}, {1, 3}, {2, 3}, {4, 3}, {4, 3}};
-  EXPECT_EQ(rotation(link), want);
+  EXPECT_EQ(rotation(pool, link), want);
 }
 
 TEST(LinkPool, PrunedSlotsAreReusedAcrossLinksOfOneShard) {
@@ -451,32 +455,32 @@ TEST(LinkPool, PrunedSlotsAreReusedAcrossLinksOfOneShard) {
   // its one-entry slot goes back to the pool, and link b's next stream
   // takes it instead of carving a fresh one.
   LinkPool pool;
-  Link a(pool);
-  Link b(pool);
-  auto sa = attach(a, StreamKey{1, 0, 0});
+  Link a;
+  Link b;
+  auto sa = attach(pool, a, StreamKey{1, 0, 0});
   sa.put(1, 4);
   sa.close();
   EXPECT_EQ(pool.live_slots(), 1u);
   EXPECT_EQ(pool.carved_slots(), 1u);
-  (void)next(a, kHeader + 64);  // drains, delivers EOS, release_idle prunes
+  (void)next(pool, a, kHeader + 64);  // drains, EOS, release_idle prunes
   EXPECT_EQ(a.stream_count(), 0u);
   EXPECT_EQ(pool.live_slots(), 0u);
-  auto sb = attach(b, StreamKey{2, 0, 0});
+  auto sb = attach(pool, b, StreamKey{2, 0, 0});
   EXPECT_EQ(pool.live_slots(), 1u);
   EXPECT_EQ(pool.carved_slots(), 1u);  // reused, not carved
   // Growth to two streams moves b into a two-entry slot and frees the
   // one-entry slot, which a's next stream then reuses.
-  auto sb2 = attach(b, StreamKey{3, 0, 0});
-  auto sa2 = attach(a, StreamKey{4, 0, 0});
+  auto sb2 = attach(pool, b, StreamKey{3, 0, 0});
+  auto sa2 = attach(pool, a, StreamKey{4, 0, 0});
   EXPECT_EQ(pool.live_slots(), 2u);
   EXPECT_EQ(pool.carved_slots(), 2u);
   // Both links still schedule their own streams.
   sb.put(5, 4);
   sb2.put(6, 4);
   sa2.put(7, 4);
-  const auto mb = next(b, kHeader + 4);
-  const auto mb2 = next(b, kHeader + 4);
-  const auto ma = next(a, kHeader + 4);
+  const auto mb = next(pool, b, kHeader + 4);
+  const auto mb2 = next(pool, b, kHeader + 4);
+  const auto ma = next(pool, a, kHeader + 4);
   ASSERT_TRUE(mb && mb2 && ma);
   EXPECT_EQ(mb->symbols[0].first, 5u);
   EXPECT_EQ(mb2->symbols[0].first, 6u);
@@ -488,24 +492,35 @@ TEST(LinkPool, ReleasesPrunedPayloadsAndSurvivesManyClasses) {
   // vector's resize semantics), and a link can grow through several
   // pool classes without losing stream order.
   LinkPool pool;
-  Link link(pool);
+  Link link;
   std::vector<OutChannel> chans;
   for (std::uint16_t k = 0; k < 20; ++k) {
-    chans.push_back(attach(link, StreamKey{k, 0, 0}));
+    chans.push_back(attach(pool, link, StreamKey{k, 0, 0}));
     chans.back().put(k, 8);
   }
   EXPECT_EQ(link.stream_count(), 20u);
   std::vector<std::uint16_t> kinds;
-  while (auto m = next(link, kHeader + 8)) kinds.push_back(m->view.key.kind);
+  while (auto m = next(pool, link, kHeader + 8)) {
+    kinds.push_back(m->view.key.kind);
+  }
   ASSERT_EQ(kinds.size(), 20u);
   for (std::uint16_t k = 0; k < 20; ++k) EXPECT_EQ(kinds[k], k);
-  const std::weak_ptr<const OutStreamState> watch = chans[3].state();
+  // A third owner watches stream 3's state: the producer's channel, the
+  // link and the watch hold it now.
+  StreamRef watch = chans[3].share(StreamKey{3, 0, 0});
+  EXPECT_EQ(watch->refs, 3u);
   chans[3].close();
-  (void)next(link, kHeader + 8);  // EOS-only message for stream 3
-  link.prune_done();
+  (void)next(pool, link, kHeader + 8);  // EOS-only message for stream 3
+  link.prune_done(pool);
   EXPECT_EQ(link.stream_count(), 19u);
-  chans[3] = OutChannel{};  // the producer lets go too
-  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(watch->refs, 2u);  // the link let go
+  chans[3] = OutChannel{};     // the producer lets go too
+  EXPECT_EQ(watch->refs, 1u);  // so the watch is the last owner...
+  EXPECT_TRUE(watch->closed);  // ...of a state that is still whole
+  // ...and its reset frees the state: a leak here fails the suite under
+  // the asan-ubsan preset, whose leak checker runs at exit.
+  watch.reset();
+  EXPECT_TRUE(watch == nullptr);
 }
 
 TEST(StreamHeaderBits, MatchesLayout) {

@@ -28,52 +28,49 @@ namespace {
 
 constexpr unsigned kHeader = 16;
 
+using Symbols = std::vector<std::pair<std::uint64_t, unsigned>>;
+using Values = std::vector<std::uint64_t>;
+
 // One producer symbol sequence scheduled through a real Link into a view.
 // The link's pool keeps the stream (and so the view's buffer) alive.
 struct Scheduled {
   LinkPool pool;
-  Link link{pool};
+  Link link;
   MsgView view;
   bool ok = false;
 };
 
-void schedule(Scheduled& s, const StreamKey& key,
-              const std::vector<std::pair<std::uint64_t, unsigned>>& symbols,
+void schedule(Scheduled& s, const StreamKey& key, const Symbols& symbols,
               bool close, std::size_t budget_bits) {
   OutChannel ch;
-  s.link.add_stream(key, ch.state());
+  s.link.add_stream(s.pool, ch.share(key));
   for (const auto& [v, w] : symbols) ch.put(v, w);
   if (close) ch.close();
-  s.ok = s.link.schedule_view(budget_bits, kHeader, s.view);
+  s.ok = s.link.schedule_view(s.pool, budget_bits, kHeader, s.view);
+}
+
+/// The values of `symbols`, in order.
+Values values(const Symbols& symbols) {
+  Values out;
+  for (const auto& [v, w] : symbols) out.push_back(v);
+  return out;
+}
+
+/// Header plus the payload bits of `symbols`.
+std::uint64_t wire(const Symbols& symbols) {
+  std::uint64_t bits = kHeader;
+  for (const auto& [v, w] : symbols) bits += w;
+  return bits;
 }
 
 // Replays a record into an InStream exactly as Network::apply_copies does,
-// then pops everything back.
-std::vector<std::pair<std::uint64_t, unsigned>> replay(
-    const MsgBlock::Copy& r) {
+// then pops everything back. The record's widths show in its wire bits.
+Values replay(const MsgBlock::Copy& r) {
   InStream in;
-  if (r.spilled()) {
-    in.deliver_packed(r.words, r.pay_word_count(kHeader), 0,
-                      r.pay_bits(kHeader), r.pay_widths(kHeader),
-                      r.symbol_count);
-  } else {
-    if (r.symbol_count >= 1) in.deliver(r.v[0], r.w0());
-    if (r.symbol_count == 2) in.deliver(r.v[1], r.w1());
-  }
-  if (r.eos()) in.deliver_eos();
-  std::vector<std::pair<std::uint64_t, unsigned>> out;
-  // Widths are recoverable from the record for verification purposes.
-  for (std::uint32_t i = 0; i < r.symbol_count; ++i) {
-    unsigned w;
-    if (r.spilled()) {
-      w = r.pay_widths(kHeader)[i];
-    } else {
-      w = i == 0 ? r.w0() : r.w1();
-    }
-    out.emplace_back(in.pop(), w);
-  }
-  EXPECT_EQ(in.available(), 0u);
+  r.deliver_to(in);
   EXPECT_EQ(in.closed(), r.eos());
+  Values out;
+  while (in.available() > 0) out.push_back(in.pop());
   return out;
 }
 
@@ -103,64 +100,80 @@ TEST(MsgBlock, InlineSingleSymbolRoundTripsEveryKindAndVersion) {
     EXPECT_EQ(r.key().version, keys[i].version);
     EXPECT_TRUE(r.eos());  // budget held the whole stream, EOS piggybacked
     EXPECT_FALSE(r.spilled());
-    EXPECT_EQ(r.symbol_count, 1u);
-    EXPECT_EQ(r.wire_bits, kHeader + 20u);
-    const auto symbols = replay(r);
-    ASSERT_EQ(symbols.size(), 1u);
-    EXPECT_EQ(symbols[0].first, i * 7 + 1);
-    EXPECT_EQ(symbols[0].second, 20u);
+    EXPECT_EQ(r.wire_bits(kHeader), kHeader + 20u);
+    EXPECT_EQ(replay(r), Values{i * 7 + 1});
   }
 }
 
 TEST(MsgBlock, InlineTwoSymbolsIncludingMaxWidth) {
+  // The payload word holds two symbols of 64 bits together, and one
+  // symbol of the full 64.
   MsgBlock block;
-  Scheduled s;
+  Scheduled pair, lone;
   const std::uint64_t big = ~std::uint64_t{0};
-  schedule(s, StreamKey{3, 42, 1}, {{big, 64}, {0x1234, 16}}, /*close=*/false,
-           kHeader + 64 + 16);
-  ASSERT_TRUE(s.ok);
-  block.push(s.view, 9, 2);
+  const Symbols two{{big >> 1, 63}, {1, 1}};
+  schedule(pair, StreamKey{3, 42, 1}, two, /*close=*/false, kHeader + 64);
+  schedule(lone, StreamKey{3, 43, 1}, {{big, 64}}, /*close=*/false,
+           kHeader + 64);
+  ASSERT_TRUE(pair.ok && lone.ok);
+  block.push(pair.view, 9, 2);
+  block.push(lone.view, 9, 3);
   const MsgBlock::Copy& r = block[0];
   EXPECT_FALSE(r.spilled());
   EXPECT_FALSE(r.eos());  // stream not closed
-  ASSERT_EQ(r.symbol_count, 2u);
-  EXPECT_EQ(r.wire_bits, kHeader + 80u);
-  const auto symbols = replay(r);
-  EXPECT_EQ(symbols[0], (std::pair<std::uint64_t, unsigned>{big, 64u}));
-  EXPECT_EQ(symbols[1], (std::pair<std::uint64_t, unsigned>{0x1234u, 16u}));
+  EXPECT_EQ(r.wire_bits(kHeader), kHeader + 64u);
+  EXPECT_EQ(replay(r), values(two));
+  EXPECT_FALSE(block[1].spilled());
+  EXPECT_EQ(block[1].wire_bits(kHeader), kHeader + 64u);
+  EXPECT_EQ(replay(block[1]), Values{big});
+}
+
+TEST(MsgBlock, TwoFortyBitSymbolsSpillAndArriveIntact) {
+  // Two symbols of more than 64 bits together do not fit the payload word.
+  // Shingles' (rho, id) messages take this path from n = 65,536 on, where
+  // an id needs 17 bits and rho 51.
+  MsgBlock block;
+  Scheduled s;
+  const Symbols two{{0xabcdef0123u, 40}, {0x123456789au, 40}};
+  schedule(s, StreamKey{5, 77, 0}, two, /*close=*/true, kHeader + 80);
+  ASSERT_TRUE(s.ok);
+  block.push(s.view, 4, 1);
+  const MsgBlock::Copy& r = block[0];
+  EXPECT_TRUE(r.spilled());
+  EXPECT_TRUE(r.eos());
+  EXPECT_EQ(r.wire_bits(kHeader), kHeader + 80u);
+  EXPECT_EQ(replay(r), values(two));
+  // And the spilled payload survives a move to another block.
+  MsgBlock moved;
+  moved.append(r);
+  EXPECT_EQ(moved[0].wire_bits(kHeader), kHeader + 80u);
+  EXPECT_EQ(replay(moved[0]), values(two));
 }
 
 TEST(MsgBlock, SpilledManySymbolsRoundTrip) {
   MsgBlock block;
   Scheduled s;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-  std::size_t payload_bits = 0;
+  Symbols symbols;
   for (unsigned i = 0; i < 50; ++i) {
     const unsigned w = 3 + (i * 7) % 62;  // mixed widths, crosses words
     symbols.emplace_back((std::uint64_t{i} * 0x9e3779b97f4a7c15u) >> (64 - w),
                          w);
-    payload_bits += w;
   }
-  schedule(s, StreamKey{7, 1000, 3}, symbols, /*close=*/true,
-           kHeader + payload_bits);
+  schedule(s, StreamKey{7, 1000, 3}, symbols, /*close=*/true, wire(symbols));
   ASSERT_TRUE(s.ok);
   block.push(s.view, 5, 0);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.spilled());
   EXPECT_TRUE(r.eos());
-  ASSERT_EQ(r.symbol_count, 50u);
-  EXPECT_EQ(r.pay_bits(kHeader), payload_bits);
-  const auto got = replay(r);
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    EXPECT_EQ(got[i], symbols[i]) << "symbol " << i;
-  }
+  EXPECT_EQ(r.wire_bits(kHeader), wire(symbols));
+  EXPECT_EQ(replay(r), values(symbols));
 }
 
 TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   // All-64-bit payload: the widest legal symbols, word boundaries everywhere.
   MsgBlock block;
   Scheduled s;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
+  Symbols symbols;
   for (unsigned i = 0; i < 8; ++i) {
     symbols.emplace_back(0x0102030405060708u * (i + 1), 64);
   }
@@ -169,9 +182,8 @@ TEST(MsgBlock, SpilledMaxWidthSymbolsRoundTrip) {
   block.push(s.view, 1, 0);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.spilled());
-  ASSERT_EQ(r.symbol_count, 8u);
-  const auto got = replay(r);
-  for (std::size_t i = 0; i < symbols.size(); ++i) EXPECT_EQ(got[i], symbols[i]);
+  EXPECT_EQ(r.wire_bits(kHeader), kHeader + 8 * 64u);
+  EXPECT_EQ(replay(r), values(symbols));
 }
 
 TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
@@ -183,10 +195,10 @@ TEST(MsgBlock, PureEosMessageCarriesNoPayload) {
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.eos());
   EXPECT_FALSE(r.spilled());
-  EXPECT_EQ(r.symbol_count, 0u);
-  EXPECT_EQ(r.wire_bits, kHeader);
+  EXPECT_EQ(r.wire_bits(kHeader), kHeader);
   InStream in;
-  if (r.eos()) in.deliver_eos();
+  r.deliver_to(in);
+  EXPECT_EQ(in.delivered(), 0u);
   EXPECT_TRUE(in.finished());
 }
 
@@ -194,10 +206,10 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   // LOCAL mode drains whole streams through drain_views; a long stream must
   // spill and round-trip through the lane in one message.
   LinkPool pool;
-  Link link(pool);
+  Link link;
   OutChannel ch;
-  link.add_stream(StreamKey{4, 77, 0}, ch.state());
-  std::vector<std::uint64_t> sent;
+  link.add_stream(pool, ch.share(StreamKey{4, 77, 0}));
+  Values sent;
   for (std::uint64_t i = 0; i < 200; ++i) {
     ch.put(i * 13 + 5, 32);
     sent.push_back(i * 13 + 5);
@@ -205,18 +217,14 @@ TEST(MsgBlock, LocalDrainViewsStageUnbounded) {
   ch.close();
   MsgBlock block;
   const std::size_t produced =
-      link.drain_views(kHeader, [&](const MsgView& v) {
+      link.drain_views(pool, kHeader, [&](const MsgView& v) {
         block.push(v, 0, 0);
       });
   ASSERT_EQ(produced, 1u);
   const MsgBlock::Copy& r = block[0];
   EXPECT_TRUE(r.spilled());
-  ASSERT_EQ(r.symbol_count, 200u);
-  const auto got = replay(r);
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(got[i].first, sent[i]);
-    EXPECT_EQ(got[i].second, 32u);
-  }
+  EXPECT_EQ(r.wire_bits(kHeader), kHeader + 200 * 32u);
+  EXPECT_EQ(replay(r), sent);
 }
 
 TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
@@ -235,7 +243,7 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   lane.push(small.view, 10, 4);
 
   Scheduled big;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
+  Symbols symbols;
   for (unsigned i = 0; i < 20; ++i) symbols.emplace_back(i + 1, 17);
   schedule(big, StreamKey{8, 12, 0}, symbols, /*close=*/true,
            kHeader + 20 * 17);
@@ -243,8 +251,8 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   lane.push(big.view, 11, 5);
 
   MsgBlock bucket;  // heap mode
-  bucket.append(lane[0], kHeader);
-  bucket.append(lane[1], kHeader);
+  bucket.append(lane[0]);
+  bucket.append(lane[1]);
 
   // Simulate the next round: the arena rewinds and the lane is sized
   // afresh. The bucket's copies must be unaffected.
@@ -255,20 +263,16 @@ TEST(MsgBlock, AppendFromCopiesInlineAndSpilledRows) {
   EXPECT_EQ(r0.to, 10u);
   EXPECT_EQ(r0.back_index, 4u);
   EXPECT_FALSE(r0.spilled());
-  const auto got0 = replay(r0);
-  ASSERT_EQ(got0.size(), 1u);
-  EXPECT_EQ(got0[0], (std::pair<std::uint64_t, unsigned>{0xabcdu, 16u}));
+  EXPECT_EQ(r0.wire_bits(kHeader), kHeader + 16u);
+  EXPECT_EQ(replay(r0), Values{0xabcd});
 
   const MsgBlock::Copy& r1 = bucket[1];
   EXPECT_EQ(r1.to, 11u);
   EXPECT_EQ(r1.back_index, 5u);
   EXPECT_TRUE(r1.spilled());
   EXPECT_TRUE(r1.eos());
-  const auto got1 = replay(r1);
-  ASSERT_EQ(got1.size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(got1[i], symbols[i]) << "symbol " << i;
-  }
+  EXPECT_EQ(r1.wire_bits(kHeader), wire(symbols));
+  EXPECT_EQ(replay(r1), values(symbols));
 }
 
 TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
@@ -289,7 +293,7 @@ TEST(MsgBlock, ArenaLaneSteadyStateReusesMemory) {
     ASSERT_EQ(lane.size(), 32u);
   }
   // A presized lane holds exactly its records: the arena should stop
-  // growing, at one 40-byte record per copy.
+  // growing, at one 24-byte record per copy.
   const std::size_t hw = arena.high_water_bytes();
   EXPECT_EQ(hw, 32 * sizeof(MsgBlock::Copy));
   arena.reset();
@@ -306,16 +310,16 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
   // The reliability service's wire kinds (kRelAck = 30, kRelRepair = 31)
   // live at the top of the 5-bit kind field: a regression that narrows the
   // packed kind bits truncates exactly these. Lock the round trip for an
-  // inline max-width row under each kind.
+  // inline row of the widest inline payload (64 bits) under each kind.
   static_assert(kRelAck == 30 && kRelRepair == 31);
   static_assert(kRelRepair < kMaxMsgKinds);
   MsgBlock block;
-  const std::uint64_t big = ~std::uint64_t{0};
+  const Symbols two{{~std::uint64_t{0} >> 16, 48}, {0x5a5au, 16}};
   std::vector<Scheduled> scheduled(2);
   const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
   for (std::size_t i = 0; i < 2; ++i) {
-    schedule(scheduled[i], StreamKey{kinds[i], NodeId(40 + i), 2},
-             {{big, 64}, {0x5a5au, 16}}, /*close=*/true, kHeader + 64 + 16);
+    schedule(scheduled[i], StreamKey{kinds[i], NodeId(40 + i), 2}, two,
+             /*close=*/true, kHeader + 64);
     ASSERT_TRUE(scheduled[i].ok);
     block.push(scheduled[i].view, NodeId(i), static_cast<std::uint32_t>(i));
   }
@@ -326,11 +330,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripInlineIncludingMaxWidth) {
     EXPECT_EQ(r.key().version, 2u);
     EXPECT_TRUE(r.eos());
     EXPECT_FALSE(r.spilled());
-    EXPECT_EQ(r.wire_bits, kHeader + 80u);
-    const auto got = replay(r);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], (std::pair<std::uint64_t, unsigned>{big, 64u}));
-    EXPECT_EQ(got[1], (std::pair<std::uint64_t, unsigned>{0x5a5au, 16u}));
+    EXPECT_EQ(r.wire_bits(kHeader), kHeader + 64u);
+    EXPECT_EQ(replay(r), values(two));
   }
 }
 
@@ -339,24 +340,22 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
   // the top kind bits), plus the FEC-release hand-off: append must copy the
   // record and its payload whole.
   MsgBlock block;
-  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
-  std::size_t payload_bits = 0;
+  Symbols symbols;
   for (unsigned i = 0; i < 24; ++i) {
     const unsigned w = 64 - (i % 3);  // max and near-max widths
     symbols.emplace_back(
         (std::uint64_t{i + 1} * 0x9e3779b97f4a7c15u) >> (64 - w), w);
-    payload_bits += w;
   }
   for (const std::uint16_t kind : {kRelAck, kRelRepair}) {
     Scheduled s;
     schedule(s, StreamKey{kind, 9000, 0}, symbols, /*close=*/true,
-             kHeader + payload_bits);
+             wire(symbols));
     ASSERT_TRUE(s.ok);
     block.push(s.view, 7, 3);
   }
   MsgBlock released;  // the rel_parked -> in-flight bucket release path
-  released.append(block[0], kHeader);
-  released.append(block[1], kHeader);
+  released.append(block[0]);
+  released.append(block[1]);
   const std::uint16_t kinds[2] = {kRelAck, kRelRepair};
   for (std::size_t i = 0; i < 2; ++i) {
     const MsgBlock::Copy& r = released[i];
@@ -365,11 +364,8 @@ TEST(MsgBlock, ReliabilityKindsRoundTripSpilled) {
     EXPECT_EQ(r.back_index, 3u);
     EXPECT_TRUE(r.spilled());
     EXPECT_TRUE(r.eos());
-    ASSERT_EQ(r.symbol_count, symbols.size());
-    const auto got = replay(r);
-    for (std::size_t j = 0; j < symbols.size(); ++j) {
-      EXPECT_EQ(got[j], symbols[j]) << "kind " << kinds[i] << " symbol " << j;
-    }
+    EXPECT_EQ(r.wire_bits(kHeader), wire(symbols));
+    EXPECT_EQ(replay(r), values(symbols)) << "kind " << kinds[i];
   }
 }
 
@@ -381,11 +377,12 @@ TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
   // rows carried whole, spilled rows through their payload.
   MsgBlock block;
   Scheduled inline_row, bcast_row, spilled_row;
-  schedule(inline_row, StreamKey{31, 7, 15}, {{~std::uint64_t{0}, 64}, {5, 3}},
-           /*close=*/true, kHeader + 67);
+  const Symbols inline_symbols{{~std::uint64_t{0} >> 3, 61}, {5, 3}};
+  schedule(inline_row, StreamKey{31, 7, 15}, inline_symbols, /*close=*/true,
+           kHeader + 64);
   schedule(bcast_row, StreamKey{2, 11, 0}, {{0x2a, 7}}, /*close=*/false,
            kHeader + 7);
-  std::vector<std::pair<std::uint64_t, unsigned>> spilled;
+  Symbols spilled;
   for (unsigned i = 0; i < 5; ++i) spilled.emplace_back(i * 9 + 1, 20);
   schedule(spilled_row, StreamKey{4, 900, 3}, spilled, /*close=*/true,
            kHeader + 100);
@@ -412,11 +409,13 @@ TEST(MsgBlock, CopiesWalkInStagedOrderAndDecodeToTheirRow) {
     EXPECT_EQ(got.back_index, want[j].back_index) << "copy " << j;
     EXPECT_EQ(got.key(), v.key);
     EXPECT_EQ(got.eos(), v.eos);
-    EXPECT_EQ(got.symbol_count, v.symbol_count);
-    EXPECT_EQ(got.wire_bits, v.wire_bits);
+    EXPECT_EQ(replay(got).size(), v.symbol_count);
+    EXPECT_EQ(got.wire_bits(kHeader), v.wire_bits);
   }
+  EXPECT_FALSE(block[0].spilled());
+  EXPECT_EQ(replay(block[0]), values(inline_symbols));
   EXPECT_EQ(replay(block[1]), replay(block[2]));
-  EXPECT_EQ(replay(block[3]), spilled);
+  EXPECT_EQ(replay(block[3]), values(spilled));
   EXPECT_TRUE(block[3].spilled());
 }
 
@@ -428,7 +427,7 @@ TEST(MsgBlock, RetainKeepsTheRestInOrderWithTheirPayloads) {
   Scheduled inline_row, spilled_row;
   schedule(inline_row, StreamKey{2, 11, 0}, {{0x2a, 7}}, /*close=*/false,
            kHeader + 7);
-  std::vector<std::pair<std::uint64_t, unsigned>> spilled;
+  Symbols spilled;
   for (unsigned i = 0; i < 5; ++i) spilled.emplace_back(i * 9 + 1, 20);
   schedule(spilled_row, StreamKey{4, 900, 3}, spilled, /*close=*/true,
            kHeader + 100);
@@ -446,9 +445,8 @@ TEST(MsgBlock, RetainKeepsTheRestInOrderWithTheirPayloads) {
     EXPECT_EQ(c.spilled(), kept[j] % 2 == 1);
     EXPECT_EQ(replay(c), replay(block[kept[j] % 2 == 1 ? 0 : 1]));
   }
-  EXPECT_EQ(replay(block[0]), spilled);
-  EXPECT_EQ(replay(block[1]),
-            (std::vector<std::pair<std::uint64_t, unsigned>>{{0x2a, 7}}));
+  EXPECT_EQ(replay(block[0]), values(spilled));
+  EXPECT_EQ(replay(block[1]), Values{0x2a});
   block.retain([](const MsgBlock::Copy&) { return false; });
   EXPECT_TRUE(block.empty());
   block.push(inline_row.view, 9, 0);
@@ -584,7 +582,7 @@ class Chatter : public INode {
 };
 
 TEST(StagedCopies, ArenaPeakIsOneRecordAndOneReferencePerCopy) {
-  // The byte budget of the data path: a staged copy costs one 40-byte
+  // The byte budget of the data path: a staged copy costs one 24-byte
   // record in its source shard's arena and, in a dense round, one 8-byte
   // sort reference in its destination shard's arena, next to a 4-byte
   // count per node. Lane doubling or a second per-copy encoding breaks the
@@ -611,6 +609,32 @@ TEST(StagedCopies, ArenaPeakIsOneRecordAndOneReferencePerCopy) {
     EXPECT_LE(prof.arena_bytes_peak_shard,
               prof.lane_msgs_peak * per_copy + counts + kSlack)
         << "lane_msgs_peak=" << prof.lane_msgs_peak;
+  }
+}
+
+TEST(StagedCopies, LinkPoolsHoldOneStreamEntryPerDirectedEdge) {
+  // The byte budget of a stream on a link: every node opens one stream on
+  // all of its links, so at the peak each directed edge holds one 16-byte
+  // LinkStream in its owner shard's pool, and nothing else is carved. The
+  // stream's key and payload live once per open, in the shared state. The
+  // slack is one 16-entry chunk per shard.
+  static_assert(sizeof(LinkStream) == 16 && sizeof(Link) == 16);
+  Rng rng(5);
+  const Graph g = erdos_renyi(3000, 0.01, rng);
+  const std::uint64_t per_edge = 2 * g.m() * sizeof(LinkStream);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetProfile prof;
+    NetConfig cfg;
+    cfg.threads = threads;
+    cfg.profile = &prof;
+    Network net(g, cfg, [](NodeId) { return std::make_unique<Chatter>(); });
+    net.run();
+    ASSERT_TRUE(net.all_done());
+    EXPECT_GE(prof.link_bytes_carved, per_edge);
+    EXPECT_LE(prof.link_bytes_carved,
+              per_edge + threads * 16 * sizeof(LinkStream));
+    EXPECT_EQ(prof.link_bytes_live, 0u);  // every stream was pruned
   }
 }
 

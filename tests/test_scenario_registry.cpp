@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "expt/scenario.hpp"
 
@@ -102,6 +104,43 @@ TEST(ScenarioRegistry, MakersValidateParameterRanges) {
   EXPECT_THROW((void)make_scenario("counterexample",
                                    ScenarioParams().with("delta", -0.5), 1),
                std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, ProbabilitiesOutsideTheUnitIntervalAreRejected) {
+  // Every declared probability key of every family: a merged value below
+  // 0, above 1 or NaN is rejected before the maker runs, naming the family
+  // and the key; 0 and 1 themselves are legal.
+  const auto& registry = ScenarioRegistry::global();
+  std::size_t keys = 0;
+  for (const auto& name : registry.names()) {
+    for (const auto& key : registry.family(name).probabilities) {
+      SCOPED_TRACE(name + "." + key);
+      ++keys;
+      for (const double bad :
+           {-1.0, 1.5, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+        try {
+          (void)registry.make(
+              {name, ScenarioParams().with("n", 100).with(key, bad), 1});
+          ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument& e) {
+          const std::string msg = e.what();
+          EXPECT_NE(msg.find("'" + name + "'"), std::string::npos) << msg;
+          EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+          EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
+        }
+      }
+      for (const double edge : {0.0, 1.0}) {
+        EXPECT_NO_THROW((void)registry.make(
+            {name, ScenarioParams().with("n", 100).with(key, edge), 1}))
+            << edge;
+      }
+    }
+  }
+  // erdos_renyi p; planted_near_clique eps_missing, background_p, halo_p;
+  // theorem background_p, halo_p; planted_partition p_in, p_out;
+  // power_law_web eps_missing; sublinear_clique and blog_snapshot
+  // background_p.
+  EXPECT_EQ(keys, 11u);
 }
 
 TEST(ScenarioRegistry, ParseSpecRoundTrip) {

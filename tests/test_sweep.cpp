@@ -358,6 +358,77 @@ TEST(SweepSpecJson, BenchSpecsParseAndMerge) {
   EXPECT_GE(files, 9u);
 }
 
+/// The spec committed as bench/specs/<name>.json.
+SweepSpec bench_spec(const std::string& name) {
+  std::ifstream in(std::string(NC_BENCH_SPECS_DIR) + "/" + name + ".json");
+  std::stringstream text;
+  text << in.rdbuf();
+  return sweep_spec_from_json(text.str());
+}
+
+/// The table's cells, row by row (header first, separator line skipped),
+/// each trimmed of its padding.
+std::vector<std::vector<std::string>> table_cells(const Table& table) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(table.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("|-", 0) == 0) continue;
+    std::vector<std::string> cells;
+    std::istringstream fields(line.substr(1));
+    std::string cell;
+    while (std::getline(fields, cell, '|')) {
+      const auto first = cell.find_first_not_of(' ');
+      const auto last = cell.find_last_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? ""
+                          : cell.substr(first, last - first + 1));
+    }
+    rows.push_back(std::move(cells));
+  }
+  return rows;
+}
+
+/// A row of `trials` trials, `hits` and `hits2` of them judged successes.
+SweepRow judged_row(std::size_t trials, std::size_t hits, std::size_t hits2) {
+  SweepRow row;
+  row.scenario_family = "theorem";
+  row.algorithm = "dist_near_clique";
+  row.stats.trials = trials;
+  row.stats.successes = hits;
+  row.stats.successes2 = hits2;
+  return row;
+}
+
+TEST(Sweep, TableShowsTheSpecsPredicates) {
+  // e1.json judges theorem57 and, second, effective: the table shows both
+  // rates, so the eps values the effective rate tells apart stay apart.
+  const SweepSpec e1 = bench_spec("e1");
+  ASSERT_EQ(e1.success2.kind, SuccessSpec::Kind::kEffective);
+  auto cells = table_cells(sweep_table(
+      {judged_row(10, 10, 4), judged_row(10, 10, 9)}, e1.success, e1.success2));
+  ASSERT_EQ(cells.size(), 3u);
+  const std::vector<std::string> e1_head{
+      "scenario", "algorithm", "model", "overrides", "success", "success2",
+      "size", "density", "recall", "max_msg_bits", "cost"};
+  EXPECT_EQ(cells[0], e1_head);
+  EXPECT_EQ(cells[1][4], "1.00");
+  EXPECT_EQ(cells[1][5], "0.40");
+  EXPECT_EQ(cells[2][5], "0.90");
+  // e9.json declares no predicate: nothing was judged, so the success
+  // column reads "-" rather than a rate of 0, and no success2 column shows.
+  const SweepSpec e9 = bench_spec("e9");
+  ASSERT_EQ(e9.success.kind, SuccessSpec::Kind::kNone);
+  ASSERT_EQ(e9.success2.kind, SuccessSpec::Kind::kNone);
+  cells = table_cells(
+      sweep_table({judged_row(5, 0, 0)}, e9.success, e9.success2));
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].size(), e1_head.size() - 1);
+  EXPECT_EQ(std::count(cells[0].begin(), cells[0].end(), "success2"), 0);
+  EXPECT_EQ(cells[0][4], "success");
+  EXPECT_EQ(cells[1][4], "-");
+}
+
 SweepSpec full_spec() {
   SweepSpec spec;
   spec.title = "spec file roundtrip";
