@@ -1,6 +1,7 @@
 #include "expt/scenario.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +20,16 @@ NodeId node_count(const ScenarioParams& p, const std::string& key = "n") {
                                 "' must be >= 1");
   }
   return static_cast<NodeId>(n);
+}
+
+/// A probability or fraction: [0, 1].
+ScenarioRegistry::Range unit(std::string key) {
+  return {std::move(key), 0.0, 1.0};
+}
+
+/// A radius, degree or exponent: any finite value >= 0.
+ScenarioRegistry::Range nonnegative(std::string key) {
+  return {std::move(key), 0.0, std::numeric_limits<double>::infinity()};
 }
 
 void require_at_most(const ScenarioParams& p, const std::string& key,
@@ -40,7 +51,7 @@ ScenarioRegistry build_global_registry() {
   // historical seed salts for the same reason.)
   r.add({"erdos_renyi", "G(n, p): every pair independently an edge",
          ScenarioParams().with("n", 200).with("p", 0.1),
-         {"p"},
+         {unit("p")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return Instance{
@@ -56,7 +67,7 @@ ScenarioRegistry build_global_registry() {
              .with("background_p", 0.08)
              .with("halo_p", 0.25)
              .with("permute_ids", 1),
-         {"eps_missing", "background_p", "halo_p"},
+         {unit("eps_missing"), unit("background_p"), unit("halo_p")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            PlantedNearCliqueParams pp;
            pp.n = node_count(p);
@@ -77,7 +88,7 @@ ScenarioRegistry build_global_registry() {
              .with("k", 4)
              .with("p_in", 0.9)
              .with("p_out", 0.05),
-         {"p_in", "p_out"},
+         {unit("p_in"), unit("p_out")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            const auto k = p.get_int("k");
@@ -99,7 +110,7 @@ ScenarioRegistry build_global_registry() {
              .with("avg_deg", 8.0)
              .with("community", 50)
              .with("eps_missing", 0.008),
-         {"eps_missing"},
+         {nonnegative("avg_deg"), unit("eps_missing")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "community", n);
@@ -113,7 +124,7 @@ ScenarioRegistry build_global_registry() {
   r.add({"random_geometric",
          "points in the unit square, edges within `radius` (ad-hoc radio)",
          ScenarioParams().with("n", 300).with("radius", 0.12),
-         {},
+         {nonnegative("radius")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return Instance{
@@ -124,16 +135,11 @@ ScenarioRegistry build_global_registry() {
   r.add({"shingles_counterexample",
          "Claim 1 family: cliques C1, C2 + independent sets I1, I2",
          ScenarioParams().with("n", 120).with("delta", 0.5).with("permute", 1),
-         {},
+         {unit("delta")},
          [](const ScenarioParams& p, std::uint64_t seed) {
-           const double delta = p.get_double("delta");
-           if (delta < 0.0 || delta > 1.0) {
-             throw std::invalid_argument(
-                 "scenario parameter 'delta' must be in [0, 1]");
-           }
            Rng rng(seed);
-           return shingles_counterexample(node_count(p), delta, rng,
-                                          p.get_bool("permute"));
+           return shingles_counterexample(node_count(p), p.get_double("delta"),
+                                          rng, p.get_bool("permute"));
          }});
 
   r.add({"barbell",
@@ -150,7 +156,7 @@ ScenarioRegistry build_global_registry() {
              .with("n", 1000)
              .with("alpha", 0.5)
              .with("background_p", 0.05),
-         {"background_p"},
+         {nonnegative("alpha"), unit("background_p")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed);
            return sublinear_clique(node_count(p), p.get_double("alpha"),
@@ -162,7 +168,7 @@ ScenarioRegistry build_global_registry() {
          "unit-disk radio network with one congested hot-spot clique",
          ScenarioParams().with("n", 300).with("radius", 0.12).with("hotspot",
                                                                    40),
-         {},
+         {nonnegative("radius")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "hotspot", n);
@@ -190,7 +196,7 @@ ScenarioRegistry build_global_registry() {
              .with("step", 6)
              .with("steps", 6)
              .with("background_p", 0.04),
-         {"background_p"},
+         {unit("background_p")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "event", n);
@@ -246,15 +252,11 @@ ScenarioRegistry build_global_registry() {
              .with("eps", 0.2)
              .with("background_p", 0.08)
              .with("halo_p", 0.25),
-         {"background_p", "halo_p"},
+         {unit("delta"), unit("eps"), unit("background_p"), unit("halo_p")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            const double eps = p.get_double("eps");
            const double delta = p.get_double("delta");
-           if (delta < 0.0 || delta > 1.0) {
-             throw std::invalid_argument(
-                 "scenario parameter 'delta' must be in [0, 1]");
-           }
            Rng rng(seed ^ 0x7e0001ULL);
            PlantedNearCliqueParams pp;
            pp.n = n;
@@ -268,7 +270,7 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"linear", "Corollary 2.2: linear-size near-clique (delta = 1/2)",
          ScenarioParams().with("n", 200).with("eps", 0.2),
-         {},
+         {unit("eps")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            // Lazily resolved at call time, when global() is fully built.
            return ScenarioRegistry::global().make(
@@ -284,7 +286,7 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"sublinear", "Corollary 2.3 workload (background_p = 0.05)",
          ScenarioParams().with("n", 500).with("alpha", 0.5),
-         {},
+         {nonnegative("alpha")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            Rng rng(seed ^ 0x7e0003ULL);
            return sublinear_clique(node_count(p), p.get_double("alpha"), 0.05,
@@ -293,22 +295,18 @@ ScenarioRegistry build_global_registry() {
 
   r.add({"counterexample", "Claim 1 / Figure 1 counterexample G_n",
          ScenarioParams().with("n", 120).with("delta", 0.5),
-         {},
+         {unit("delta")},
          [](const ScenarioParams& p, std::uint64_t seed) {
-           const double delta = p.get_double("delta");
-           if (delta < 0.0 || delta > 1.0) {
-             throw std::invalid_argument(
-                 "scenario parameter 'delta' must be in [0, 1]");
-           }
            Rng rng(seed ^ 0x7e0004ULL);
-           return shingles_counterexample(node_count(p), delta, rng);
+           return shingles_counterexample(node_count(p), p.get_double("delta"),
+                                          rng);
          }});
 
   r.add({"web",
          "power-law web background with a hidden near-clique community",
          ScenarioParams().with("n", 250).with("community", 35).with("eps",
                                                                     0.2),
-         {},
+         {unit("eps")},
          [](const ScenarioParams& p, std::uint64_t seed) {
            const NodeId n = node_count(p);
            require_at_most(p, "community", n);
@@ -326,10 +324,10 @@ ScenarioRegistry build_global_registry() {
 
 void ScenarioRegistry::add(Family family) {
   const auto name = family.name;
-  for (const auto& key : family.probabilities) {
-    if (!family.defaults.has(key)) {
+  for (const auto& range : family.ranges) {
+    if (!family.defaults.has(range.key)) {
       throw std::invalid_argument("scenario family '" + name +
-                                  "' declares probability '" + key +
+                                  "' declares a range for '" + range.key +
                                   "' without a default");
     }
   }
@@ -353,12 +351,18 @@ Instance ScenarioRegistry::make(const ScenarioSpec& spec) const {
   const Family& fam = family(spec.family);
   const ScenarioParams merged = merge_params(
       fam.defaults, spec.params, "scenario family '" + spec.family + "'");
-  for (const auto& key : fam.probabilities) {
+  for (const auto& [key, lo, hi] : fam.ranges) {
     const double v = merged.get_double(key);
-    if (!(v >= 0.0 && v <= 1.0)) {  // NaN fails both
+    if (!(std::isfinite(v) && v >= lo && v <= hi)) {
       std::ostringstream msg;
       msg << "scenario family '" << spec.family << "': parameter '" << key
-          << "' is a probability and must be in [0, 1], got " << v;
+          << "' must be ";
+      if (std::isinf(hi)) {
+        msg << "finite and >= " << lo;
+      } else {
+        msg << "in [" << lo << ", " << hi << "]";
+      }
+      msg << ", got " << v;
       throw std::invalid_argument(msg.str());
     }
   }

@@ -37,21 +37,30 @@ class ScenarioRegistry {
   using Maker =
       std::function<Instance(const ScenarioParams&, std::uint64_t seed)>;
 
+  /// The legal values [lo, hi] of one numeric key; hi = +infinity leaves
+  /// it unbounded above. Infinite values are never legal.
+  struct Range {
+    std::string key;
+    double lo = 0.0;
+    double hi = 1.0;
+  };
+
   struct Family {
     std::string name;
     std::string description;
     /// Declares the complete legal parameter set with its default values;
     /// a spec referencing any other key is rejected.
     ScenarioParams defaults;
-    /// The keys of `defaults` that are probabilities (every edge
-    /// probability and the missing-edge fraction): make() rejects a merged
-    /// value outside [0, 1], NaN included.
-    std::vector<std::string> probabilities;
+    /// The keys of `defaults` with a declared range — every probability
+    /// and fraction in [0, 1], radii, degrees and exponents >= 0: make()
+    /// rejects a merged value outside its range, NaN and infinities
+    /// included.
+    std::vector<Range> ranges;
     Maker make;
   };
 
   /// Registers a family. Throws std::invalid_argument on duplicate names
-  /// and on a probability key that `defaults` does not declare.
+  /// and on a range whose key `defaults` does not declare.
   void add(Family family);
 
   /// Looks up a family. Throws std::invalid_argument (listing the known
@@ -61,8 +70,8 @@ class ScenarioRegistry {
   /// Builds the instance for a spec: validates the family and every
   /// override key, merges overrides onto the defaults, and invokes the
   /// maker. Throws std::invalid_argument with a self-explaining message on
-  /// unknown family or parameter names, and on a probability outside
-  /// [0, 1] (naming the family and the key).
+  /// unknown family or parameter names, and on a value outside its declared
+  /// range (naming the family, the key and the range).
   [[nodiscard]] Instance make(const ScenarioSpec& spec) const;
 
   /// Registered family names, sorted.

@@ -417,11 +417,14 @@ Instance power_law_web(NodeId n, double gamma, double avg_deg,
   const double scale = avg_deg * static_cast<double>(n) / total;
   for (auto& x : w) x *= scale;
   const double big_w = avg_deg * static_cast<double>(n);
+  // avg_deg = 0 asks for no background edges; every weight is 0 then, and
+  // w_u w_v / W would be 0 / 0.
+  const bool background = big_w > 0.0;
 
   GraphBuilder b(n);
   if (n <= kStreamingCutoffN) {
     // Exact reference path (bit-for-bit the original implementation).
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u = 0; u < n && background; ++u) {
       for (NodeId v = u + 1; v < n; ++v) {
         const double p = std::min(1.0, w[u] * w[v] / big_w);
         if (rng.next_bernoulli(p)) b.add_edge(u, v);
@@ -452,11 +455,13 @@ Instance power_law_web(NodeId n, double gamma, double avg_deg,
     const auto draws = static_cast<std::uint64_t>(std::llround(big_w / 2.0));
     b.reserve(static_cast<std::size_t>(draws) +
               static_cast<std::size_t>(community) * community / 2);
-    const AliasTable endpoints(w);
-    for (std::uint64_t t = 0; t < draws; ++t) {
-      const auto u = static_cast<NodeId>(endpoints.sample(rng));
-      const auto v = static_cast<NodeId>(endpoints.sample(rng));
-      if (u != v) b.add_edge(u, v);
+    if (background) {
+      const AliasTable endpoints(w);
+      for (std::uint64_t t = 0; t < draws; ++t) {
+        const auto u = static_cast<NodeId>(endpoints.sample(rng));
+        const auto v = static_cast<NodeId>(endpoints.sample(rng));
+        if (u != v) b.add_edge(u, v);
+      }
     }
     add_knocked_out_clique(b, n - community, community,
                            knockout_count(community, eps_missing), rng);

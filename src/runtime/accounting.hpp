@@ -151,9 +151,11 @@ struct NetProfile {
 
   /// Cross-round pool memory, summed over shards at the flush: bytes of
   /// the carved slots (live + on free lists) and of the live ones, for the
-  /// inbox pools (key + stream columns) and the link pools. Live inbox
-  /// bytes follow the streams nodes can still read: retired keys and done
-  /// nodes' inboxes give theirs back.
+  /// inbox pools (key + stream columns, 24 bytes per slot entry) and the
+  /// link pools. A slot counts at its class size, so a bucket holds up to
+  /// a quarter more entries than streams. Live inbox bytes follow the
+  /// streams nodes can still read: retired keys and done nodes' inboxes
+  /// give theirs back.
   std::uint64_t inbox_bytes_carved = 0;
   std::uint64_t inbox_bytes_live = 0;
   std::uint64_t link_bytes_carved = 0;

@@ -41,15 +41,19 @@ static_assert(sizeof(InboxKey) == 8, "InboxKey must stay one word");
 
 /// Bucket-column storage of one shard's inboxes: every bucket's key column
 /// and stream column sit in slots of these two pools, allocated and freed
-/// in lockstep so one handle names both.
+/// in lockstep so one handle and one class name both — 24 bytes per entry.
 struct InboxPool {
   SlotPool<InboxKey> keys;
   SlotPool<InStream> streams;
 
-  [[nodiscard]] std::uint32_t alloc(unsigned cls) {
+  /// A slot of class `cls` in both pools; raises `cls` as SlotPool::alloc
+  /// does, identically in both, since their free lists match.
+  [[nodiscard]] std::uint32_t alloc(unsigned& cls) {
+    unsigned twin_cls = cls;
     const std::uint32_t slot = keys.alloc(cls);
-    [[maybe_unused]] const std::uint32_t twin = streams.alloc(cls);
-    nc_invariant(slot == twin, "inbox key/stream pools fell out of lockstep");
+    [[maybe_unused]] const std::uint32_t twin = streams.alloc(twin_cls);
+    nc_invariant(slot == twin && cls == twin_cls,
+                 "inbox key/stream pools fell out of lockstep");
     return slot;
   }
   void free(unsigned cls, std::uint32_t slot) {
@@ -92,17 +96,21 @@ struct InboxPool {
 ///
 /// Each bucket is stored structure-of-arrays: a dense column of 8-byte
 /// packed (ni, tag, version) keys that the binary search strides, and a
-/// parallel column of the 32-byte InStream payloads indexed by the same
-/// position — 40 bytes per received stream. An AoS bucket (key embedded
+/// parallel column of the 16-byte InStream payloads indexed by the same
+/// position — 24 bytes per received stream. An AoS bucket (key embedded
 /// next to its stream) made every search probe pull a whole stream into
 /// cache and every insert shift whole InStreams; splitting the keys out
 /// keeps eight of them per cache line, which matters because the two
 /// hottest operations in the whole simulator — open() on each delivered
 /// message and find() on each protocol-side poll — both funnel into this
 /// search. Both columns live in one slot of the shard's InboxPool and grow
-/// like a vector (a full bucket moves to a slot twice the size and frees
-/// the old one for reuse), so the inboxes of a shard share a few pool
-/// chunks instead of two heap blocks per bucket.
+/// like a vector (a full bucket moves to a slot at least twice the size
+/// and frees the old one for reuse), so the inboxes of a shard share a few
+/// pool chunks instead of two heap blocks per bucket. A bucket the
+/// runtime knows the size of up front — a dense round delivers a node's
+/// whole run of copies at once — is created at that size by reserve(),
+/// in the tightest of the pool's quarter-octave classes, instead of
+/// doubling up from one entry.
 ///
 /// Lookups are memoized per bucket (not one shared slot): deliveries within
 /// a round arrive from ascending sources but alternate message kinds, and
@@ -224,10 +232,21 @@ class Inbox {
     if (kept == 0) release(bucket);
   }
 
+  /// Creates `kind`'s bucket with room for `n` streams, unless it already
+  /// holds a slot (runtime use: the deliver phase, before a node's run of
+  /// copies). Changes no observable state: the bucket is still empty.
+  void reserve(std::uint16_t kind, std::size_t n) {
+    Bucket& bucket = bucket_for(check_kind(kind));
+    if (bucket.slot != kNoSlot) return;
+    unsigned cls = slot_class_for(n);
+    bucket.slot = pool_->alloc(cls);
+    bucket.cls = static_cast<std::uint8_t>(cls);
+  }
+
   /// Drops every stream and returns every bucket slot to the pool.
   void clear() {
     for (Bucket& bucket : store_) {
-      if (bucket.size == 0) continue;
+      if (bucket.slot == kNoSlot) continue;
       InStream* streams = streams_of(bucket);
       for (std::uint32_t i = 0; i < bucket.size; ++i) streams[i] = InStream{};
       release(bucket);
@@ -243,11 +262,23 @@ class Inbox {
     return total;
   }
 
+  /// Streams `kind`'s bucket holds before it grows: its slot's class size,
+  /// or 0 while it holds no slot.
+  [[nodiscard]] std::size_t capacity(std::uint16_t kind) const {
+    const std::int8_t slot = slot_[check_kind(kind)];
+    if (slot < 0) return 0;
+    const Bucket& bucket = store_[static_cast<std::size_t>(slot)];
+    return bucket.slot == kNoSlot ? 0 : slot_class_size(bucket.cls);
+  }
+
  private:
+  static constexpr std::uint32_t kNoSlot = SlotPool<InStream>::kNoSlot;
+
   struct Bucket {
-    /// InboxPool handle, held iff size > 0.
-    std::uint32_t slot = SlotPool<InStream>::kNoSlot;
-    std::uint32_t size = 0;  ///< live entries; the slot holds 2^cls
+    /// InboxPool handle, held while size > 0 and after a reserve().
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t size = 0;  ///< live entries; the slot holds
+                             ///< slot_class_size(cls)
 
     /// Last-hit memo (see class comment); validated by value on every use,
     /// so it can never go stale in an observable way.
@@ -293,7 +324,7 @@ class Inbox {
   }
 
   /// Returns an emptied bucket's slot to the pool; the next insert takes a
-  /// fresh class-0 slot.
+  /// fresh one-entry slot.
   void release(Bucket& b) {
     pool_->free(b.cls, b.slot);
     b = Bucket{};
@@ -301,12 +332,11 @@ class Inbox {
 
   /// Inserts a fresh stream under `want` at position `idx` — the vector
   /// insert, on pool slots: shift the tail within the slot, or move the
-  /// whole bucket into a slot of the next class when it is full.
+  /// whole bucket into a slot at least twice the size when it is full.
   void insert(Bucket& b, std::size_t idx, const InboxKey& want) {
     const std::size_t n = b.size;
-    if (b.slot == SlotPool<InStream>::kNoSlot ||
-        n == (std::size_t{1} << b.cls)) {
-      const unsigned cls = b.slot == SlotPool<InStream>::kNoSlot ? 0 : b.cls + 1u;
+    if (b.slot == kNoSlot || n == slot_class_size(b.cls)) {
+      unsigned cls = b.slot == kNoSlot ? 0 : slot_class_grown(b.cls);
       const std::uint32_t slot = pool_->alloc(cls);
       InboxKey* keys = pool_->keys.data(cls, slot);
       InStream* streams = pool_->streams.data(cls, slot);

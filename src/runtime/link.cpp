@@ -7,17 +7,19 @@ namespace nc {
 
 void Link::add_stream(LinkPool& pool, StreamRef state) {
   if (count_ == 0) {
-    slot_ = pool.alloc(0);
-    cls_ = 0;
-  } else if (count_ == (std::uint32_t{1} << cls_)) {
-    // Full: move into a slot twice the size, exactly as a vector regrows.
-    const std::uint32_t bigger = pool.alloc(cls_ + 1u);
+    unsigned cls = 0;
+    slot_ = pool.alloc(cls);
+    cls_ = static_cast<std::uint8_t>(cls);
+  } else if (count_ == slot_class_size(cls_)) {
+    // Full: move into a slot at least twice the size, as a vector regrows.
+    unsigned cls = slot_class_grown(cls_);
+    const std::uint32_t bigger = pool.alloc(cls);
     LinkStream* from = pool.data(cls_, slot_);
-    LinkStream* to = pool.data(cls_ + 1u, bigger);
+    LinkStream* to = pool.data(cls, bigger);
     for (std::uint32_t i = 0; i < count_; ++i) to[i] = std::move(from[i]);
     pool.free(cls_, slot_);
     slot_ = bigger;
-    ++cls_;
+    cls_ = static_cast<std::uint8_t>(cls);
   }
   pool.data(cls_, slot_)[count_] = LinkStream{std::move(state)};
   ++count_;

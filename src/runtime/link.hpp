@@ -67,8 +67,8 @@ using LinkPool = SlotPool<LinkStream>;
 ///
 /// Storage: the Link itself is 16 bytes — a handle into its shard's
 /// LinkPool plus the stream count and the round-robin cursor — and its
-/// streams live in a pool slot of 2^k entries that behaves exactly like a
-/// vector: appends in open order, doubles when full, and prune compaction
+/// streams live in a pool slot that behaves exactly like a vector: appends
+/// in open order, at least doubles when full, and prune compaction
 /// keeps the survivors in order. A link whose streams are all pruned hands
 /// its slot back for the next link of the shard to reuse; most links never
 /// hold two streams at once, so the shard's links share a small set of
@@ -186,7 +186,7 @@ class Link {
   std::uint32_t slot_ = LinkPool::kNoSlot;  ///< held iff count_ > 0
   std::uint32_t count_ = 0;
   std::uint32_t rr_pos_ = 0;
-  std::uint8_t cls_ = 0;  ///< the slot holds 2^cls_ streams
+  std::uint8_t cls_ = 0;  ///< the slot holds slot_class_size(cls_) streams
   // Set when some stream's EOS got delivered; prune_done early-outs on it
   // (it runs once per scheduled message, and usually nothing has finished).
   bool any_done_ = false;

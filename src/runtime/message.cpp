@@ -145,20 +145,8 @@ void SymbolBuffer::append_packed(const std::uint64_t* src_words,
   } else {
     reserve_spilled(end_size, end_bits);
     std::memcpy(wid_.heap + size_, widths, count);
-    std::size_t dst = total_bits_;
-    std::size_t src = src_bit;
-    for (std::size_t rem = nbits; rem > 0;) {
-      const unsigned take = rem >= 64 ? 64u : static_cast<unsigned>(rem);
-      const std::uint64_t v =
-          read_packed_bits(src_words, src_word_count, src, take);
-      const std::size_t word = dst >> 6;
-      const unsigned off = static_cast<unsigned>(dst & 63);
-      pay_.heap[word] |= v << off;
-      if (off + take > 64) pay_.heap[word + 1] |= v >> (64 - off);
-      dst += take;
-      src += take;
-      rem -= take;
-    }
+    or_packed_bits(pay_.heap, total_bits_, src_words, src_word_count, src_bit,
+                   nbits);
   }
   size_ = static_cast<std::uint32_t>(end_size);
   total_bits_ = static_cast<std::uint32_t>(end_bits);

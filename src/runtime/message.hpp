@@ -61,7 +61,7 @@ unsigned stream_header_bits(unsigned id_bits) noexcept;
 /// every reader sees one packed little-endian word array either way.
 ///
 /// Both counts are 32-bit and capped at kMaxLength, which keeps the
-/// object at 24 bytes and leaves readers a spare cursor bit (InStream).
+/// object at 24 bytes and leaves readers a spare cursor bit (LinkStream).
 /// A put() or append that would cross the cap throws std::length_error
 /// before touching the buffer or the source.
 class SymbolBuffer {
@@ -147,6 +147,12 @@ class SymbolBuffer {
                      std::size_t src_bit, std::size_t nbits,
                      const std::uint8_t* widths, std::size_t count);
 
+  /// Heap capacities, as pure functions of the live counts (so they need
+  /// no fields): doubling, from 2 words and 16 widths. InStream's spill
+  /// block uses the same ones.
+  static std::size_t word_capacity(std::size_t words) noexcept;
+  static std::size_t width_capacity(std::size_t symbols) noexcept;
+
  private:
   /// put() past the inline tier: spills or grows the heap arrays first.
   void put_spilled(std::uint64_t value, unsigned width);
@@ -168,11 +174,6 @@ class SymbolBuffer {
   /// leaves it empty and inline. Precondition: this buffer holds no heap
   /// arrays.
   void take(SymbolBuffer& other) noexcept;
-
-  /// Heap capacities, as pure functions of the live counts (so they need
-  /// no fields): doubling, from 2 words and 16 widths.
-  static std::size_t word_capacity(std::size_t words) noexcept;
-  static std::size_t width_capacity(std::size_t symbols) noexcept;
 
   // Each union holds its inline member until the buffer spills, its heap
   // pointer after: spilled() says which, so nothing else tags them.
@@ -201,6 +202,25 @@ class SymbolBuffer {
   if (off != 0 && word + 1 < word_count) v |= words[word + 1] << (64 - off);
   if (take < 64) v &= (1ULL << take) - 1;
   return v;
+}
+
+/// ORs `nbits` bits read from a packed word array at bit `src_bit` into
+/// `dst` at bit `dst_bit`, in 64-bit chunks. Exact when `dst` is zero
+/// from `dst_bit` on, as a buffer's words past its payload are.
+inline void or_packed_bits(std::uint64_t* dst, std::size_t dst_bit,
+                           const std::uint64_t* src, std::size_t src_word_count,
+                           std::size_t src_bit, std::size_t nbits) noexcept {
+  for (std::size_t rem = nbits; rem > 0;) {
+    const unsigned take = rem >= 64 ? 64u : static_cast<unsigned>(rem);
+    const std::uint64_t v = read_packed_bits(src, src_word_count, src_bit, take);
+    const std::size_t word = dst_bit >> 6;
+    const unsigned off = static_cast<unsigned>(dst_bit & 63);
+    dst[word] |= v << off;
+    if (off + take > 64) dst[word + 1] |= v >> (64 - off);
+    dst_bit += take;
+    src_bit += take;
+    rem -= take;
+  }
 }
 
 }  // namespace nc

@@ -3,6 +3,8 @@
 // nclint:allow-file(wall-clock): opt-in profile/telemetry timers (NetConfig::profile, NetConfig::telemetry) — steady_clock reads only feed NetProfile seconds and trace span timestamps, never a simulation decision.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -191,6 +193,11 @@ Network::Network(const Graph& g, const NetConfig& config,
         "neighbour-index field");
   }
   const std::size_t directed_edges = edge_base_[n_];
+  if (directed_edges >= (std::size_t{1} << 32)) {
+    throw std::invalid_argument(
+        "Network: a graph of >= 2^32 directed edges does not fit the 32-bit "
+        "active-link index");
+  }
   edge_owner_.resize(directed_edges);
   reverse_index_.resize(directed_edges);
   {
@@ -325,7 +332,7 @@ void Network::refresh_outgoing(NodeId v) {
   for (std::size_t e = edge_base_[v]; e < edge_base_[v + 1]; ++e) {
     if (!link_active_[e] && links_[e].has_pending(sh.link_pool)) {
       link_active_[e] = 1;
-      sh.active_links.push_back(e);
+      sh.active_links.push_back(static_cast<std::uint32_t>(e));
     }
   }
 }
@@ -416,6 +423,20 @@ void Network::apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                            const MsgBlock::Copy* const* run,
                            std::size_t count) {
   auto& st = states_[to];
+  if (count > 1) {
+    // A dense round's whole run: a bucket that does not exist yet is
+    // created once, sized for its kind's copies, instead of doubling up.
+    std::array<std::uint32_t, kMaxMsgKinds> per_kind{};
+    std::uint32_t kinds = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      ++per_kind[run[i]->kind()];
+      kinds |= std::uint32_t{1} << run[i]->kind();
+    }
+    for (; kinds != 0; kinds &= kinds - 1) {
+      const auto kind = static_cast<std::uint16_t>(std::countr_zero(kinds));
+      st.inbox.reserve(kind, per_kind[kind]);
+    }
+  }
   for (std::size_t i = 0; i < count; ++i) {
     const MsgBlock::Copy& c = *run[i];
     batch.charge(c.kind(), c.wire_bits(header_bits_));
@@ -623,7 +644,7 @@ void Network::size_lanes(Shard& sh) {
   std::size_t* want = sh.arena.allocate_array<std::size_t>(k);
   std::fill_n(want, k, std::size_t{0});
   const bool local = config_.mode == NetConfig::Mode::kLocal;
-  for (const std::size_t e : sh.active_links) {
+  for (const std::uint32_t e : sh.active_links) {
     const NodeId from = edge_owner_[e];
     const NodeId to = graph_->neighbors(from)[e - edge_base_[from]];
     if (done_[to] != 0) continue;
@@ -706,7 +727,7 @@ void Network::stage_shard(unsigned s) {
   NodeId view_from = 0;
   bool view_live = false;
   const bool adversity = faults_ != nullptr || rel_ != nullptr;
-  for (const std::size_t e : sh.active_links) {
+  for (const std::uint32_t e : sh.active_links) {
     const NodeId from = edge_owner_[e];
     const std::size_t ni = e - edge_base_[from];
     Link& link = links_[e];

@@ -284,7 +284,9 @@ class Network {
  public:
   /// Builds a network over communication graph `g`. `factory(v)` constructs
   /// the protocol instance for node v. Throws std::invalid_argument if a
-  /// node has degree >= 2^28, the most a packed inbox key can index.
+  /// node has degree >= 2^28, the most a packed inbox key can index, or
+  /// the graph has >= 2^32 directed edges, the most the 32-bit active-link
+  /// sets can index.
   Network(const Graph& g, const NetConfig& config,
           const std::function<std::unique_ptr<INode>(NodeId)>& factory);
 
@@ -379,8 +381,9 @@ class Network {
     NodeId begin = 0;  ///< first owned node
     NodeId end = 0;    ///< one past the last owned node
 
-    /// Directed edges owned by this shard's nodes with pending traffic.
-    std::vector<std::size_t> active_links;
+    /// Directed edges owned by this shard's nodes with pending traffic,
+    /// as 32-bit edge indices (the constructor caps the edge count).
+    std::vector<std::uint32_t> active_links;
 
     /// round -> armed owned nodes; entries lazily invalidated on re-arm.
     std::map<std::uint64_t, std::vector<NodeId>> alarm_buckets;  // nclint:allow(ordered-map) sparse round buckets; common case is the memo, map walk is rare
@@ -544,7 +547,8 @@ class Network {
   /// Applies `count` copies to node `to` in the given order: each is
   /// charged to `batch` (flushed into the shard's traffic partial once per
   /// phase), sets its kind's bit in arrived_kinds and reaches the inbox,
-  /// and the node wakes.
+  /// and the node wakes. A run of several copies first sizes each kind's
+  /// new inbox bucket for that kind's copies in it (Inbox::reserve).
   void apply_copies(Shard& dst, TrafficBatch& batch, NodeId to,
                     const MsgBlock::Copy* const* run, std::size_t count);
 

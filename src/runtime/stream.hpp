@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 
 #include "runtime/message.hpp"
@@ -132,48 +133,96 @@ class OutChannel {
   StreamRef state_;
 };
 
-/// Receiver side of a logical stream: a growing buffer of delivered symbols
-/// plus the EOS flag. Protocol code consumes it strictly sequentially.
-/// Copyable and movable: inbox buckets shift and regrow their columns.
+/// Receiver side of a logical stream: the delivered symbols plus the EOS
+/// flag. Protocol code consumes it strictly sequentially. Copyable and
+/// movable: inbox buckets shift and regrow their columns.
 ///
-/// 32 bytes: the 24-byte SymbolBuffer, a 32-bit symbol cursor, and a 31-bit
-/// bit cursor sharing its word with the EOS flag. A buffer holds at most
-/// 2^31 - 1 symbols and bits (SymbolBuffer::kMaxLength), so both cursors
-/// fit, and a delivery past that throws std::length_error.
+/// 16 bytes, two-tier at SymbolBuffer's boundary. A stream whose delivered
+/// symbols fit one word — at most 8 symbols and 64 payload bits, which
+/// covers the paper's O(log n)-bit messages and so almost every received
+/// stream — keeps its payload word and one meta word in the object, with
+/// no heap block. The meta word holds eight 6-bit (width − 1) fields, the
+/// symbol count, the read index, a 6-bit read offset (the bits consumed,
+/// mod 64: all 64 are consumed only once every symbol is), the EOS bit and
+/// the spilled bit. The 9th symbol or the 65th bit *spills* the stream:
+/// its symbols move into one heap block the payload word then points to —
+/// 32-bit counts and read cursors, then the packed payload words, then
+/// the widths, at SymbolBuffer's heap capacities — so a spilled stream
+/// costs one block, not the two of a spilled SymbolBuffer. The tier is a
+/// pure function of what was delivered, so pop() sequences are those of a
+/// plain SymbolBuffer either way. A stream holds at most 2^31 - 1 symbols
+/// and bits (SymbolBuffer::kMaxLength), so the counts fit, and a delivery
+/// past that throws std::length_error and leaves the stream as it was.
 class InStream {
  public:
-  /// Appends a delivered symbol (runtime use).
-  void deliver(std::uint64_t value, unsigned width) { buf_.put(value, width); }
+  InStream() noexcept = default;
+  InStream(const InStream& other);
+  InStream(InStream&& other) noexcept
+      : pay_(std::exchange(other.pay_, Payload{0})),
+        meta_(std::exchange(other.meta_, 0)) {}
+  InStream& operator=(const InStream& other) {
+    if (this != &other) *this = InStream(other);
+    return *this;
+  }
+  InStream& operator=(InStream&& other) noexcept {
+    if (this != &other) {
+      release();
+      pay_ = std::exchange(other.pay_, Payload{0});
+      meta_ = std::exchange(other.meta_, 0);
+    }
+    return *this;
+  }
+  ~InStream() { release(); }
+
+  /// Appends a delivered symbol (runtime use). Precondition as
+  /// SymbolBuffer::put: width in 1..64 and value < 2^width.
+  void deliver(std::uint64_t value, unsigned width) {
+    if (!spilled()) {
+      const unsigned n = count();
+      const unsigned bits = inline_bits();
+      if (n < kInlineSymbols && bits + width <= 64) {
+        // bits <= 63 here, as width >= 1.
+        pay_.word |= value << bits;
+        meta_ += (std::uint64_t{width - 1} << (6 * n)) + kOneSymbol;
+        return;
+      }
+    }
+    deliver_spilled(value, width);
+  }
 
   /// Appends a whole run of `count` symbols (`nbits` payload bits) blitted
   /// from a packed word array in 64-bit chunks (runtime use — the deliver
   /// phase moves a message's payload with this instead of per-symbol puts;
-  /// the resulting buffer is bit-identical to the put() sequence).
+  /// the resulting stream is bit-identical to the deliver() sequence).
   void deliver_packed(const std::uint64_t* words, std::size_t word_count,
                       std::size_t src_bit, std::size_t nbits,
-                      const std::uint8_t* widths, std::size_t count) {
-    buf_.append_packed(words, word_count, src_bit, nbits, widths, count);
-  }
+                      const std::uint8_t* widths, std::size_t count);
 
   /// Marks EOS delivered (runtime use).
-  void deliver_eos() noexcept { closed_ = 1; }
+  void deliver_eos() noexcept { meta_ |= kEosBit; }
 
   /// Symbols delivered but not yet consumed.
   [[nodiscard]] std::size_t available() const noexcept {
-    return buf_.size() - read_idx_;
+    return spilled() ? pay_.spill->size - pay_.spill->read_idx
+                     : count() - read_idx();
   }
 
   /// Consumes the next symbol. Precondition: available() > 0.
   std::uint64_t pop() noexcept {
-    const unsigned w = buf_.width_at(read_idx_);
-    const std::uint64_t v = buf_.value_at(read_bit_, w);
-    read_bit_ += w;
-    ++read_idx_;
+    if (spilled()) return pop_spilled();
+    const unsigned idx = read_idx();
+    const unsigned w = inline_width(idx);
+    const unsigned off = read_off();
+    std::uint64_t v = pay_.word >> off;
+    if (w < 64) v &= (std::uint64_t{1} << w) - 1;
+    meta_ = (meta_ & ~kCursorMask) |
+            (std::uint64_t{idx + 1} << kReadIdxShift) |
+            (std::uint64_t{(off + w) & 63} << kReadOffShift);
     return v;
   }
 
   /// True if EOS was delivered.
-  [[nodiscard]] bool closed() const noexcept { return closed_ != 0; }
+  [[nodiscard]] bool closed() const noexcept { return (meta_ & kEosBit) != 0; }
 
   /// True if EOS was delivered and everything has been consumed.
   [[nodiscard]] bool finished() const noexcept {
@@ -181,17 +230,96 @@ class InStream {
   }
 
   /// Total symbols ever delivered (consumed or not).
-  [[nodiscard]] std::size_t delivered() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t delivered() const noexcept {
+    return spilled() ? pay_.spill->size : count();
+  }
+
+  /// True once the stream has outgrown its inline word (see above).
+  [[nodiscard]] bool spilled() const noexcept {
+    return (meta_ & kSpillBit) != 0;
+  }
 
  private:
-  SymbolBuffer buf_;
-  std::uint32_t read_idx_ = 0;       ///< symbols consumed
-  std::uint32_t read_bit_ : 31 = 0;  ///< payload bits consumed
-  std::uint32_t closed_ : 1 = 0;     ///< EOS delivered
+  /// Header of a spilled stream's heap block. The block goes on with the
+  /// payload words (little-endian bit order, zero past the payload) and
+  /// then the width bytes, at SymbolBuffer::word_capacity and
+  /// width_capacity of the counts, so the capacities need no fields.
+  struct Spill {
+    std::uint32_t size;      ///< symbols delivered
+    std::uint32_t bits;      ///< payload bits delivered
+    std::uint32_t read_idx;  ///< symbols consumed
+    std::uint32_t read_bit;  ///< payload bits consumed
+  };
+
+  static constexpr unsigned kInlineSymbols = SymbolBuffer::kInlineSymbols;
+  // Meta word: (width - 1) of inline symbol i at bits 6i..6i+5, then the
+  // count, the read index and the read offset, then EOS and spilled. A
+  // spilled stream's meta word holds only its EOS and spilled bits.
+  static constexpr std::uint64_t kWidthFields = (std::uint64_t{1} << 48) - 1;
+  static constexpr unsigned kCountShift = 48;
+  static constexpr unsigned kReadIdxShift = 52;
+  static constexpr unsigned kReadOffShift = 56;
+  static constexpr std::uint64_t kOneSymbol = std::uint64_t{1} << kCountShift;
+  static constexpr std::uint64_t kCursorMask = std::uint64_t{0x3FF}
+                                               << kReadIdxShift;
+  static constexpr std::uint64_t kEosBit = std::uint64_t{1} << 62;
+  static constexpr std::uint64_t kSpillBit = std::uint64_t{1} << 63;
+
+  [[nodiscard]] unsigned count() const noexcept {
+    return static_cast<unsigned>(meta_ >> kCountShift) & 15u;
+  }
+  [[nodiscard]] unsigned read_idx() const noexcept {
+    return static_cast<unsigned>(meta_ >> kReadIdxShift) & 15u;
+  }
+  [[nodiscard]] unsigned read_off() const noexcept {
+    return static_cast<unsigned>(meta_ >> kReadOffShift) & 63u;
+  }
+  [[nodiscard]] unsigned inline_width(unsigned i) const noexcept {
+    return (static_cast<unsigned>(meta_ >> (6 * i)) & 63u) + 1;
+  }
+  /// Inline payload bits: the count plus the sum of the (width - 1)
+  /// fields, which are 0 past the count. The eight 6-bit fields are summed
+  /// as four 12-bit pairs, then the pairs by one multiply into bits 36..47.
+  [[nodiscard]] unsigned inline_bits() const noexcept {
+    constexpr std::uint64_t kEven = 0x03F03F03F03FULL;
+    const std::uint64_t six = meta_ & kWidthFields;
+    const std::uint64_t pairs = (six & kEven) + ((six >> 6) & kEven);
+    return static_cast<unsigned>((pairs * 0x001001001001ULL) >> 36 & 0xFFFu) +
+           count();
+  }
+
+  /// deliver() past the inline tier: spills first if still inline.
+  void deliver_spilled(std::uint64_t value, unsigned width);
+
+  /// pop() of a spilled stream.
+  std::uint64_t pop_spilled() noexcept;
+
+  /// Appends to a stream that is spilled or is about to spill: moves the
+  /// symbols into a block with room for the run (a fresh one when the
+  /// capacities change), then copies the run in.
+  void append_spilled(const std::uint64_t* words, std::size_t word_count,
+                      std::size_t src_bit, std::size_t nbits,
+                      const std::uint8_t* widths, std::size_t count);
+
+  /// A zeroed block with room for `size` symbols of `bits` payload bits,
+  /// holding this stream's symbols and cursors (inline or spilled).
+  [[nodiscard]] Spill* make_block(std::size_t size, std::size_t bits) const;
+
+  void release() noexcept {
+    if (spilled()) ::operator delete(pay_.spill);
+  }
+
+  // The spilled bit says which member is live, so nothing else tags it.
+  union Payload {
+    std::uint64_t word;  ///< inline tier: the payload word
+    Spill* spill;        ///< spilled: the heap block
+  };
+  Payload pay_{0};
+  std::uint64_t meta_ = 0;
 };
 
-// Inbox buckets hold millions of these (src/runtime/inbox.hpp): two per
-// cache line, with the inline SymbolBuffer tier covering the common stream.
-static_assert(sizeof(InStream) == 32, "InStream must stay 32 bytes");
+// Inbox buckets hold millions of these (src/runtime/inbox.hpp): with its
+// 8-byte key a received stream costs 24 bytes.
+static_assert(sizeof(InStream) == 16, "InStream must stay 16 bytes");
 
 }  // namespace nc

@@ -171,6 +171,19 @@ TEST(Generators, PowerLawWebHasPlantedCommunity) {
   EXPECT_GT(static_cast<double>(max_deg), 3.0 * avg);
 }
 
+TEST(Generators, PowerLawWebOfAverageDegreeZeroIsTheCommunityAlone) {
+  // avg_deg = 0 leaves no background edges on both the exact path and the
+  // streaming one above kStreamingCutoffN, not K_n or a zero-weight throw.
+  for (const NodeId n : {NodeId{300}, NodeId{kStreamingCutoffN + 1}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(9);
+    const auto inst = power_law_web(n, 2.5, 0.0, 30, 0.0, rng);
+    EXPECT_EQ(inst.graph.n(), n);
+    EXPECT_EQ(inst.graph.m(), 30u * 29 / 2);
+    EXPECT_TRUE(is_clique(inst.graph, inst.planted));
+  }
+}
+
 TEST(Generators, PermuteInstancePreservesStructure) {
   Rng rng(10);
   GraphBuilder b(20);

@@ -325,10 +325,220 @@ TEST(InStream, DeliverPackedSpillingMidRunMatchesPuts) {
   }
 }
 
+/// Pops everything `s` has available.
+std::vector<std::uint64_t> drain(InStream& s) {
+  std::vector<std::uint64_t> out;
+  while (s.available() > 0) out.push_back(s.pop());
+  return out;
+}
+
+TEST(InStream, TheEighthSymbolStaysInlineAndTheNinthSpills) {
+  InStream s;
+  for (std::uint64_t i = 0; i < 8; ++i) s.deliver(i, 3);
+  EXPECT_FALSE(s.spilled());
+  InStream nine = s;
+  nine.deliver(5, 3);
+  EXPECT_TRUE(nine.spilled());
+  EXPECT_EQ(drain(s), (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(drain(nine),
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 5}));
+}
+
+TEST(InStream, The64thBitStaysInlineAndThe65thSpills) {
+  const std::uint64_t ones = ~std::uint64_t{0};
+  InStream whole;  // one 64-bit symbol
+  whole.deliver(ones, 64);
+  EXPECT_FALSE(whole.spilled());
+  InStream split;  // 7 + 57 bits, both all ones
+  split.deliver(0x7f, 7);
+  split.deliver(ones >> 7, 57);
+  EXPECT_FALSE(split.spilled());
+  InStream over = split;
+  over.deliver(1, 1);
+  EXPECT_TRUE(over.spilled());
+  EXPECT_EQ(drain(whole), (std::vector<std::uint64_t>{ones}));
+  EXPECT_EQ(drain(split), (std::vector<std::uint64_t>{0x7f, ones >> 7}));
+  EXPECT_EQ(drain(over), (std::vector<std::uint64_t>{0x7f, ones >> 7, 1}));
+}
+
+TEST(InStream, APartlyReadStreamKeepsItsCursorWhenItSpills) {
+  // Past the 8th symbol, past the 64th bit, and after a 64-bit symbol was
+  // read whole (the inline read offset has wrapped to 0): each spill
+  // resumes reading at the first unread symbol.
+  InStream by_count;
+  for (std::uint64_t i = 1; i <= 5; ++i) by_count.deliver(i, 4);
+  EXPECT_EQ(by_count.pop(), 1u);
+  EXPECT_EQ(by_count.pop(), 2u);
+  EXPECT_EQ(by_count.pop(), 3u);
+  for (std::uint64_t i = 6; i <= 9; ++i) by_count.deliver(i, 4);
+  EXPECT_TRUE(by_count.spilled());
+  EXPECT_EQ(by_count.delivered(), 9u);
+  EXPECT_EQ(drain(by_count), (std::vector<std::uint64_t>{4, 5, 6, 7, 8, 9}));
+
+  InStream by_bits;
+  by_bits.deliver(0xabcde, 20);
+  by_bits.deliver(0x12345, 20);
+  by_bits.deliver(0xfedcb, 20);
+  EXPECT_EQ(by_bits.pop(), 0xabcdeu);
+  EXPECT_EQ(by_bits.pop(), 0x12345u);
+  by_bits.deliver(0x3ff, 10);  // 70 bits
+  EXPECT_TRUE(by_bits.spilled());
+  EXPECT_EQ(drain(by_bits), (std::vector<std::uint64_t>{0xfedcb, 0x3ff}));
+
+  InStream wrapped;
+  wrapped.deliver(0x8000000000000001u, 64);
+  EXPECT_EQ(wrapped.pop(), 0x8000000000000001u);
+  EXPECT_EQ(wrapped.available(), 0u);
+  wrapped.deliver(5, 3);
+  EXPECT_TRUE(wrapped.spilled());
+  EXPECT_EQ(drain(wrapped), (std::vector<std::uint64_t>{5}));
+}
+
+TEST(InStream, ASpilledStreamGrowsItsBlockAndKeepsItsCursor) {
+  // 300 symbols of 1 to 64 bits, delivered one by one and in packed runs
+  // and read part way between deliveries: the spill block is rebuilt at
+  // each word capacity (2, 4, 8, … 256 words) and width capacity (16, 32,
+  // … 512), and every read, of a copy too, returns the delivered symbols
+  // in order.
+  std::vector<std::pair<std::uint64_t, unsigned>> symbols;
+  std::uint64_t x = 0x9e3779b97f4a7c15u;
+  for (unsigned i = 0; i < 300; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const unsigned w = 1 + (i * 37) % 64;
+    symbols.emplace_back(w == 64 ? x : x & ((std::uint64_t{1} << w) - 1), w);
+  }
+  InStream s;
+  std::vector<std::uint64_t> read;
+  std::size_t next = 0;
+  while (next < symbols.size()) {
+    if (next % 3 == 0) {
+      s.deliver(symbols[next].first, symbols[next].second);
+      ++next;
+    } else {
+      // A packed run of up to 5 symbols, behind a 3-bit prefix.
+      SymbolBuffer src;
+      src.put(5, 3);
+      std::vector<std::uint8_t> widths;
+      std::size_t nbits = 0;
+      for (std::size_t j = next; j < std::min(next + 5, symbols.size()); ++j) {
+        src.put(symbols[j].first, symbols[j].second);
+        widths.push_back(static_cast<std::uint8_t>(symbols[j].second));
+        nbits += symbols[j].second;
+      }
+      s.deliver_packed(src.words(), src.word_count(), 3, nbits, widths.data(),
+                       widths.size());
+      next += widths.size();
+    }
+    if (next % 4 == 1 && s.available() > 1) read.push_back(s.pop());
+  }
+  ASSERT_TRUE(s.spilled());
+  EXPECT_EQ(s.delivered(), symbols.size());
+  InStream copy(s);
+  std::vector<std::uint64_t> copied = read;
+  for (const std::uint64_t v : drain(copy)) copied.push_back(v);
+  for (const std::uint64_t v : drain(s)) read.push_back(v);
+  std::vector<std::uint64_t> want;
+  for (const auto& [v, w] : symbols) want.push_back(v);
+  EXPECT_EQ(read, want);
+  EXPECT_EQ(copied, want);
+}
+
+TEST(InStream, DeliverPackedFillsTheInlineWordExactlyThenSpills) {
+  // A packed run that ends at 8 symbols and 64 bits stays inline, and the
+  // next packed symbol spills, mid-read.
+  SymbolBuffer src;
+  for (unsigned i = 0; i < 9; ++i) src.put(i + 1, 8);
+  const std::vector<std::uint8_t> widths(9, 8);
+  InStream s;
+  s.deliver_packed(src.words(), src.word_count(), 0, 64, widths.data(), 8);
+  EXPECT_FALSE(s.spilled());
+  EXPECT_EQ(s.pop(), 1u);
+  s.deliver_packed(src.words(), src.word_count(), 64, 8, widths.data(), 1);
+  EXPECT_TRUE(s.spilled());
+  EXPECT_EQ(drain(s), (std::vector<std::uint64_t>{2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(InStream, ALengthErrorLeavesTheStreamAsItWas) {
+  // A delivery past SymbolBuffer::kMaxLength throws before it reads the
+  // source (whose one word here is far too short) and leaves the inline
+  // stream inline, with its symbols and cursor.
+  InStream s;
+  s.deliver(6, 3);
+  s.deliver(2, 3);
+  EXPECT_EQ(s.pop(), 6u);
+  const std::uint64_t word = 0;
+  const std::uint8_t width = 1;
+  EXPECT_THROW(s.deliver_packed(&word, 1, 0, SymbolBuffer::kMaxLength + 1,
+                                &width, 1),
+               std::length_error);
+  EXPECT_FALSE(s.spilled());
+  EXPECT_EQ(s.delivered(), 2u);
+  EXPECT_EQ(drain(s), (std::vector<std::uint64_t>{2}));
+}
+
+TEST(InStream, CopyAndMoveKeepBothTiers) {
+  for (const std::size_t symbols : {3u, 12u}) {
+    SCOPED_TRACE(symbols);
+    InStream s;
+    for (std::uint64_t i = 0; i < symbols; ++i) s.deliver(i + 10, 7);
+    s.deliver_eos();
+    EXPECT_EQ(s.pop(), 10u);
+    ASSERT_EQ(s.spilled(), symbols > 8);
+    std::vector<std::uint64_t> rest;
+    for (std::uint64_t i = 1; i < symbols; ++i) rest.push_back(i + 10);
+    // A copy reads on from the same cursor, independently.
+    InStream copy(s);
+    EXPECT_EQ(copy.spilled(), s.spilled());
+    EXPECT_TRUE(copy.closed());
+    EXPECT_EQ(drain(copy), rest);
+    EXPECT_TRUE(copy.finished());
+    EXPECT_EQ(s.available(), symbols - 1);
+    // Copy assignment over a spilled stream frees its old block.
+    InStream assigned;
+    for (std::uint64_t i = 0; i < 10; ++i) assigned.deliver(i, 8);
+    assigned = s;
+    EXPECT_EQ(drain(assigned), rest);
+    // A move takes the payload and leaves an empty, open stream.
+    InStream moved(std::move(s));
+    EXPECT_EQ(s.delivered(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(s.closed());
+    EXPECT_FALSE(s.spilled());
+    InStream target;
+    for (std::uint64_t i = 0; i < 10; ++i) target.deliver(i, 8);
+    target = std::move(moved);
+    EXPECT_EQ(moved.delivered(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(target.closed());
+    EXPECT_EQ(drain(target), rest);
+  }
+}
+
+TEST(InStream, EosOnAnEmptyStream) {
+  InStream s;
+  EXPECT_FALSE(s.closed());
+  EXPECT_FALSE(s.finished());
+  s.deliver_eos();
+  EXPECT_TRUE(s.closed());
+  EXPECT_TRUE(s.finished());
+  EXPECT_EQ(s.available(), 0u);
+  EXPECT_EQ(s.delivered(), 0u);
+  EXPECT_FALSE(s.spilled());
+  // EOS survives the spill of a stream that closes past the inline tier.
+  InStream long_one;
+  for (std::uint64_t i = 0; i < 9; ++i) long_one.deliver(i, 2);
+  long_one.deliver_eos();
+  EXPECT_TRUE(long_one.spilled());
+  EXPECT_FALSE(long_one.finished());
+  EXPECT_EQ(drain(long_one).size(), 9u);
+  EXPECT_TRUE(long_one.finished());
+}
+
 TEST(Inbox, BucketGrowthAcrossPoolClassesKeepsStreams) {
   // 40 streams of one kind, opened in scrambled order, move the bucket
-  // through pool classes 0..6; every stream keeps its payload (inline and
-  // spilled alike) and iteration stays sorted.
+  // through seven pool classes (1, 2, 4, ..., 64 entries); every stream
+  // keeps its payload (inline and spilled alike) and iteration stays
+  // sorted.
   InboxPool pool;
   Inbox inbox(pool);
   const std::uint16_t kind = 7;
@@ -375,6 +585,31 @@ TEST(InboxPool, GrownBucketSlotsAreReusedAcrossInboxes) {
   EXPECT_EQ(s->pop(), 3u);
   EXPECT_EQ(first.find(0, StreamKey{1, 0, 0})->pop(), 1u);
   EXPECT_EQ(first.find(1, StreamKey{1, 0, 0})->pop(), 2u);
+}
+
+TEST(Inbox, ReserveSizesANewBucketOnceAndStaysInvisible) {
+  // reserve() creates a bucket in the tightest class for its count (9
+  // streams: the 10-entry class), and only for a kind with no slot yet.
+  // Until a stream arrives the bucket is empty to every reader, and
+  // clear() returns its slot.
+  InboxPool pool;
+  Inbox inbox(pool);
+  inbox.reserve(4, 9);
+  inbox.reserve(4, 40);  // already holds a slot: no-op
+  EXPECT_EQ(pool.live_bytes(), 10 * (sizeof(InboxKey) + sizeof(InStream)));
+  EXPECT_EQ(inbox.size(), 0u);
+  EXPECT_EQ(inbox.find(0, StreamKey{4, 0, 0}), nullptr);
+  EXPECT_TRUE(collect(inbox, 4).empty());
+  for (std::size_t ni = 9; ni-- > 0;) {
+    inbox.open(ni, StreamKey{4, 0, 0}).deliver(ni, 4);
+  }
+  EXPECT_EQ(pool.keys.carved_slots(), 1u);  // filled in place, never grown
+  EXPECT_EQ(collect(inbox, 4).size(), 9u);
+  EXPECT_EQ(inbox.find(8, StreamKey{4, 0, 0})->pop(), 8u);
+  inbox.reserve(6, 1);  // a second kind, left empty
+  inbox.clear();
+  EXPECT_EQ(pool.live_bytes(), 0u);
+  EXPECT_EQ(pool.keys.carved_slots(), 2u);
 }
 
 TEST(Inbox, OutOfRangeKindThrows) {

@@ -638,6 +638,35 @@ TEST(StagedCopies, LinkPoolsHoldOneStreamEntryPerDirectedEdge) {
   }
 }
 
+TEST(StagedCopies, InboxPoolsHoldOneEntryPerReceivedStream) {
+  // The byte budget of a received stream: round 1 delivers every node's
+  // whole run of copies at once — one per neighbour, all of one kind — so
+  // its inbox bucket is created once, in the tightest slot class for its
+  // degree, and holds one 8-byte key and one 16-byte InStream per stream.
+  // Chatter never retires, so every bucket stays until its node is done.
+  // The slack is one 16-entry first chunk per shard.
+  static_assert(sizeof(InboxKey) + sizeof(InStream) == 24);
+  Rng rng(5);
+  const Graph g = erdos_renyi(3000, 0.01, rng);
+  std::uint64_t tight = 0;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    tight += slot_class_size(slot_class_for(g.degree(v))) * 24;
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    NetProfile prof;
+    NetConfig cfg;
+    cfg.threads = threads;
+    cfg.profile = &prof;
+    Network net(g, cfg, [](NodeId) { return std::make_unique<Chatter>(); });
+    net.run();
+    ASSERT_TRUE(net.all_done());
+    EXPECT_GE(prof.inbox_bytes_carved, 2 * g.m() * 24);
+    EXPECT_LE(prof.inbox_bytes_carved, tight + threads * 16 * 24);
+    EXPECT_EQ(prof.inbox_bytes_live, 0u);  // every node is done
+  }
+}
+
 TEST(ReadPackedBits, GuardsTailWordAndMasks) {
   const std::uint64_t words[2] = {0xfedcba9876543210u, 0x0f0f0f0f0f0f0f0fu};
   // Straddling read across the word boundary.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +25,21 @@ namespace nc {
 struct NetworkTestPeek {
   static std::uint32_t arrived_kinds(const Network& net, NodeId v) {
     return net.states_[v].arrived_kinds;
+  }
+  /// Streams in each of node v's inbox buckets and the streams its slot
+  /// holds (Inbox::capacity), kind by kind; {0, 0} where the kind has no
+  /// bucket.
+  static std::array<std::pair<std::size_t, std::size_t>, kMaxMsgKinds>
+  inbox_buckets(Network& net, NodeId v) {
+    std::array<std::pair<std::size_t, std::size_t>, kMaxMsgKinds> buckets{};
+    Inbox& inbox = net.states_[v].inbox;
+    for (std::uint16_t kind = 0; kind < kMaxMsgKinds; ++kind) {
+      inbox.for_each(kind, [&](std::size_t, const StreamKey&, InStream&) {
+        ++buckets[kind].first;
+      });
+      buckets[kind].second = inbox.capacity(kind);
+    }
+    return buckets;
   }
 };
 
@@ -1080,11 +1096,17 @@ TEST(Runtime, LiveInboxBytesOfAPlantedRunArePinned) {
   // 3: the streams the nodes can still read. Round 2 delivers only the
   // kSampled bits, which every node retires as soon as it has read them,
   // so nothing is live after it; round 3 brings the election and
-  // participation streams, whose live bucket slots hold 2,755 entries of
-  // one key and one stream each. A node's whole inbox goes when it is done.
-  // Live bytes depend only on each node's own buckets, so they are the same
-  // at every thread count (carved bytes are not: slot reuse is per shard),
-  // and they are 0 once every node is done.
+  // participation streams: 2,063 streams in 239 live buckets of 1 to 31
+  // entries. Each bucket is created in round 3's sorted deliver phase,
+  // sized once for its kind's copies at the tightest slot class — 2,152
+  // entries over the 239 buckets (2,755 at power-of-two sizes) — or, when
+  // its shard has no free slot of that class but one of the next class
+  // up, in that one. Live bytes are the slots' class sizes times one
+  // 8-byte key and one 16-byte stream each. Which buckets get the next
+  // class up depends on the shard's free lists, so the sum is read back
+  // per bucket. A node's whole inbox goes when it is done, so live bytes
+  // are 0 once every node is done.
+  static_assert(sizeof(InboxKey) + sizeof(InStream) == 24);
   const Instance inst = ScenarioRegistry::global().make(ScenarioSpec{
       "planted_near_clique",
       ScenarioParams().with("n", 300).with("clique_size", 40), 3});
@@ -1107,9 +1129,31 @@ TEST(Runtime, LiveInboxBytesOfAPlantedRunArePinned) {
     net.run_rounds(2);
     EXPECT_EQ(prof.inbox_bytes_live, 0u) << "after round 2";
     net.run_rounds(1);
-    EXPECT_EQ(prof.inbox_bytes_live,
-              2'755 * (sizeof(InboxKey) + sizeof(InStream)))
-        << "after round 3";
+    std::size_t buckets = 0;
+    std::size_t streams = 0;
+    std::size_t tight = 0;
+    std::size_t held = 0;
+    for (NodeId v = 0; v < inst.graph.n(); ++v) {
+      for (const auto& [size, capacity] : NetworkTestPeek::inbox_buckets(net, v)) {
+        held += capacity;
+        if (size == 0) {
+          EXPECT_EQ(capacity, 0u) << "an empty bucket holds a slot";
+          continue;
+        }
+        const unsigned cls = slot_class_for(size);
+        ++buckets;
+        streams += size;
+        tight += slot_class_size(cls);
+        EXPECT_TRUE(capacity == slot_class_size(cls) ||
+                    capacity == slot_class_size(cls + 1))
+            << "node " << v << ": " << size << " streams in a slot of "
+            << capacity;
+      }
+    }
+    EXPECT_EQ(buckets, 239u);
+    EXPECT_EQ(streams, 2'063u);
+    EXPECT_EQ(tight, 2'152u);
+    EXPECT_EQ(prof.inbox_bytes_live, held * 24) << "after round 3";
     const RunStats stats = net.run();
     EXPECT_TRUE(net.all_done());
     EXPECT_FALSE(stats.stalled);

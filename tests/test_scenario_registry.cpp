@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "expt/scenario.hpp"
 
@@ -106,41 +109,63 @@ TEST(ScenarioRegistry, MakersValidateParameterRanges) {
                std::invalid_argument);
 }
 
-TEST(ScenarioRegistry, ProbabilitiesOutsideTheUnitIntervalAreRejected) {
-  // Every declared probability key of every family: a merged value below
-  // 0, above 1 or NaN is rejected before the maker runs, naming the family
-  // and the key; 0 and 1 themselves are legal.
+TEST(ScenarioRegistry, ValuesOutsideTheirDeclaredRangeAreRejected) {
+  // Every declared range of every family: a merged value below its low
+  // end, above a finite high end, infinite or NaN is rejected before the
+  // maker runs, naming the family, the key and the range; the finite ends
+  // themselves are legal. So `theorem` eps=2 no longer plants a set of
+  // density 0, `random_geometric` radius=-1 no longer builds an empty
+  // graph and `power_law_web` avg_deg=inf no longer builds K_n.
   const auto& registry = ScenarioRegistry::global();
-  std::size_t keys = 0;
+  std::size_t ranges = 0;
+  std::size_t unit = 0;
   for (const auto& name : registry.names()) {
-    for (const auto& key : registry.family(name).probabilities) {
+    for (const auto& [key, lo, hi] : registry.family(name).ranges) {
       SCOPED_TRACE(name + "." + key);
-      ++keys;
-      for (const double bad :
-           {-1.0, 1.5, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+      ++ranges;
+      const bool bounded = std::isfinite(hi);
+      if (lo == 0.0 && hi == 1.0) ++unit;
+      std::ostringstream range;
+      if (bounded) {
+        range << "in [" << lo << ", " << hi << "]";
+      } else {
+        range << "finite and >= " << lo;
+      }
+      std::vector<double> bad{lo - 1.0, -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()};
+      if (bounded) {
+        bad.push_back(hi + 0.5);
+        bad.push_back(hi + 1.0);
+      }
+      for (const double v : bad) {
         try {
           (void)registry.make(
-              {name, ScenarioParams().with("n", 100).with(key, bad), 1});
-          ADD_FAILURE() << "accepted " << bad;
+              {name, ScenarioParams().with("n", 100).with(key, v), 1});
+          ADD_FAILURE() << "accepted " << v;
         } catch (const std::invalid_argument& e) {
           const std::string msg = e.what();
           EXPECT_NE(msg.find("'" + name + "'"), std::string::npos) << msg;
           EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
-          EXPECT_NE(msg.find("[0, 1]"), std::string::npos) << msg;
+          EXPECT_NE(msg.find(range.str()), std::string::npos) << msg;
         }
       }
-      for (const double edge : {0.0, 1.0}) {
+      for (const double edge : {lo, bounded ? hi : lo + 2.0}) {
         EXPECT_NO_THROW((void)registry.make(
             {name, ScenarioParams().with("n", 100).with(key, edge), 1}))
             << edge;
       }
     }
   }
-  // erdos_renyi p; planted_near_clique eps_missing, background_p, halo_p;
-  // theorem background_p, halo_p; planted_partition p_in, p_out;
-  // power_law_web eps_missing; sublinear_clique and blog_snapshot
-  // background_p.
-  EXPECT_EQ(keys, 11u);
+  // In [0, 1]: erdos_renyi p; planted_near_clique eps_missing,
+  // background_p, halo_p; planted_partition p_in, p_out; power_law_web
+  // eps_missing; sublinear_clique and blog_snapshot background_p; theorem
+  // delta, eps, background_p, halo_p; linear and web eps;
+  // shingles_counterexample and counterexample delta. At least 0:
+  // power_law_web avg_deg; random_geometric and adhoc_hotspot radius;
+  // sublinear_clique and sublinear alpha.
+  EXPECT_EQ(unit, 17u);
+  EXPECT_EQ(ranges, 22u);
 }
 
 TEST(ScenarioRegistry, ParseSpecRoundTrip) {
